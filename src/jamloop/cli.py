@@ -16,7 +16,7 @@ from .config import ConfigError, load_config
 from .detector import DetectorXapp
 from .experiment import (ExperimentConfig, ExperimentError, run_experiment)
 from .labeler import run_labeler
-from .manager import ModelRegistry
+from .manager import ManagerError, ModelRegistry
 from .scenarios import (KpiSample, ScheduleError, load_schedule, schedule_from_ids,
                         synth_stream)
 from .store import SchemaError, StoreError, TelemetryStore, _to_wire
@@ -193,23 +193,9 @@ def cmd_deploy(args, cfg) -> int:
         print(f"error: version {model.version} not newer than deployed "
               f"{deployed.version}", file=sys.stderr)
         return EXIT_FAILURE
-    expected = registry.next_version()
-    if model.version != expected:
-        print(f"error: model version {model.version} does not extend the registry "
-              f"(expected {expected})", file=sys.stderr)
-        return EXIT_FAILURE
-    import shutil
-    target = Path(registry_dir) / f"v{model.version:03d}.model"
-    shutil.copyfile(args.model, target)
-    from .manager import RegistryEntry
-    import time as _time
-    registry.entries.append(RegistryEntry(
-        version=model.version, path=str(target), val_accuracy=float("nan"),
-        deployed=False, created_at=_time.time(),
-        train_report={"source": "manual deploy"}))
-    registry._rewrite_journal()
+    entry = registry.register(args.model, model.version, {"source": "manual deploy"})
     registry.mark_deployed(model.version)
-    print(f"registered and marked deployed: version {model.version} at {target}")
+    print(f"registered and marked deployed: version {model.version} at {entry.path}")
     return EXIT_OK
 
 
@@ -236,7 +222,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ScheduleError, SchemaError, ConfigError, mlp.ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ExperimentError, StoreError) as exc:
+    except (ExperimentError, ManagerError, StoreError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

@@ -120,14 +120,6 @@ class ExperimentReport:
     runtime_s: float
 
 
-def _stream_digest(samples: list[KpiSample]) -> str:
-    h = hashlib.sha256()
-    for s in samples:
-        h.update(f"{s.seq},{s.ts_ms},{s.snr_db!r},{s.mcs},{s.bler!r},"
-                 f"{int(s.truth_interference)};".encode("ascii"))
-    return h.hexdigest()
-
-
 def _accuracy(verdicts: dict[int, str], samples: list[KpiSample],
               start: int, end: int) -> float:
     n = 0

@@ -11,6 +11,8 @@ cannot re-trigger.
 from __future__ import annotations
 
 import json
+import os
+import shutil
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -51,7 +53,7 @@ class DriftReport:
 class RegistryEntry:
     version: int
     path: str
-    val_accuracy: float
+    val_accuracy: float | None  # None for a model registered from outside
     deployed: bool
     created_at: float
     train_report: dict = field(default_factory=dict)
@@ -66,9 +68,15 @@ class ModelRegistry:
         self.entries: list[RegistryEntry] = []
         self._journal = self.directory / "registry.jsonl"
         if self._journal.exists():
-            for line in self._journal.read_text(encoding="utf-8").splitlines():
-                if line.strip():
+            lines = self._journal.read_text(encoding="utf-8").splitlines()
+            for lineno, line in enumerate(lines, start=1):
+                if not line.strip():
+                    continue
+                try:
                     self.entries.append(RegistryEntry(**json.loads(line)))
+                except (ValueError, TypeError) as exc:
+                    raise ManagerError(
+                        f"{self._journal}:{lineno}: corrupt registry entry: {exc}") from exc
 
     def next_version(self) -> int:
         return max((e.version for e in self.entries), default=0) + 1
@@ -79,23 +87,38 @@ class ModelRegistry:
                 return e
         return None
 
-    def add(self, model: mlp.MlpModel, report: mlp.TrainReport) -> RegistryEntry:
-        version = self.next_version()
-        if model.version != version:
-            raise ManagerError(f"model version {model.version} != next registry version {version}")
-        path = self.directory / f"v{version:03d}.model"
-        mlp.save(model, path)
-        entry = RegistryEntry(version=version, path=str(path),
-                              val_accuracy=report.val_accuracy, deployed=False,
-                              created_at=time.time(),
-                              train_report={"best_epoch": report.best_epoch,
-                                            "val_accuracy": report.val_accuracy,
-                                            "n_train": report.n_train,
-                                            "n_val": report.n_val,
-                                            "class_counts": report.class_counts})
+    def _new_model_path(self, version: int) -> Path:
+        """Where model `version` goes; it must be the registry's next version."""
+        expected = self.next_version()
+        if version != expected:
+            raise ManagerError(f"model version {version} does not extend the registry "
+                               f"(expected {expected})")
+        return self.directory / f"v{version:03d}.model"
+
+    def _append(self, entry: RegistryEntry) -> RegistryEntry:
         self.entries.append(entry)
         self._rewrite_journal()
         return entry
+
+    def add(self, model: mlp.MlpModel, report: mlp.TrainReport) -> RegistryEntry:
+        path = self._new_model_path(model.version)
+        mlp.save(model, path)
+        return self._append(RegistryEntry(
+            version=model.version, path=str(path), val_accuracy=report.val_accuracy,
+            deployed=False, created_at=time.time(),
+            train_report={"best_epoch": report.best_epoch,
+                          "val_accuracy": report.val_accuracy,
+                          "n_train": report.n_train,
+                          "n_val": report.n_val,
+                          "class_counts": report.class_counts}))
+
+    def register(self, path: str | Path, version: int, train_report: dict) -> RegistryEntry:
+        """Copy in a model file trained elsewhere; its holdout accuracy is unknown."""
+        target = self._new_model_path(version)
+        shutil.copyfile(path, target)
+        return self._append(RegistryEntry(
+            version=version, path=str(target), val_accuracy=None, deployed=False,
+            created_at=time.time(), train_report=train_report))
 
     def mark_deployed(self, version: int) -> None:
         found = False
@@ -112,9 +135,17 @@ class ModelRegistry:
         self._rewrite_journal()
 
     def _rewrite_journal(self) -> None:
-        with self._journal.open("w", encoding="utf-8") as f:
-            for e in self.entries:
-                f.write(json.dumps(e.__dict__) + "\n")
+        # write a sibling file and rename it over the journal: a process that
+        # dies mid-write leaves the previous journal whole
+        tmp = self._journal.with_name(self._journal.name + ".tmp")
+        try:
+            with tmp.open("w", encoding="utf-8") as f:
+                for e in self.entries:
+                    f.write(json.dumps(e.__dict__, allow_nan=False) + "\n")
+            os.replace(tmp, self._journal)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
 
 def monitor(store: TelemetryStore, window_size: int = DEFAULT_MONITOR_WINDOW,
@@ -292,9 +323,11 @@ class ClosedLoop:
             self._log("retrain_skipped", reason=outcome.skipped_reason,
                       history_high_seq=outcome.history_high_seq)
             return
+        fit = outcome.entry.train_report
         self._log("retrain", version=outcome.entry.version,
                   val_accuracy=outcome.entry.val_accuracy,
-                  history_high_seq=outcome.history_high_seq)
+                  history_high_seq=outcome.history_high_seq,
+                  n_rows=fit["n_train"] + fit["n_val"], best_epoch=fit["best_epoch"])
         decision = deploy_if_better(outcome.entry, self.detector, self.registry,
                                     self.cfg.deploy_gate)
         self._log("deploy", deployed=decision.deployed, version=decision.version,

@@ -5,6 +5,8 @@ sigmoid output. Inputs are (snr_db, bler, mcs) mapped through a fixed
 affine normalization so retrained models stay comparable. Training is
 minibatch Adam (or SGD) on binary cross-entropy, deterministic for a
 given seed, checkpointing the epoch with the best validation accuracy.
+All weights and biases train as one flat parameter vector with per-layer
+views, so each optimizer step is a few whole-vector operations.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ SNR_SHIFT, SNR_SCALE = 10.0, 50.0
 MCS_SCALE = 28.0
 
 MODEL_FORMAT = "jamloop-mlp-v1"
+N_PARAMS = sum(fan_in * fan_out + fan_out
+               for fan_in, fan_out in zip(LAYER_DIMS[:-1], LAYER_DIMS[1:]))
 
 
 class ModelError(Exception):
@@ -51,13 +55,27 @@ def normalize_features(snr_db: float, bler: float, mcs: float) -> np.ndarray:
     return np.array([(snr_db + SNR_SHIFT) / SNR_SCALE, bler, mcs / MCS_SCALE])
 
 
+def _normalize(features: np.ndarray) -> np.ndarray:
+    """(n, 3) raw (snr_db, bler, mcs) rows mapped to the model's input scale."""
+    return np.column_stack([(features[:, 0] + SNR_SHIFT) / SNR_SCALE,
+                            features[:, 1], features[:, 2] / MCS_SCALE])
+
+
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) is exp(-z) for z >= 0 and exp(z) below: never overflows
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _unpack(flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer weight and bias views into one flat vector of N_PARAMS."""
+    weights, biases, off = [], [], 0
+    for fan_in, fan_out in zip(LAYER_DIMS[:-1], LAYER_DIMS[1:]):
+        weights.append(flat[off:off + fan_in * fan_out].reshape(fan_in, fan_out))
+        off += fan_in * fan_out
+        biases.append(flat[off:off + fan_out])
+        off += fan_out
+    return weights, biases
 
 
 @dataclass
@@ -95,14 +113,18 @@ class MlpModel:
                         trained_on=copy.deepcopy(self.trained_on))
 
 
+def _init_params(seed: int) -> np.ndarray:
+    """He-initialized flat parameter vector (biases zero)."""
+    rng = np.random.default_rng(seed)
+    theta = np.zeros(N_PARAMS)
+    for w in _unpack(theta)[0]:
+        w[...] = math.sqrt(2.0 / w.shape[0]) * rng.standard_normal(w.shape)
+    return theta
+
+
 def init_model(seed: int, version: int = 0) -> MlpModel:
     """He-initialized random model."""
-    rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(LAYER_DIMS[:-1], LAYER_DIMS[1:]):
-        std = math.sqrt(2.0 / fan_in)
-        weights.append(std * rng.standard_normal((fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
+    weights, biases = _unpack(_init_params(seed))
     return MlpModel(weights=weights, biases=biases, version=version)
 
 
@@ -127,9 +149,30 @@ def forward_batch(model: MlpModel, features: np.ndarray) -> np.ndarray:
     """Probabilities for an (n, 3) array of raw (snr_db, bler, mcs) rows."""
     if not np.all(np.isfinite(features)):
         raise ValueError("non-finite features in batch")
-    x = np.column_stack([(features[:, 0] + SNR_SHIFT) / SNR_SCALE,
-                         features[:, 1], features[:, 2] / MCS_SCALE])
-    return _sigmoid(_logits(model, x))
+    return _sigmoid(_logits(model, _normalize(features)))
+
+
+def _loss_and_grad(model: MlpModel, x: np.ndarray, y: np.ndarray, sw: np.ndarray,
+                   gw: list[np.ndarray], gb: list[np.ndarray]) -> float:
+    """Weighted BCE of normalized rows x; exact backprop gradients go into gw, gb.
+
+    sw are per-row weights summing to 1, y the labels as floats.
+    """
+    acts = [x]
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        acts.append(np.maximum(0.0, acts[-1] @ w + b))
+    z = (acts[-1] @ model.weights[-1] + model.biases[-1]).ravel()
+
+    # BCE via logits: softplus(z) - y*z, numerically stable
+    loss = float((sw * (np.logaddexp(0.0, z) - y * z)).sum())
+
+    delta = (sw * (_sigmoid(z) - y))[:, None]
+    for layer in range(len(model.weights) - 1, -1, -1):
+        np.matmul(acts[layer].T, delta, out=gw[layer])
+        np.add.reduce(delta, axis=0, out=gb[layer])
+        if layer > 0:
+            delta = (delta @ model.weights[layer].T) * (acts[layer] > 0)
+    return loss
 
 
 def loss_and_grad(model: MlpModel, features: np.ndarray, labels: np.ndarray,
@@ -139,34 +182,13 @@ def loss_and_grad(model: MlpModel, features: np.ndarray, labels: np.ndarray,
     n = len(labels)
     if n == 0:
         raise TrainingError("empty batch")
-    y = labels.astype(float)
     if sample_weights is None:
         sw = np.full(n, 1.0 / n)
     else:
         sw = sample_weights / np.sum(sample_weights)
-
-    x = np.column_stack([(features[:, 0] + SNR_SHIFT) / SNR_SCALE,
-                         features[:, 1], features[:, 2] / MCS_SCALE])
-    acts = [x]
-    a = x
-    for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        a = np.maximum(0.0, a @ w + b)
-        acts.append(a)
-    z = (a @ model.weights[-1] + model.biases[-1]).ravel()
-
-    # BCE via logits: softplus(z) - y*z, numerically stable
-    loss = float(np.sum(sw * (np.logaddexp(0.0, z) - y * z)))
-
-    dz = (sw * (_sigmoid(z) - y))[:, None]
-    grads_w: list[np.ndarray] = [None] * len(model.weights)  # type: ignore[list-item]
-    grads_b: list[np.ndarray] = [None] * len(model.biases)  # type: ignore[list-item]
-    delta = dz
-    for layer in range(len(model.weights) - 1, -1, -1):
-        grads_w[layer] = acts[layer].T @ delta
-        grads_b[layer] = delta.sum(axis=0)
-        if layer > 0:
-            delta = (delta @ model.weights[layer].T) * (acts[layer] > 0)
-    return loss, grads_w, grads_b
+    gw, gb = _unpack(np.empty(N_PARAMS))
+    loss = _loss_and_grad(model, _normalize(features), labels.astype(float), sw, gw, gb)
+    return loss, gw, gb
 
 
 @dataclass
@@ -224,10 +246,14 @@ def train(dataset: list[tuple[tuple[float, float, float], int]],
     if n_pos == 0 or n_neg == 0:
         raise TrainingError("dataset must contain both classes (refusing degenerate retrain)")
 
+    if not np.all(np.isfinite(features)):
+        raise ValueError("non-finite features in dataset")
+
     rng = np.random.default_rng(cfg.seed)
     train_idx, val_idx = _stratified_split(labels, cfg.val_fraction, rng)
-    x_tr, y_tr = features[train_idx], labels[train_idx]
-    x_va, y_va = features[val_idx], labels[val_idx]
+    x = _normalize(features)
+    x_tr, y_tr = x[train_idx], labels[train_idx].astype(float)
+    x_va, y_va = x[val_idx], labels[val_idx]
 
     # inverse-frequency weights when the minority class is under 30%
     minority_frac = min(n_pos, n_neg) / len(labels)
@@ -237,13 +263,16 @@ def train(dataset: list[tuple[tuple[float, float, float], int]],
     else:
         weights_tr = np.ones(len(y_tr))
 
-    model = init_model(cfg.seed, version=version)
-    if cfg.optimizer == "ADAM":
+    # the model's weights and biases are views into theta, its gradient's into grad
+    theta = _init_params(cfg.seed)
+    model = MlpModel(*_unpack(theta), version=version)
+    grad = np.empty(N_PARAMS)
+    gw, gb = _unpack(grad)
+    adam = cfg.optimizer == "ADAM"
+    if adam:
         beta1, beta2, eps = 0.9, 0.999, 1e-8
-        m_w = [np.zeros_like(w) for w in model.weights]
-        v_w = [np.zeros_like(w) for w in model.weights]
-        m_b = [np.zeros_like(b) for b in model.biases]
-        v_b = [np.zeros_like(b) for b in model.biases]
+        m = np.zeros(N_PARAMS)
+        v = np.zeros(N_PARAMS)
         t = 0
 
     best = model.copy()
@@ -254,35 +283,30 @@ def train(dataset: list[tuple[tuple[float, float, float], int]],
     n_tr = len(y_tr)
     for epoch in range(cfg.epochs):
         order = rng.permutation(n_tr)
+        xe, ye, we = x_tr[order], y_tr[order], weights_tr[order]
         losses = []
         for start in range(0, n_tr, cfg.batch_size):
-            sel = order[start:start + cfg.batch_size]
-            loss, gw, gb = loss_and_grad(model, x_tr[sel], y_tr[sel], weights_tr[sel])
-            losses.append(loss)
-            if cfg.optimizer == "ADAM":
+            stop = start + cfg.batch_size
+            wb = we[start:stop]
+            losses.append(_loss_and_grad(model, xe[start:stop], ye[start:stop],
+                                         wb / wb.sum(), gw, gb))
+            if adam:
                 t += 1
-                for i in range(len(model.weights)):
-                    m_w[i] = beta1 * m_w[i] + (1 - beta1) * gw[i]
-                    v_w[i] = beta2 * v_w[i] + (1 - beta2) * gw[i] ** 2
-                    m_b[i] = beta1 * m_b[i] + (1 - beta1) * gb[i]
-                    v_b[i] = beta2 * v_b[i] + (1 - beta2) * gb[i] ** 2
-                    mhw = m_w[i] / (1 - beta1 ** t)
-                    vhw = v_w[i] / (1 - beta2 ** t)
-                    mhb = m_b[i] / (1 - beta1 ** t)
-                    vhb = v_b[i] / (1 - beta2 ** t)
-                    model.weights[i] -= cfg.learning_rate * mhw / (np.sqrt(vhw) + eps)
-                    model.biases[i] -= cfg.learning_rate * mhb / (np.sqrt(vhb) + eps)
+                m *= beta1
+                m += (1 - beta1) * grad
+                v *= beta2
+                v += (1 - beta2) * grad ** 2
+                theta -= (cfg.learning_rate * (m / (1 - beta1 ** t))
+                          / (np.sqrt(v / (1 - beta2 ** t)) + eps))
             else:
-                for i in range(len(model.weights)):
-                    model.weights[i] -= cfg.learning_rate * gw[i]
-                    model.biases[i] -= cfg.learning_rate * gb[i]
-        probs = forward_batch(model, x_va)
+                theta -= cfg.learning_rate * grad
+        probs = _sigmoid(_logits(model, x_va))
         val_acc = float(np.mean((probs >= model.threshold).astype(int) == y_va))
         epoch_loss.append(float(np.mean(losses)))
         epoch_val_acc.append(val_acc)
         if val_acc > best_acc:
             best_acc = val_acc
-            best = model.copy()
+            best = model.copy()  # independent arrays, not views of theta
             best_epoch = epoch
 
     best.version = version

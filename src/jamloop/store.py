@@ -148,9 +148,6 @@ class TelemetryStore:
             st.records.append(record)
             return len(st.records)
 
-    def has_seq(self, stream: str, seq: int) -> bool:
-        return seq in self._stream(stream).by_seq
-
     def window(self, stream: str, from_seq: int, to_seq: int) -> list:
         """All records with seq in [from_seq, to_seq], ordered by seq."""
         if from_seq > to_seq:

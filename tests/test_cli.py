@@ -172,9 +172,14 @@ class TestDeploy:
         code = main(["--out", str(out), "deploy", "--model", str(model_path)])
         assert code == EXIT_OK
         journal = (out / "models" / "registry.jsonl").read_text().splitlines()
-        entry = json.loads(journal[0])
+
+        def reject(name):  # NaN, Infinity: Python-only extensions, not JSON
+            raise ValueError(f"non-JSON constant {name}")
+
+        entry = json.loads(journal[0], parse_constant=reject)
         assert entry["version"] == 1
         assert entry["deployed"] is True
+        assert entry["val_accuracy"] is None
 
     def test_stale_version_rejected(self, tmp_path):
         model_path = small_model(tmp_path, version=1)

@@ -160,6 +160,57 @@ class TestDeployIfBetter:
             registry.mark_deployed(99)
 
 
+class TestRegistryJournal:
+    def _registry_with_two(self, tmp_path):
+        from jamloop import mlp
+        registry = ModelRegistry(tmp_path / "models")
+        for version in (1, 2):
+            src = tmp_path / f"src{version}.model"
+            mlp.save(mlp.init_model(version, version=version), src)
+            registry.register(src, version, {"source": "test"})
+        return registry
+
+    def test_failed_rewrite_leaves_old_journal(self, tmp_path, monkeypatch):
+        import json
+        registry = self._registry_with_two(tmp_path)
+        journal = tmp_path / "models" / "registry.jsonl"
+        before = journal.read_bytes()
+        dumps, calls = json.dumps, []
+
+        def failing_dumps(obj, **kw):
+            calls.append(obj)
+            if len(calls) == 2:
+                raise OSError("disk gone")
+            return dumps(obj, **kw)
+
+        monkeypatch.setattr(json, "dumps", failing_dumps)
+        with pytest.raises(OSError):
+            registry.mark_deployed(1)
+        monkeypatch.undo()
+        assert len(calls) == 2  # the write did fail partway
+        assert journal.read_bytes() == before
+        assert sorted(p.name for p in journal.parent.iterdir()) == [
+            "registry.jsonl", "v001.model", "v002.model"]
+        reloaded = ModelRegistry(tmp_path / "models")
+        assert [(e.version, e.deployed) for e in reloaded.entries] == [(1, False), (2, False)]
+
+    def test_corrupt_line_names_file_and_line(self, tmp_path):
+        self._registry_with_two(tmp_path)
+        journal = tmp_path / "models" / "registry.jsonl"
+        lines = journal.read_text().splitlines()
+        journal.write_text(lines[0] + "\n{\"version\": 2, \"pa\n")
+        with pytest.raises(ManagerError, match=r"registry\.jsonl:2"):
+            ModelRegistry(tmp_path / "models")
+        journal.write_text(lines[0] + "\n[2]\n")
+        with pytest.raises(ManagerError, match=r"registry\.jsonl:2"):
+            ModelRegistry(tmp_path / "models")
+
+    def test_register_rejects_version_gap(self, tmp_path):
+        registry = self._registry_with_two(tmp_path)
+        with pytest.raises(ManagerError, match="expected 3"):
+            registry.register(tmp_path / "src1.model", 5, {})
+
+
 def run_loop_over(ids, seed=3, duration=300, labeler_cfg=None, loop_cfg=None,
                   registry_dir=None):
     sched = schedule_from_ids(ids, seed=seed, duration_samples=duration)
@@ -215,6 +266,11 @@ class TestClosedLoop:
         assert len(post_deploys) == 1
         assert len(post_retrains) == 1
         assert det.deployed_version == 2
+        # each fit's size and checkpoint epoch are in the transcript
+        retrains = [e for e in transcript if e["event"] == "retrain"]
+        assert len(retrains) == 2
+        assert all(isinstance(e["best_epoch"], int) for e in retrains)
+        assert retrains[0]["n_rows"] < retrains[1]["n_rows"]
 
     def test_loop_never_reads_truth(self, tmp_path):
         # the loop's label/detect path operates on FeatureSample views only

@@ -155,6 +155,148 @@ class TestTrain:
                     assert np.all(x >= 0.0) and np.all(x <= 1.0)
 
 
+def _reference_train(dataset, cfg, version=0):
+    """Training as a plain per-layer loop: the arithmetic mlp.train must keep.
+
+    Separate weight/bias arrays, per-layer Adam moments, raw features
+    normalized per minibatch and a boolean-mask sigmoid.
+    """
+    def norm(f):
+        return np.column_stack([(f[:, 0] + 10.0) / 50.0, f[:, 1], f[:, 2] / 28.0])
+
+    def sigmoid(z):
+        out = np.empty_like(z)
+        pos = z >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        out[~pos] = ez / (1.0 + ez)
+        return out
+
+    def predict(ws, bs, x):
+        a = x
+        for w, b in zip(ws[:-1], bs[:-1]):
+            a = np.maximum(0.0, a @ w + b)
+        return sigmoid((a @ ws[-1] + bs[-1]).ravel())
+
+    def grads(ws, bs, feats, labels, sample_w):
+        y = labels.astype(float)
+        sw = sample_w / np.sum(sample_w)
+        acts = [norm(feats)]
+        for w, b in zip(ws[:-1], bs[:-1]):
+            acts.append(np.maximum(0.0, acts[-1] @ w + b))
+        z = (acts[-1] @ ws[-1] + bs[-1]).ravel()
+        loss = float(np.sum(sw * (np.logaddexp(0.0, z) - y * z)))
+        delta = (sw * (sigmoid(z) - y))[:, None]
+        gw, gb = [None] * len(ws), [None] * len(bs)
+        for layer in range(len(ws) - 1, -1, -1):
+            gw[layer] = acts[layer].T @ delta
+            gb[layer] = delta.sum(axis=0)
+            if layer > 0:
+                delta = (delta @ ws[layer].T) * (acts[layer] > 0)
+        return loss, gw, gb
+
+    features = np.array([list(f) for f, _ in dataset], dtype=float)
+    labels = np.array([y for _, y in dataset], dtype=int)
+    n_pos, n_neg = int(np.sum(labels == 1)), int(np.sum(labels == 0))
+    rng = np.random.default_rng(cfg.seed)
+    train_idx, val_idx = [], []
+    for cls in (0, 1):
+        idx = rng.permutation(np.flatnonzero(labels == cls))
+        n_val = max(1, int(round(len(idx) * cfg.val_fraction)))
+        val_idx.append(idx[:n_val])
+        train_idx.append(idx[n_val:])
+    train_idx = np.sort(np.concatenate(train_idx))
+    val_idx = np.sort(np.concatenate(val_idx))
+    x_tr, y_tr = features[train_idx], labels[train_idx]
+    x_va, y_va = features[val_idx], labels[val_idx]
+    if min(n_pos, n_neg) / len(labels) < 0.30:
+        class_w = {0: len(labels) / (2.0 * n_neg), 1: len(labels) / (2.0 * n_pos)}
+        w_tr = np.array([class_w[int(y)] for y in y_tr])
+    else:
+        w_tr = np.ones(len(y_tr))
+
+    init_rng = np.random.default_rng(cfg.seed)
+    ws = [np.sqrt(2.0 / a) * init_rng.standard_normal((a, b))
+          for a, b in zip(LAYER_DIMS[:-1], LAYER_DIMS[1:])]
+    bs = [np.zeros(b) for b in LAYER_DIMS[1:]]
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    m_w = [np.zeros_like(w) for w in ws]
+    v_w = [np.zeros_like(w) for w in ws]
+    m_b = [np.zeros_like(b) for b in bs]
+    v_b = [np.zeros_like(b) for b in bs]
+    t = 0
+    lr = cfg.learning_rate
+    best, best_acc, best_epoch = None, -1.0, 0
+    epoch_loss, epoch_val = [], []
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(len(y_tr))
+        losses = []
+        for start in range(0, len(y_tr), cfg.batch_size):
+            sel = order[start:start + cfg.batch_size]
+            loss, gw, gb = grads(ws, bs, x_tr[sel], y_tr[sel], w_tr[sel])
+            losses.append(loss)
+            t += 1
+            for i in range(len(ws)):
+                if cfg.optimizer == "SGD":
+                    ws[i] -= lr * gw[i]
+                    bs[i] -= lr * gb[i]
+                    continue
+                m_w[i] = beta1 * m_w[i] + (1 - beta1) * gw[i]
+                v_w[i] = beta2 * v_w[i] + (1 - beta2) * gw[i] ** 2
+                m_b[i] = beta1 * m_b[i] + (1 - beta1) * gb[i]
+                v_b[i] = beta2 * v_b[i] + (1 - beta2) * gb[i] ** 2
+                mhw, vhw = m_w[i] / (1 - beta1 ** t), v_w[i] / (1 - beta2 ** t)
+                mhb, vhb = m_b[i] / (1 - beta1 ** t), v_b[i] / (1 - beta2 ** t)
+                ws[i] -= lr * mhw / (np.sqrt(vhw) + eps)
+                bs[i] -= lr * mhb / (np.sqrt(vhb) + eps)
+        val_acc = float(np.mean((predict(ws, bs, norm(x_va)) >= 0.5).astype(int) == y_va))
+        epoch_loss.append(float(np.mean(losses)))
+        epoch_val.append(val_acc)
+        if val_acc > best_acc:
+            best_acc, best_epoch = val_acc, epoch
+            best = ([w.copy() for w in ws], [b.copy() for b in bs])
+    report = mlp.TrainReport(epoch_loss=epoch_loss, epoch_val_accuracy=epoch_val,
+                             best_epoch=best_epoch, final_train_loss=epoch_loss[-1],
+                             val_accuracy=best_acc, n_train=len(y_tr), n_val=len(y_va),
+                             class_counts={"clean": n_neg, "interference": n_pos})
+    return best, report
+
+
+def overlapping_dataset(n, minority_frac, seed):
+    """Classes 4 dB apart in SNR under 4 dB spread, so training never saturates."""
+    rng = np.random.default_rng(seed)
+    data = []
+    for _ in range(n):
+        y = int(rng.random() < minority_frac)
+        data.append(((float(rng.normal(8.0 if y else 12.0, 4.0)), float(rng.uniform(0, 1)),
+                      float(rng.integers(0, 29))), y))
+    return data
+
+
+class TestTrainMatchesReference:
+    @pytest.mark.parametrize("optimizer", ["ADAM", "SGD"])
+    @pytest.mark.parametrize("minority_frac,batch_size", [(0.5, 32), (0.15, 7)])
+    def test_bit_identical_to_per_layer_loop(self, optimizer, minority_frac, batch_size):
+        data = overlapping_dataset(600, minority_frac, seed=21)
+        labels = [y for _, y in data]
+        balanced = min(labels.count(0), labels.count(1)) / len(labels) >= 0.30
+        assert balanced == (minority_frac == 0.5)  # covers both weighting paths
+        cfg = TrainConfig(seed=5, epochs=12, batch_size=batch_size, optimizer=optimizer)
+        model, report = train(data, cfg, version=4)
+        (ref_w, ref_b), ref_report = _reference_train(data, cfg)
+        for got, want in zip(model.weights + model.biases, ref_w + ref_b):
+            assert np.array_equal(got, want)
+        assert report == ref_report
+        assert model.version == 4
+
+    def test_returned_arrays_share_no_memory(self):
+        model, _ = train(separable_dataset(n=200, seed=2), TrainConfig(seed=3, epochs=3))
+        arrays = model.weights + model.biases
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+
+
 class TestSerialization:
     def test_round_trip_prediction_equal(self, tmp_path):
         model, _ = train(separable_dataset(n=100), TrainConfig(seed=4, epochs=5),
