@@ -14,12 +14,13 @@ from pathlib import Path
 from . import mlp
 from .config import ConfigError, load_config
 from .detector import DetectorXapp
-from .experiment import (ExperimentConfig, ExperimentError, run_experiment)
+from .experiment import (ExperimentError, default_experiment_config,
+                         labeler_accuracy_by_scenario, run_experiment)
 from .labeler import run_labeler
 from .manager import ManagerError, ModelRegistry
-from .scenarios import (KpiSample, ScheduleError, load_schedule, schedule_from_ids,
-                        synth_stream)
-from .store import SchemaError, StoreError, TelemetryStore, _to_wire
+from .scenarios import KpiSample, ScheduleError, Segment, load_schedule, synth_stream
+from .store import (SchemaError, StoreError, TelemetryStore, read_records, to_wire,
+                    write_records)
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -57,25 +58,6 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def _load_trace(path: Path) -> list[KpiSample]:
-    samples: list[KpiSample] = []
-    with path.open("r", encoding="utf-8") as f:
-        for i, line in enumerate(f):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-                samples.append(KpiSample(
-                    seq=int(row["seq"]), ts_ms=int(row["ts_ms"]),
-                    snr_db=float(row["snr_db"]), mcs=int(row["mcs"]),
-                    bler=float(row["bler"]),
-                    truth_interference=bool(row.get("truth", False))))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise SchemaError(f"{path}:{i + 1}: bad trace line: {exc}") from exc
-    return samples
-
-
 def cmd_simulate(args, cfg) -> int:
     schedule = load_schedule(args.schedule, args.seed)
     for warning in schedule.warnings:
@@ -84,7 +66,7 @@ def cmd_simulate(args, cfg) -> int:
     trace_path = args.out / "trace.jsonl"
     with trace_path.open("w", encoding="utf-8") as f:
         def sink(s: KpiSample) -> None:
-            f.write(json.dumps(_to_wire(s, with_truth=args.with_truth)) + "\n")
+            f.write(json.dumps(to_wire(s, with_truth=args.with_truth)) + "\n")
         summary = synth_stream(schedule, cfg.engine, sink)
     print(f"wrote {summary.n_samples} samples to {trace_path} "
           f"(digest {summary.digest[:12]})")
@@ -92,16 +74,11 @@ def cmd_simulate(args, cfg) -> int:
 
 
 def cmd_eval_labeler(args, cfg) -> int:
-    from .experiment import labeler_accuracy_by_scenario
-    from .scenarios import Segment
-
-    samples = _load_trace(args.trace)
+    columns, samples = read_records(args.trace, stream="kpi")
     if not samples:
         print("error: empty trace", file=sys.stderr)
         return EXIT_FAILURE
-    with args.trace.open("r", encoding="utf-8") as f:
-        first = json.loads(f.readline())
-    if "truth" not in first:
+    if "truth" not in columns:
         print("error: trace carries no ground truth; rerun simulate with --with-truth",
               file=sys.stderr)
         return EXIT_FAILURE
@@ -110,8 +87,7 @@ def cmd_eval_labeler(args, cfg) -> int:
     for s in samples:
         store.append("kpi", s)
     run_labeler(store, cfg.labeler)
-    hi = store.max_seq("labels")
-    labels = {r.seq: r.label for r in store.window("labels", 0, hi)}
+    labels = {r.seq: r.label for r in store.window("labels")}
 
     # segment boundaries from truth/ordering: a segment ends where truth flips
     # or at a synthetic scenario boundary is unknown, so flip-based splitting
@@ -140,8 +116,6 @@ def cmd_eval_labeler(args, cfg) -> int:
 
 
 def cmd_run_experiment(args, cfg) -> int:
-    from .experiment import default_experiment_config
-
     exp = default_experiment_config(
         seed=args.seed,
         samples_per_scenario=cfg.experiment.samples_per_scenario,
@@ -165,19 +139,14 @@ def cmd_replay(args, cfg) -> int:
         print(f"error: model file {args.model} not found", file=sys.stderr)
         return EXIT_USAGE
     model = mlp.load(args.model)
-    samples = _load_trace(args.trace)
+    _, samples = read_records(args.trace, stream="kpi")
     detector = DetectorXapp()
     detector.swap_model(model)
     args.out.mkdir(parents=True, exist_ok=True)
     out_path = args.out / "detections.csv"
-    with out_path.open("w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["seq", "prob", "verdict", "model_version", "latency_us"])
-        for s in samples:
-            rec = detector.infer(s.public())
-            w.writerow([rec.seq, repr(rec.prob), rec.verdict, rec.model_version,
-                        rec.latency_us])
-    print(f"wrote {len(samples)} detections to {out_path}")
+    n = write_records(out_path, "detections",
+                      (detector.infer(s.public()) for s in samples), "CSV")
+    print(f"wrote {n} detections to {out_path}")
     return EXIT_OK
 
 

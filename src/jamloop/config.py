@@ -28,7 +28,6 @@ class ExperimentSection:
 class GlobalConfig:
     engine: ChannelParams
     labeler: LabelerConfig
-    mlp: TrainConfig
     loop: LoopConfig
     experiment: ExperimentSection
 
@@ -59,11 +58,10 @@ def load_config(path: str | Path | None) -> GlobalConfig:
     labeler.validate()
     train = _build(TrainConfig, doc.get("mlp", {}), "mlp")
     train.validate()
-    loop_section = dict(doc.get("loop", {}))
-    loop = _build(LoopConfig, loop_section, "loop") if "train" not in loop_section else None
-    if loop is None:
+    loop_section = doc.get("loop", {})
+    if "train" in loop_section:
         raise ConfigError("loop.train is set from the mlp section; do not nest it")
+    loop = _build(LoopConfig, loop_section, "loop")
     loop.train = train
     experiment = _build(ExperimentSection, doc.get("experiment", {}), "experiment")
-    return GlobalConfig(engine=engine, labeler=labeler, mlp=train, loop=loop,
-                        experiment=experiment)
+    return GlobalConfig(engine=engine, labeler=labeler, loop=loop, experiment=experiment)

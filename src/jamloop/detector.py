@@ -1,7 +1,7 @@
 """Near-real-time inference xApp with atomic zero-downtime model hot-swap.
 
 The deployed model lives in a single slot holding an immutable
-(model, version, seq) triple. Inference reads the slot reference once,
+(model, version) pair. Inference reads the slot reference once,
 so every detection is produced by exactly one complete model; swaps
 replace the reference atomically and never block the inference hot path.
 """
@@ -11,13 +11,10 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Iterable
 
 from .mlp import MlpModel, forward
 from .scenarios import FeatureSample
-from .store import (LABEL_CLEAN, LABEL_INTERFERENCE, DetectionRecord, TelemetryStore)
-
-DEFAULT_BACKPRESSURE_BOUND = 1000
+from .store import LABEL_CLEAN, LABEL_INTERFERENCE, DetectionRecord
 
 
 class DetectorError(Exception):
@@ -32,15 +29,10 @@ class StaleVersionError(DetectorError):
     pass
 
 
-class BackpressureError(DetectorError):
-    pass
-
-
 @dataclass(frozen=True)
 class _SlotHolder:
     model: MlpModel
     version: int
-    swapped_at_seq: int
 
 
 @dataclass(frozen=True)
@@ -50,33 +42,18 @@ class SwapReceipt:
     seq_boundary: int
 
 
-@dataclass
-class DetectorRunSummary:
-    n_detections: int
-    versions_used: list[int]
-    aborted: bool = False
-    abort_reason: str | None = None
-
-
 class DetectorXapp:
     """Per-sample interference inference over truth-blind feature samples."""
 
-    def __init__(self, store: TelemetryStore | None = None,
-                 backpressure_bound: int = DEFAULT_BACKPRESSURE_BOUND) -> None:
+    def __init__(self) -> None:
         self._slot: _SlotHolder | None = None
         self._swap_lock = threading.Lock()
-        self._store = store
         self._last_seq = -1
-        self._backpressure_bound = backpressure_bound
 
     @property
     def deployed_version(self) -> int | None:
         holder = self._slot
         return holder.version if holder else None
-
-    @property
-    def last_seq(self) -> int:
-        return self._last_seq
 
     def swap_model(self, new: MlpModel) -> SwapReceipt:
         """Atomically replace the deployed model; stale versions are rejected."""
@@ -86,8 +63,7 @@ class DetectorXapp:
                 raise StaleVersionError(
                     f"version {new.version} not newer than deployed {current.version}")
             boundary = self._last_seq
-            self._slot = _SlotHolder(model=new, version=new.version,
-                                     swapped_at_seq=boundary)
+            self._slot = _SlotHolder(model=new, version=new.version)
             return SwapReceipt(old_version=current.version if current else None,
                                new_version=new.version, seq_boundary=boundary)
 
@@ -102,30 +78,3 @@ class DetectorXapp:
         self._last_seq = sample.seq
         return DetectionRecord(seq=sample.seq, prob=prob, verdict=verdict,
                                model_version=holder.version, latency_us=int(latency_us))
-
-    def run(self, source: Iterable[FeatureSample],
-            store: TelemetryStore | None = None) -> DetectorRunSummary:
-        """Consume every sample in seq order, appending one detection each."""
-        store = store or self._store
-        if store is None:
-            raise DetectorError("no store wired for detection output")
-        if self._slot is None:
-            raise NoModelDeployedError("no model deployed; deploy an initial model first")
-        n = 0
-        versions: list[int] = []
-        for sample in source:
-            backlog = store.count("kpi") - store.count("detections") - 1
-            if backlog > self._backpressure_bound:
-                raise BackpressureError(
-                    f"detector lags source by {backlog} samples "
-                    f"(bound {self._backpressure_bound})")
-            rec = self.infer(sample)
-            try:
-                store.append("detections", rec)
-            except Exception as exc:
-                return DetectorRunSummary(n_detections=n, versions_used=versions,
-                                          aborted=True, abort_reason=str(exc))
-            n += 1
-            if not versions or versions[-1] != rec.model_version:
-                versions.append(rec.model_version)
-        return DetectorRunSummary(n_detections=n, versions_used=versions)

@@ -391,9 +391,7 @@ def run_labeler(store: TelemetryStore, cfg: LabelerConfig | None = None) -> Labe
     """
     cfg = cfg or LabelerConfig()
     cfg.validate()
-    hi = store.max_seq("kpi")
-    records = store.window("kpi", 0, hi) if hi is not None else []
-    samples = [r.public() for r in records]  # truth stripped here
+    samples = [r.public() for r in store.window("kpi")]  # truth stripped here
 
     appended = 0
     dupes = 0

@@ -14,7 +14,7 @@ import json
 import os
 import shutil
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import mlp
@@ -96,8 +96,13 @@ class ModelRegistry:
         return self.directory / f"v{version:03d}.model"
 
     def _append(self, entry: RegistryEntry) -> RegistryEntry:
+        # the model file is in place already; it goes if the journal cannot name it
+        try:
+            self._rewrite_journal([*self.entries, entry])
+        except BaseException:
+            Path(entry.path).unlink(missing_ok=True)
+            raise
         self.entries.append(entry)
-        self._rewrite_journal()
         return entry
 
     def add(self, model: mlp.MlpModel, report: mlp.TrainReport) -> RegistryEntry:
@@ -121,26 +126,23 @@ class ModelRegistry:
             created_at=time.time(), train_report=train_report))
 
     def mark_deployed(self, version: int) -> None:
-        found = False
-        for e in self.entries:
-            if e.version == version:
-                if e.deployed:
-                    raise ManagerError(f"version {version} is already deployed")
-                e.deployed = True
-                found = True
-            else:
-                e.deployed = False
-        if not found:
+        target = next((e for e in self.entries if e.version == version), None)
+        if target is None:
             raise ManagerError(f"version {version} not in registry")
-        self._rewrite_journal()
+        if target.deployed:
+            raise ManagerError(f"version {version} is already deployed")
+        # journal first, then the flags: callers hold these entry objects
+        self._rewrite_journal([replace(e, deployed=e is target) for e in self.entries])
+        for e in self.entries:
+            e.deployed = e is target
 
-    def _rewrite_journal(self) -> None:
+    def _rewrite_journal(self, entries: list[RegistryEntry]) -> None:
         # write a sibling file and rename it over the journal: a process that
         # dies mid-write leaves the previous journal whole
         tmp = self._journal.with_name(self._journal.name + ".tmp")
         try:
             with tmp.open("w", encoding="utf-8") as f:
-                for e in self.entries:
+                for e in entries:
                     f.write(json.dumps(e.__dict__, allow_nan=False) + "\n")
             os.replace(tmp, self._journal)
         except BaseException:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -122,10 +123,6 @@ class TelemetryStore:
         except KeyError:
             raise UnknownStreamError(f"unknown stream {name!r}") from None
 
-    def create_stream(self, name: str) -> None:
-        if name not in self._streams:
-            self._streams[name] = _Stream()
-
     def count(self, stream: str) -> int:
         return len(self._stream(stream).records)
 
@@ -148,14 +145,17 @@ class TelemetryStore:
             st.records.append(record)
             return len(st.records)
 
-    def window(self, stream: str, from_seq: int, to_seq: int) -> list:
-        """All records with seq in [from_seq, to_seq], ordered by seq."""
-        if from_seq > to_seq:
+    def window(self, stream: str, from_seq: int = 0, to_seq: int | None = None) -> list:
+        """Records with seq in [from_seq, to_seq] by seq; to_seq None reads to the end."""
+        if to_seq is not None and from_seq > to_seq:
             raise ValueError("from_seq must be <= to_seq")
         st = self._stream(stream)
         with st.lock:
             snapshot = list(st.records)
-        out = [r for r in snapshot if from_seq <= r.seq <= to_seq]
+        if to_seq is None:
+            out = [r for r in snapshot if from_seq <= r.seq]
+        else:
+            out = [r for r in snapshot if from_seq <= r.seq <= to_seq]
         out.sort(key=lambda r: r.seq)
         return out
 
@@ -170,31 +170,20 @@ class TelemetryStore:
                     from_seq: int = 0, to_seq: int | None = None
                     ) -> list[tuple[KpiSample, LabeledSample]]:
         """Inner join of samples and labels on seq; unlabeled pairs excluded."""
-        if to_seq is None:
-            hi = self.max_seq(samples)
-            to_seq = hi if hi is not None else 0
-        sample_rows = self.window(samples, from_seq, to_seq)
-        label_rows = {r.seq: r for r in self.window(labels, from_seq, to_seq)}
-        out = []
-        for s in sample_rows:
-            lab = label_rows.get(s.seq)
-            if lab is not None and lab.label != LABEL_UNLABELED:
-                out.append((s, lab))
-        return out
+        return self._join(samples, labels, from_seq, to_seq)
 
     def join_detections(self, detections: str = "detections", labels: str = "labels",
                         from_seq: int = 0, to_seq: int | None = None
                         ) -> list[tuple[DetectionRecord, LabeledSample]]:
-        if to_seq is None:
-            hi = self.max_seq(detections)
-            to_seq = hi if hi is not None else 0
-        det_rows = self.window(detections, from_seq, to_seq)
+        return self._join(detections, labels, from_seq, to_seq)
+
+    def _join(self, stream: str, labels: str, from_seq: int, to_seq: int | None) -> list:
         label_rows = {r.seq: r for r in self.window(labels, from_seq, to_seq)}
         out = []
-        for d in det_rows:
-            lab = label_rows.get(d.seq)
+        for r in self.window(stream, from_seq, to_seq):
+            lab = label_rows.get(r.seq)
             if lab is not None and lab.label != LABEL_UNLABELED:
-                out.append((d, lab))
+                out.append((r, lab))
         return out
 
     # ---- persistence ----
@@ -202,80 +191,62 @@ class TelemetryStore:
     def export(self, stream: str, path: str | Path, fmt: str = "JSONL",
                with_truth: bool = True) -> int:
         """Write a stream to disk; returns the record count written."""
-        records = self.window(stream, 0, self.max_seq(stream) or 0) if self.count(stream) else []
-        path = Path(path)
-        fmt = fmt.upper()
-        if fmt == "JSONL":
-            with path.open("w", encoding="utf-8") as f:
-                for r in records:
-                    f.write(json.dumps(_to_wire(r, with_truth)) + "\n")
-        elif fmt == "CSV":
-            cols = _csv_columns(records[0] if records else _stream_default_type(stream),
-                                with_truth)
-            with path.open("w", encoding="utf-8", newline="") as f:
-                w = csv.writer(f)
-                w.writerow(cols)
-                for r in records:
-                    wire = _to_wire(r, with_truth)
-                    w.writerow([_fmt_cell(wire[c]) for c in cols])
-        else:
-            raise ValueError(f"unknown export format {fmt!r}")
-        return len(records)
+        return write_records(path, stream, self.window(stream), fmt, with_truth)
 
     def import_file(self, path: str | Path, fmt: str = "JSONL",
                     stream: str | None = None) -> str:
         """Read a file into a stream (inferred from its columns if not given)."""
-        path = Path(path)
-        rows: list[dict] = []
-        fmt = fmt.upper()
-        if fmt == "JSONL":
-            with path.open("r", encoding="utf-8") as f:
-                for i, line in enumerate(f):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        rows.append(json.loads(line))
-                    except json.JSONDecodeError as exc:
-                        raise SchemaError(f"{path}:{i + 1}: invalid JSON: {exc}") from exc
-        elif fmt == "CSV":
-            with path.open("r", encoding="utf-8", newline="") as f:
-                rows = list(csv.DictReader(f))
-        else:
-            raise ValueError(f"unknown import format {fmt!r}")
-        if stream is None:
-            stream = _infer_stream(rows)
-        self.create_stream(stream)
-        for row in rows:
-            self.append(stream, _from_wire(row, stream, path))
+        columns, records = read_records(path, fmt, stream)
+        stream = stream or _infer_stream(columns)
+        for record in records:
+            self.append(stream, record)
         return stream
 
 
-def _stream_default_type(stream: str):
-    if stream == "labels":
-        return LabeledSample(0, LABEL_CLEAN, 1.0)
-    if stream == "detections":
-        return DetectionRecord(0, 0.5, LABEL_INTERFERENCE, 1, 0)
-    return KpiSample(0, 0, 0.0, 0, 0.0, False)
+def _kpi_from_wire(row: dict) -> KpiSample:
+    truth = row.get("truth", False)
+    if isinstance(truth, str):
+        truth = truth.strip() in ("1", "true", "True")
+    return KpiSample(seq=int(row["seq"]), ts_ms=int(row["ts_ms"]),
+                     snr_db=float(row["snr_db"]), mcs=int(row["mcs"]),
+                     bler=float(row["bler"]), truth_interference=bool(truth))
 
 
-def _csv_columns(record, with_truth: bool) -> list[str]:
-    if isinstance(record, KpiSample):
-        return KPI_CSV_COLUMNS if with_truth else KPI_CSV_COLUMNS[:-1]
-    if isinstance(record, LabeledSample):
-        return LABEL_CSV_COLUMNS
-    return DETECTION_CSV_COLUMNS
+def _label_from_wire(row: dict) -> LabeledSample:
+    return LabeledSample(seq=int(row["seq"]), label=str(row["label"]),
+                         confidence=float(row["confidence"]), source=str(row["source"]))
 
 
-def _fmt_cell(v):
-    if isinstance(v, bool):
-        return int(v)
-    if isinstance(v, float):
-        return repr(v)  # shortest round-trip representation
-    return v
+def _detection_from_wire(row: dict) -> DetectionRecord:
+    return DetectionRecord(seq=int(row["seq"]), prob=float(row["prob"]),
+                           verdict=str(row["verdict"]),
+                           model_version=int(row["model_version"]),
+                           latency_us=int(row["latency_us"]))
 
 
-def _to_wire(record, with_truth: bool = True) -> dict:
+# per stream: its columns, and the converter of one row read back
+_WIRE = {"kpi": (KPI_CSV_COLUMNS, _kpi_from_wire),
+         "labels": (LABEL_CSV_COLUMNS, _label_from_wire),
+         "detections": (DETECTION_CSV_COLUMNS, _detection_from_wire)}
+
+
+def _wire(stream: str):
+    try:
+        return _WIRE[stream]
+    except KeyError:
+        raise UnknownStreamError(f"unknown stream {stream!r}") from None
+
+
+def _infer_stream(columns) -> str:
+    if "label" in columns:
+        return "labels"
+    if "verdict" in columns:
+        return "detections"
+    return "kpi"
+
+
+def to_wire(record, with_truth: bool = True) -> dict:
+    """One record as the object a JSONL line holds."""
     if isinstance(record, KpiSample):
         d = {"seq": record.seq, "ts_ms": record.ts_ms, "snr_db": record.snr_db,
              "mcs": record.mcs, "bler": record.bler}
@@ -291,42 +262,78 @@ def _to_wire(record, with_truth: bool = True) -> dict:
     raise RecordInvalidError(f"unsupported record type {type(record).__name__}")
 
 
-def _infer_stream(rows: list[dict]) -> str:
-    if not rows:
-        return "kpi"
-    keys = set(rows[0])
-    if "label" in keys:
-        return "labels"
-    if "verdict" in keys:
-        return "detections"
-    return "kpi"
+def _kpi_csv_row(s: KpiSample) -> tuple:
+    return s.seq, s.ts_ms, s.snr_db, s.mcs, s.bler, int(s.truth_interference)
 
 
-_KPI_KEYS = set(KPI_CSV_COLUMNS)
-_LABEL_KEYS = set(LABEL_CSV_COLUMNS)
-_DET_KEYS = set(DETECTION_CSV_COLUMNS)
+def write_records(path: str | Path, stream: str, records, fmt: str = "JSONL",
+                  with_truth: bool = True) -> int:
+    """Write one stream's records as JSONL or CSV; returns the count written."""
+    cols = _wire(stream)[0]
+    if stream == "kpi" and not with_truth:
+        cols = cols[:-1]
+    fmt = fmt.upper()
+    if fmt not in ("JSONL", "CSV"):
+        raise ValueError(f"unknown export format {fmt!r}")
+    n = 0
+    with Path(path).open("w", encoding="utf-8", newline="") as f:
+        if fmt == "JSONL":
+            for r in records:
+                f.write(json.dumps(to_wire(r, with_truth)) + "\n")
+                n += 1
+            return n
+        w = csv.writer(f)
+        w.writerow(cols)
+        # csv.writer writes a float with repr, its shortest round-trip form
+        row = _kpi_csv_row if cols[-1] == "truth" else operator.attrgetter(*cols)
+        for r in records:
+            w.writerow(row(r))
+            n += 1
+    return n
 
 
-def _from_wire(row: dict, stream: str, path: Path):
-    expected = {"labels": _LABEL_KEYS, "detections": _DET_KEYS}.get(stream, _KPI_KEYS)
-    unknown = set(row) - expected
-    if unknown:
-        raise SchemaError(f"{path}: unknown column(s) {sorted(unknown)} for stream {stream!r}")
-    try:
-        if stream == "labels":
-            return LabeledSample(seq=int(row["seq"]), label=str(row["label"]),
-                                 confidence=float(row["confidence"]),
-                                 source=str(row["source"]))
-        if stream == "detections":
-            return DetectionRecord(seq=int(row["seq"]), prob=float(row["prob"]),
-                                   verdict=str(row["verdict"]),
-                                   model_version=int(row["model_version"]),
-                                   latency_us=int(row["latency_us"]))
-        truth = row.get("truth", False)
-        if isinstance(truth, str):
-            truth = truth.strip() in ("1", "true", "True")
-        return KpiSample(seq=int(row["seq"]), ts_ms=int(row["ts_ms"]),
-                         snr_db=float(row["snr_db"]), mcs=int(row["mcs"]),
-                         bler=float(row["bler"]), truth_interference=bool(truth))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}: bad row {row!r}: {exc}") from exc
+def read_records(path: str | Path, fmt: str = "JSONL",
+                 stream: str | None = None) -> tuple[list[str], list]:
+    """Read a JSONL or CSV file of one stream's records.
+
+    Returns the first row's columns and the records; the stream, if not
+    given, is inferred from those columns. Each row is converted as it is
+    read. A row that is not an object, has a column its stream lacks or does
+    not convert raises `SchemaError` naming the file and line.
+    """
+    path = Path(path)
+    fmt = fmt.upper()
+    if fmt not in ("JSONL", "CSV"):
+        raise ValueError(f"unknown import format {fmt!r}")
+    columns: list[str] = []
+    records: list = []
+    keys = parse = None
+    with path.open("r", encoding="utf-8", newline="" if fmt == "CSV" else None) as f:
+        csv_rows = csv.DictReader(f) if fmt == "CSV" else None
+        for lineno, row in enumerate(csv_rows or f, start=1):
+            if csv_rows is not None:
+                lineno = csv_rows.line_num
+            elif not (row := row.strip()):
+                continue
+            else:
+                try:
+                    row = json.loads(row)
+                except json.JSONDecodeError as exc:
+                    raise SchemaError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            if not isinstance(row, dict):
+                raise SchemaError(f"{path}:{lineno}: expected an object, "
+                                  f"got {type(row).__name__}")
+            if parse is None:
+                columns = list(row)
+                stream = stream or _infer_stream(columns)
+                cols, parse = _wire(stream)
+                keys = frozenset(cols)
+            if not row.keys() <= keys:
+                raise SchemaError(f"{path}:{lineno}: unknown column(s) "
+                                  f"{sorted(map(str, row.keys() - keys))} "
+                                  f"for stream {stream!r}")
+            try:
+                records.append(parse(row))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise SchemaError(f"{path}:{lineno}: bad row {row!r}: {exc}") from exc
+    return columns, records

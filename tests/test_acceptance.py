@@ -145,7 +145,7 @@ class TestCriterion3DriftResponsiveness:
         # deployed model learns scenarios 2/1; scenario 7 is a new class
         sched = schedule_from_ids([2, 1, 2, 7, 8], seed=9, duration_samples=300)
         store = TelemetryStore()
-        det = DetectorXapp(store)
+        det = DetectorXapp()
         registry = ModelRegistry(tmp_path / "models")
         loop = ClosedLoop(store, det, registry, LabelerConfig(),
                           LoopConfig(train=TrainConfig(seed=9, epochs=15)))

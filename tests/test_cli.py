@@ -119,6 +119,42 @@ class TestEvalLabeler:
         code = main(["eval-labeler", "--trace", str(trace)])
         assert code == EXIT_USAGE
 
+    def test_leading_blank_line_read_past(self, tmp_path):
+        _, trace = simulate(tmp_path, [{"id": 2, "duration_samples": 150},
+                                       {"id": 1, "duration_samples": 150}])
+        trace.write_text("\n" + trace.read_text())
+        out = tmp_path / "o"
+        assert main(["--out", str(out), "eval-labeler", "--trace", str(trace)]) == EXIT_OK
+        assert len((out / "labeler_accuracy.csv").read_text().splitlines()) == 3
+
+
+def bad_trace(tmp_path, line):
+    """A one-sample trace followed by `line`, which is the trace's line 2."""
+    _, trace = simulate(tmp_path, [{"id": 2, "duration_samples": 1}])
+    trace.write_text(trace.read_text() + line + "\n")
+    return trace
+
+
+@pytest.mark.parametrize("command", ["eval-labeler", "replay"])
+class TestMalformedTrace:
+    def invoke(self, tmp_path, command, trace):
+        argv = ["--out", str(tmp_path / "o"), command, "--trace", str(trace)]
+        if command == "replay":
+            argv += ["--model", str(small_model(tmp_path))]
+        return main(argv)
+
+    @pytest.mark.parametrize("line", ["3", "[1, 2]"])
+    def test_non_object_line_exits_2(self, tmp_path, capsys, command, line):
+        trace = bad_trace(tmp_path, line)
+        assert self.invoke(tmp_path, command, trace) == EXIT_USAGE
+        assert f"{trace}:2: expected an object" in capsys.readouterr().err
+
+    def test_unknown_column_exits_2(self, tmp_path, capsys, command):
+        trace = bad_trace(tmp_path, '{"seq": 1, "ts_ms": 100, "snr_db": 1.0, "mcs": 2, '
+                                    '"bler": 0.1, "truth": false, "rsrp": -90}')
+        assert self.invoke(tmp_path, command, trace) == EXIT_USAGE
+        assert "rsrp" in capsys.readouterr().err
+
 
 def small_model(tmp_path, version=1, bias=None):
     import numpy as np

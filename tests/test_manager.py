@@ -194,6 +194,31 @@ class TestRegistryJournal:
         reloaded = ModelRegistry(tmp_path / "models")
         assert [(e.version, e.deployed) for e in reloaded.entries] == [(1, False), (2, False)]
 
+    def test_failed_writes_keep_memory_and_disk_equal(self, tmp_path, monkeypatch):
+        import json
+        from jamloop import mlp
+        registry = ModelRegistry(tmp_path / "models")
+        src = tmp_path / "src.model"
+        mlp.save(mlp.init_model(1, version=1), src)
+        registry.register(src, 1, {"source": "test"})
+
+        def failing_dumps(obj, **kw):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(json, "dumps", failing_dumps)
+        with pytest.raises(OSError):
+            registry.mark_deployed(1)
+        with pytest.raises(OSError):
+            registry.register(src, 2, {"source": "test"})
+        monkeypatch.undo()
+        reloaded = ModelRegistry(tmp_path / "models")
+        for reg in (registry, reloaded):
+            assert reg.deployed_entry() is None
+            assert reg.next_version() == 2
+        assert [e.__dict__ for e in registry.entries] == [e.__dict__ for e in reloaded.entries]
+        assert sorted(p.name for p in (tmp_path / "models").iterdir()) == [
+            "registry.jsonl", "v001.model"]
+
     def test_corrupt_line_names_file_and_line(self, tmp_path):
         self._registry_with_two(tmp_path)
         journal = tmp_path / "models" / "registry.jsonl"
@@ -215,7 +240,7 @@ def run_loop_over(ids, seed=3, duration=300, labeler_cfg=None, loop_cfg=None,
                   registry_dir=None):
     sched = schedule_from_ids(ids, seed=seed, duration_samples=duration)
     store = TelemetryStore()
-    det = DetectorXapp(store)
+    det = DetectorXapp()
     registry = ModelRegistry(registry_dir)
     loop = ClosedLoop(store, det, registry,
                       labeler_cfg or LabelerConfig(),

@@ -4,8 +4,10 @@ import pytest
 from jamloop.scenarios import KpiSample
 from jamloop.store import (DetectionRecord, DuplicateSeqError, LabeledSample,
                            RecordInvalidError, SchemaError, StoreFullError,
-                           TelemetryStore, UnknownStreamError, LABEL_CLEAN,
-                           LABEL_INTERFERENCE, LABEL_UNLABELED)
+                           TelemetryStore, UnknownStreamError, KPI_CSV_COLUMNS,
+                           LABEL_CLEAN, LABEL_INTERFERENCE, LABEL_UNLABELED,
+                           SOURCE_GROUND_TRUTH, SOURCE_LABELER, read_records,
+                           write_records)
 
 
 def kpi(seq, snr=10.0, mcs=5, bler=0.1, truth=False):
@@ -78,6 +80,13 @@ class TestWindow:
             store.append("kpi", kpi(i))
         assert [r.seq for r in store.window("kpi", 0, 10)] == [1, 3, 5, 9]
 
+    def test_open_end_reads_to_last_seq(self, store):
+        for i in (5, 1, 9, 3):
+            store.append("kpi", kpi(i))
+        assert [r.seq for r in store.window("kpi")] == [1, 3, 5, 9]
+        assert [r.seq for r in store.window("kpi", 4)] == [5, 9]
+        assert TelemetryStore().window("labels", 3) == []
+
     def test_unknown_stream_distinct_from_empty(self, store):
         with pytest.raises(UnknownStreamError):
             store.window("ghost", 0, 10)
@@ -139,6 +148,40 @@ class TestRoundTrip:
         fresh = TelemetryStore()
         assert fresh.import_file(path, fmt) == "detections"
         assert fresh.window("detections", 0, 49) == store.window("detections", 0, 49)
+
+    @pytest.mark.parametrize("fmt", ["JSONL", "CSV"])
+    def test_labels_round_trip(self, store, tmp_path, fmt):
+        for i in range(50):
+            store.append("labels", LabeledSample(
+                i, LABEL_INTERFERENCE if i % 3 else LABEL_CLEAN, 0.1 * (i % 9 + 1),
+                SOURCE_GROUND_TRUTH if i % 2 else SOURCE_LABELER))
+        path = tmp_path / f"labels.{fmt.lower()}"
+        store.export("labels", path, fmt)
+        fresh = TelemetryStore()
+        assert fresh.import_file(path, fmt) == "labels"
+        assert fresh.window("labels") == store.window("labels")
+
+    def test_simulated_trace_rewritten_byte_identical(self, tmp_path):
+        from jamloop.cli import main
+        sched = tmp_path / "schedule.yaml"
+        sched.write_text("entries:\n  - {id: 2, duration_samples: 60}\n"
+                         "  - {id: 13, duration_samples: 60}\n")
+        assert main(["--seed", "3", "--out", str(tmp_path), "simulate",
+                     "--schedule", str(sched), "--with-truth"]) == 0
+        trace = tmp_path / "trace.jsonl"
+        columns, records = read_records(trace)
+        assert columns == KPI_CSV_COLUMNS and len(records) == 120
+        assert write_records(tmp_path / "again.jsonl", "kpi", records) == 120
+        assert (tmp_path / "again.jsonl").read_bytes() == trace.read_bytes()
+
+    @pytest.mark.parametrize("line", ["3", "[1, 2]", '"seq"', "null"])
+    def test_non_object_line_names_file_and_line(self, store, tmp_path, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"seq": 0, "ts_ms": 0, "snr_db": 1.0, "mcs": 2, "bler": 0.1}\n'
+                        f"\n{line}\n")
+        with pytest.raises(SchemaError, match=r"bad\.jsonl:3: expected an object"):
+            store.import_file(path)
+        assert store.count("kpi") == 0
 
     def test_unknown_column_named_in_error(self, store, tmp_path):
         path = tmp_path / "bad.jsonl"
