@@ -32,12 +32,29 @@ class GlobalConfig:
     experiment: ExperimentSection
 
 
+SECTIONS = ("engine", "labeler", "mlp", "loop", "experiment")
+
+
+def _section(doc: dict, name: str) -> dict:
+    section = doc.get(name)
+    if section is None:  # absent, or present and empty (`loop:` alone)
+        return {}
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section {name!r} must be a mapping")
+    return section
+
+
 def _build(cls, section: dict, name: str):
     known = {f.name for f in dataclasses.fields(cls)}
     unknown = set(section) - known
     if unknown:
         raise ConfigError(f"config section {name!r}: unknown key(s) {sorted(unknown)}")
-    return cls(**section)
+    obj = cls(**section)
+    try:
+        getattr(obj, "validate", lambda: None)()
+    except ValueError as exc:
+        raise ConfigError(f"config section {name!r}: {exc}") from exc
+    return obj
 
 
 def load_config(path: str | Path | None) -> GlobalConfig:
@@ -49,19 +66,16 @@ def load_config(path: str | Path | None) -> GlobalConfig:
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {path} must be a mapping")
         doc = raw
-    unknown = set(doc) - {"engine", "labeler", "mlp", "loop", "experiment"}
+    unknown = set(doc) - set(SECTIONS)
     if unknown:
         raise ConfigError(f"unknown config section(s) {sorted(unknown)}")
-    engine = _build(ChannelParams, doc.get("engine", {}), "engine")
-    engine.validate()
-    labeler = _build(LabelerConfig, doc.get("labeler", {}), "labeler")
-    labeler.validate()
-    train = _build(TrainConfig, doc.get("mlp", {}), "mlp")
-    train.validate()
-    loop_section = doc.get("loop", {})
-    if "train" in loop_section:
+    sections = {name: _section(doc, name) for name in SECTIONS}
+    if "train" in sections["loop"]:
         raise ConfigError("loop.train is set from the mlp section; do not nest it")
-    loop = _build(LoopConfig, loop_section, "loop")
-    loop.train = train
-    experiment = _build(ExperimentSection, doc.get("experiment", {}), "experiment")
-    return GlobalConfig(engine=engine, labeler=labeler, loop=loop, experiment=experiment)
+    loop = _build(LoopConfig, sections["loop"], "loop")
+    loop.train = _build(TrainConfig, sections["mlp"], "mlp")
+    return GlobalConfig(engine=_build(ChannelParams, sections["engine"], "engine"),
+                        labeler=_build(LabelerConfig, sections["labeler"], "labeler"),
+                        loop=loop,
+                        experiment=_build(ExperimentSection, sections["experiment"],
+                                          "experiment"))

@@ -182,10 +182,8 @@ def run_experiment(cfg: ExperimentConfig, registry_dir: Path) -> ExperimentRepor
         raise ExperimentError(f"static baseline training failed: {exc}") from exc
     detector_a = DetectorXapp()
     detector_a.swap_model(baseline_model)
-    verdicts_a = {}
-    for s in samples:
-        rec = detector_a.infer(s.public())
-        verdicts_a[rec.seq] = rec.verdict
+    verdicts_a = {rec.seq: rec.verdict
+                  for rec in detector_a.infer_batch([s.public() for s in samples])}
 
     # ---- Arm B: full closed loop, cold start ----
     store_b = TelemetryStore()

@@ -14,7 +14,8 @@ import json
 import os
 import shutil
 import time
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from . import mlp
@@ -37,12 +38,22 @@ class ManagerError(Exception):
 
 @dataclass(frozen=True)
 class DriftReport:
+    """Agreement over the scored (detection, label) pairs, and its 2x2 make-up.
+
+    tp, fp, fn and tn count the detector's verdicts against the labeler's
+    labels, INTERFERENCE being positive: fp is a pair the detector calls
+    jammed and the labeler clean.
+    """
     window_start_seq: int
     window_end_seq: int
     agreement: float | None
     sample_count: int
     drifted: bool
     trigger_reason: str
+    tp: int = 0
+    fp: int = 0
+    fn: int = 0
+    tn: int = 0
 
     def __post_init__(self) -> None:
         if self.drifted != (self.trigger_reason != TRIGGER_NONE):
@@ -153,18 +164,22 @@ class ModelRegistry:
 def monitor(store: TelemetryStore, window_size: int = DEFAULT_MONITOR_WINDOW,
             threshold: float = DEFAULT_DRIFT_THRESHOLD,
             from_seq: int = 0) -> DriftReport:
-    """Agreement over the most recent joined (detection, label) pairs."""
-    pairs = store.join_detections(from_seq=from_seq)
-    pairs = pairs[-window_size:]
+    """Agreement over the last `window_size` joined (detection, label) pairs
+    from `from_seq` on; reads only those pairs, however long the history."""
+    pairs = store.join_detections(from_seq=from_seq, last=window_size)
     if not pairs:
         return DriftReport(window_start_seq=from_seq, window_end_seq=from_seq,
                            agreement=None, sample_count=0, drifted=False,
                            trigger_reason=TRIGGER_NONE)
-    agree = sum(1 for det, lab in pairs if det.verdict == lab.label) / len(pairs)
+    counts = Counter((det.verdict == LABEL_INTERFERENCE, lab.label == LABEL_INTERFERENCE)
+                     for det, lab in pairs)
+    tp, tn = counts[True, True], counts[False, False]
+    agree = (tp + tn) / len(pairs)
     drifted = agree < threshold  # strict: exactly-at-threshold is not drift
     return DriftReport(window_start_seq=pairs[0][0].seq, window_end_seq=pairs[-1][0].seq,
                        agreement=agree, sample_count=len(pairs), drifted=drifted,
-                       trigger_reason=TRIGGER_LOW_AGREEMENT if drifted else TRIGGER_NONE)
+                       trigger_reason=TRIGGER_LOW_AGREEMENT if drifted else TRIGGER_NONE,
+                       tp=tp, fp=counts[True, False], fn=counts[False, True], tn=tn)
 
 
 @dataclass
@@ -233,13 +248,21 @@ class LoopConfig:
     deploy_gate: float = DEFAULT_DEPLOY_GATE
     train: mlp.TrainConfig = field(default_factory=mlp.TrainConfig)
 
+    def validate(self) -> None:
+        if self.monitor_window < 1:
+            raise ValueError("monitor_window must be >= 1")
+
 
 class ClosedLoop:
     """Drives labeler, detector, and training manager over a sample feed.
 
-    Feed samples one at a time with process(); the loop labels full windows,
-    runs detection once a model is deployed, and monitors/retrains every
-    monitor_window newly labeled pairs. All events land in the transcript.
+    Feed samples one at a time with process(). At each full labeler window
+    the loop first detects every sample not yet detected, in one batch, then
+    labels the window, and monitors/retrains every monitor_window newly
+    labeled pairs. A swap happens only in that last step, so each sample
+    meets the model that was deployed when it arrived; samples that arrive
+    before any model is deployed wait for the first one. All events land in
+    the transcript.
     """
 
     def __init__(self, store: TelemetryStore, detector: DetectorXapp,
@@ -255,33 +278,22 @@ class ClosedLoop:
         self._window_buf: list = []
         self._labeled_since_check = 0
         self._monitor_from_seq = 0
-        self._pending: list = []  # samples awaiting a deployed model
+        self._pending: list = []  # samples not yet detected
 
     def _log(self, event: str, **fields) -> None:
         self.transcript.append({"event": event, **fields})
 
-    def _detect(self, sample) -> None:
-        rec = self.detector.infer(sample)
-        self.store.append("detections", rec)
-
     def _flush_pending_detections(self) -> None:
         if self.detector.deployed_version is None:
             return
-        for s in self._pending:
-            self._detect(s)
+        for rec in self.detector.infer_batch(self._pending):
+            self.store.append("detections", rec)
         self._pending.clear()
 
     def process(self, kpi_sample) -> None:
         """Ingest one KPI sample through the whole loop."""
         self.store.append("kpi", kpi_sample)
-        sample = kpi_sample.public()  # ground truth never crosses this line
-
-        if self.detector.deployed_version is None:
-            self._pending.append(sample)
-        else:
-            self._detect(sample)
-
-        self._window_buf.append(sample)
+        self._window_buf.append(kpi_sample.public())  # truth never crosses this line
         if len(self._window_buf) >= self.labeler_cfg.window_size:
             self._label_buffer()
 
@@ -295,6 +307,8 @@ class ClosedLoop:
         return self.transcript
 
     def _label_buffer(self) -> None:
+        self._pending.extend(self._window_buf)
+        self._flush_pending_detections()
         labels, self.baseline = label_window(self._window_buf, self.baseline,
                                              self.labeler_cfg)
         for lab in labels:
@@ -314,10 +328,7 @@ class ClosedLoop:
         else:
             report = monitor(self.store, self.cfg.monitor_window,
                              self.cfg.drift_threshold, from_seq=self._monitor_from_seq)
-        self._log("drift_report", window_start_seq=report.window_start_seq,
-                  window_end_seq=report.window_end_seq, agreement=report.agreement,
-                  sample_count=report.sample_count, drifted=report.drifted,
-                  trigger_reason=report.trigger_reason)
+        self._log("drift_report", **asdict(report))
         if not report.drifted:
             return
         outcome = retrain(self.store, self.cfg.train, self.registry)

@@ -8,6 +8,7 @@ seqs are rejected so replays surface loudly instead of merging silently.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import json
 import operator
@@ -101,70 +102,81 @@ def _validate_kpi(s: KpiSample) -> None:
         raise RecordInvalidError("seq must be non-negative")
 
 
-class _Stream:
-    def __init__(self) -> None:
-        self.records: list = []
-        self.by_seq: dict[int, int] = {}
-        self.lock = threading.Lock()
+def _validate_record(record) -> None:
+    """Raise `RecordInvalidError` unless `record` is a valid record of some stream."""
+    if isinstance(record, KpiSample):
+        _validate_kpi(record)
+    elif isinstance(record, (LabeledSample, DetectionRecord)):
+        record.validate()
+    else:
+        raise RecordInvalidError(f"unsupported record type {type(record).__name__}")
+
+
+_SEQ = operator.attrgetter("seq")
+
+
+def _bounds(records: list, from_seq: int, to_seq: int | None) -> tuple[int, int]:
+    """Index range of the seq-ordered `records` with seq in [from_seq, to_seq]."""
+    if to_seq is not None and from_seq > to_seq:
+        raise ValueError("from_seq must be <= to_seq")
+    lo = bisect.bisect_left(records, from_seq, key=_SEQ)
+    hi = len(records) if to_seq is None else bisect.bisect_right(records, to_seq, key=_SEQ)
+    return lo, hi
 
 
 class TelemetryStore:
-    """In-memory append-only store; safe for concurrent appenders/readers."""
+    """In-memory append-only store; safe for concurrent appenders/readers.
+
+    Each stream is one list kept in seq order. Seqs normally arrive in
+    order, so an append is a compare with the last seq, and a window is two
+    bisects and a slice; an out-of-order seq is bisected into place.
+    """
 
     STREAMS = ("kpi", "labels", "detections")
 
     def __init__(self, max_records: int = DEFAULT_MAX_RECORDS) -> None:
         self.max_records = max_records
-        self._streams: dict[str, _Stream] = {name: _Stream() for name in self.STREAMS}
+        self._streams: dict[str, list] = {name: [] for name in self.STREAMS}
+        self._lock = threading.Lock()
 
-    def _stream(self, name: str) -> _Stream:
+    def _stream(self, name: str) -> list:
         try:
             return self._streams[name]
         except KeyError:
             raise UnknownStreamError(f"unknown stream {name!r}") from None
 
     def count(self, stream: str) -> int:
-        return len(self._stream(stream).records)
+        return len(self._stream(stream))
 
     def append(self, stream: str, record) -> int:
         """Append one validated record; returns the stream count after append."""
-        if isinstance(record, KpiSample):
-            _validate_kpi(record)
-        elif isinstance(record, (LabeledSample, DetectionRecord)):
-            record.validate()
-        else:
-            raise RecordInvalidError(f"unsupported record type {type(record).__name__}")
-        st = self._stream(stream)
-        with st.lock:
-            if len(st.records) >= self.max_records:
+        _validate_record(record)
+        records = self._stream(stream)
+        seq = record.seq
+        with self._lock:
+            if len(records) >= self.max_records:
                 raise StoreFullError(
                     f"stream {stream!r} reached max_records={self.max_records}")
-            if record.seq in st.by_seq:
-                raise DuplicateSeqError(f"stream {stream!r} already holds seq {record.seq}")
-            st.by_seq[record.seq] = len(st.records)
-            st.records.append(record)
-            return len(st.records)
+            if not records or records[-1].seq < seq:
+                records.append(record)
+            else:
+                i = bisect.bisect_left(records, seq, key=_SEQ)
+                if records[i].seq == seq:
+                    raise DuplicateSeqError(f"stream {stream!r} already holds seq {seq}")
+                records.insert(i, record)
+            return len(records)
 
     def window(self, stream: str, from_seq: int = 0, to_seq: int | None = None) -> list:
         """Records with seq in [from_seq, to_seq] by seq; to_seq None reads to the end."""
-        if to_seq is not None and from_seq > to_seq:
-            raise ValueError("from_seq must be <= to_seq")
-        st = self._stream(stream)
-        with st.lock:
-            snapshot = list(st.records)
-        if to_seq is None:
-            out = [r for r in snapshot if from_seq <= r.seq]
-        else:
-            out = [r for r in snapshot if from_seq <= r.seq <= to_seq]
-        out.sort(key=lambda r: r.seq)
-        return out
+        records = self._stream(stream)
+        with self._lock:
+            lo, hi = _bounds(records, from_seq, to_seq)
+            return records[lo:hi]
 
     def max_seq(self, stream: str) -> int | None:
-        st = self._stream(stream)
-        with st.lock:
-            if not st.records:
-                return None
-            return max(st.by_seq)
+        records = self._stream(stream)
+        with self._lock:
+            return records[-1].seq if records else None
 
     def join_labels(self, samples: str = "kpi", labels: str = "labels",
                     from_seq: int = 0, to_seq: int | None = None
@@ -173,17 +185,36 @@ class TelemetryStore:
         return self._join(samples, labels, from_seq, to_seq)
 
     def join_detections(self, detections: str = "detections", labels: str = "labels",
-                        from_seq: int = 0, to_seq: int | None = None
+                        from_seq: int = 0, to_seq: int | None = None,
+                        last: int | None = None
                         ) -> list[tuple[DetectionRecord, LabeledSample]]:
-        return self._join(detections, labels, from_seq, to_seq)
+        """Like `join_labels`; `last` keeps only the trailing `last` pairs."""
+        return self._join(detections, labels, from_seq, to_seq, last)
 
-    def _join(self, stream: str, labels: str, from_seq: int, to_seq: int | None) -> list:
-        label_rows = {r.seq: r for r in self.window(labels, from_seq, to_seq)}
+    def _join(self, stream: str, labels: str, from_seq: int, to_seq: int | None,
+              last: int | None = None) -> list:
+        # a merge join walked back from the high end, so that the trailing
+        # `last` pairs cost O(last) steps plus the unmatched records among them
+        if last is not None and last < 1:
+            raise ValueError("last must be >= 1")
+        records, label_rows = self._stream(stream), self._stream(labels)
         out = []
-        for r in self.window(stream, from_seq, to_seq):
-            lab = label_rows.get(r.seq)
-            if lab is not None and lab.label != LABEL_UNLABELED:
-                out.append((r, lab))
+        with self._lock:
+            i0, i = _bounds(records, from_seq, to_seq)
+            j0, j = _bounds(label_rows, from_seq, to_seq)
+            while i > i0 and j > j0 and len(out) != last:
+                r, lab = records[i - 1], label_rows[j - 1]
+                seq, label_seq = r.seq, lab.seq
+                if seq > label_seq:
+                    i -= 1
+                elif seq < label_seq:
+                    j -= 1
+                else:
+                    i -= 1
+                    j -= 1
+                    if lab.label != LABEL_UNLABELED:
+                        out.append((r, lab))
+        out.reverse()
         return out
 
     # ---- persistence ----
@@ -297,9 +328,10 @@ def read_records(path: str | Path, fmt: str = "JSONL",
     """Read a JSONL or CSV file of one stream's records.
 
     Returns the first row's columns and the records; the stream, if not
-    given, is inferred from those columns. Each row is converted as it is
-    read. A row that is not an object, has a column its stream lacks or does
-    not convert raises `SchemaError` naming the file and line.
+    given, is inferred from those columns. Each row is converted and
+    validated as it is read. A row that is not an object, has a column its
+    stream lacks, does not convert or holds an invalid record (say `bler`
+    1.5) raises `SchemaError` naming the file and line.
     """
     path = Path(path)
     fmt = fmt.upper()
@@ -333,7 +365,9 @@ def read_records(path: str | Path, fmt: str = "JSONL",
                                   f"{sorted(map(str, row.keys() - keys))} "
                                   f"for stream {stream!r}")
             try:
-                records.append(parse(row))
-            except (KeyError, TypeError, ValueError) as exc:
+                record = parse(row)
+                _validate_record(record)
+            except (KeyError, TypeError, ValueError, RecordInvalidError) as exc:
                 raise SchemaError(f"{path}:{lineno}: bad row {row!r}: {exc}") from exc
+            records.append(record)
     return columns, records

@@ -5,6 +5,7 @@ import pytest
 
 from jamloop import mlp
 from jamloop.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
+from jamloop.config import load_config
 from jamloop.mlp import TrainConfig
 
 
@@ -155,6 +156,16 @@ class TestMalformedTrace:
         assert self.invoke(tmp_path, command, trace) == EXIT_USAGE
         assert "rsrp" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ['"mcs": 99, "bler": 0.1', '"mcs": 2, "bler": 1.5'])
+    def test_invalid_kpi_record_exits_2(self, tmp_path, capsys, command, field):
+        trace = bad_trace(tmp_path, '{"seq": 1, "ts_ms": 100, "snr_db": 1.0, '
+                                    + field + ', "truth": false}')
+        assert self.invoke(tmp_path, command, trace) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{trace}:2: bad row" in err
+        assert "outside" in err
+        assert not (tmp_path / "o" / "detections.csv").exists()
+
 
 def small_model(tmp_path, version=1, bias=None):
     import numpy as np
@@ -268,6 +279,29 @@ class TestRunExperiment:
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("loop:\n  train:\n    epochs: 5\n")
         assert main(["--config", str(cfg), "run-experiment"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("section", ["engine", "labeler", "mlp", "loop", "experiment"])
+class TestConfigSections:
+    def test_empty_section_reads_as_defaults(self, tmp_path, section):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"{section}:\n")
+        assert load_config(cfg) == load_config(None)
+
+    def test_non_mapping_section_exits_2(self, tmp_path, capsys, section):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"{section}: 3\n")
+        assert main(["--config", str(cfg), "run-experiment"]) == EXIT_USAGE
+        assert f"config section {section!r} must be a mapping" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,key", [("labeler", "window_size: 2"),
+                                         ("loop", "monitor_window: 0")])
+def test_invalid_config_value_exits_2(tmp_path, capsys, section, key):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"{section}:\n  {key}\n")
+    assert main(["--config", str(cfg), "run-experiment"]) == EXIT_USAGE
+    assert f"config section {section!r}: {key.split(':')[0]}" in capsys.readouterr().err
 
 
 class TestArgErrors:

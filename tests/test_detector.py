@@ -1,10 +1,12 @@
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from jamloop.detector import (DetectorXapp, NoModelDeployedError, StaleVersionError)
-from jamloop.mlp import LAYER_DIMS, MlpModel
+from jamloop.mlp import LAYER_DIMS, MlpModel, forward_batch
 from jamloop.scenarios import FeatureSample
 from jamloop.store import LABEL_CLEAN, LABEL_INTERFERENCE, TelemetryStore
 
@@ -46,6 +48,53 @@ class TestInfer:
         assert rec.model_version == 3
         assert rec.seq == 9
         assert rec.latency_us >= 0
+
+
+def random_model(version, seed, features):
+    """Random weights, output bias set so that half of `features` read jammed."""
+    rng = np.random.default_rng(seed)
+    weights = [rng.normal(0, 0.5, (a, b)) for a, b in zip(LAYER_DIMS[:-1], LAYER_DIMS[1:])]
+    biases = [rng.normal(0, 0.5, b) for b in LAYER_DIMS[1:]]
+    model = MlpModel(weights=weights, biases=biases, version=version)
+    p = forward_batch(model, features)
+    model.biases[-1][0] -= np.median(np.log(p) - np.log1p(-p))
+    return model
+
+
+class TestInferBatch:
+    def test_before_deployment_errors(self):
+        with pytest.raises(NoModelDeployedError):
+            DetectorXapp().infer_batch([feature(0)])
+
+    def test_empty_batch(self):
+        det = DetectorXapp()
+        det.swap_model(bias_model(1))
+        assert det.infer_batch([]) == []
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_per_sample_infer(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        samples = [FeatureSample(seq=i, ts_ms=i * 100, snr_db=float(rng.uniform(-10, 40)),
+                                 mcs=int(rng.integers(0, 29)),
+                                 bler=float(rng.uniform(0, 1))) for i in range(300)]
+        det = DetectorXapp()
+        det.swap_model(random_model(4, seed, np.array(
+            [(s.snr_db, s.bler, s.mcs) for s in samples])))
+        batch = det.infer_batch(samples)
+        single = [det.infer(s) for s in samples]
+        assert {r.verdict for r in single} == {LABEL_CLEAN, LABEL_INTERFERENCE}
+        assert [(r.seq, r.verdict, r.model_version) for r in batch] == \
+            [(r.seq, r.verdict, r.model_version) for r in single]
+        for b, r in zip(batch, single):  # equal up to the last bits
+            assert b.prob == pytest.approx(r.prob, rel=1e-12, abs=1e-15)
+        assert len({r.latency_us for r in batch}) == 1
+        assert isinstance(batch[0].latency_us, int) and batch[0].latency_us >= 0
+
+    def test_swap_boundary_is_last_seq_of_batch(self):
+        det = DetectorXapp()
+        det.swap_model(bias_model(1))
+        det.infer_batch([feature(i) for i in range(10, 20)])
+        assert det.swap_model(bias_model(2)).seq_boundary == 19
 
 
 class TestSwap:
@@ -159,3 +208,54 @@ class TestSwapAtomicityRace:
         assert versions == sorted(versions)
         for r in records:
             assert r.prob == pytest.approx(probes[r.model_version], abs=1e-12)
+
+    def test_one_version_per_batch_under_swaps(self):
+        """The same poison harness over `infer_batch`: a batch is torn if its
+        records carry two versions, or a prob of another version's model."""
+        n_versions = 60
+        models = {v: bias_model(v, out_bias=-6.0 + 12.0 * v / n_versions)
+                  for v in range(1, n_versions + 1)}
+        from jamloop.mlp import forward
+        probes = {v: forward(m, (20.0, 0.1, 15.0)) for v, m in models.items()}
+        det = DetectorXapp()
+        det.swap_model(models[1])
+
+        stop = threading.Event()
+        swap_errors = []
+
+        def swapper():
+            for v in range(2, n_versions + 1):
+                try:
+                    det.swap_model(models[v])
+                except StaleVersionError as exc:  # must never happen here
+                    swap_errors.append(exc)
+                time.sleep(0.0005)  # let batches run between swaps
+            stop.set()
+
+        batches = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # swaps land inside batches, not only between
+        try:
+            t = threading.Thread(target=swapper)
+            t.start()
+            i = 0
+            while not stop.is_set() or len(batches) < 200:
+                batches.append(det.infer_batch([feature(i + k) for k in range(25)]))
+                i += 25
+                if len(batches) > 20_000:
+                    break
+            t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not t.is_alive()
+
+        assert not swap_errors
+        assert batches[-1][0].model_version == n_versions
+        versions = []
+        for batch in batches:
+            (version,) = {r.model_version for r in batch}
+            versions.append(version)
+            for r in batch:
+                assert r.prob == pytest.approx(probes[version], abs=1e-12)
+        assert versions == sorted(versions)
+        assert len(set(versions)) > 1

@@ -9,7 +9,7 @@ from jamloop.manager import (ClosedLoop, DriftReport, LoopConfig, ModelRegistry,
 from jamloop.mlp import TrainConfig
 from jamloop.scenarios import KpiSample, iter_stream, schedule_from_ids
 from jamloop.store import (DetectionRecord, LABEL_CLEAN, LABEL_INTERFERENCE,
-                           LabeledSample, TelemetryStore)
+                           LABEL_UNLABELED, LabeledSample, TelemetryStore)
 
 
 def kpi(seq, snr=10.0, truth=False):
@@ -66,6 +66,67 @@ class TestMonitor:
     def test_drifted_flag_must_match_reason(self):
         with pytest.raises(ValueError):
             DriftReport(0, 10, 0.5, 10, drifted=True, trigger_reason=TRIGGER_NONE)
+
+    def test_confusion_counts(self):
+        store = TelemetryStore()
+        # detector jammed on seqs 0-59, labeler jammed on seqs 40-99
+        fill(store, 100,
+             lambda i: LABEL_INTERFERENCE if i < 60 else LABEL_CLEAN,
+             lambda i: LABEL_INTERFERENCE if i >= 40 else LABEL_CLEAN)
+        report = monitor(store, window_size=100)
+        assert (report.tp, report.fp, report.fn, report.tn) == (20, 40, 40, 0)
+        assert report.agreement == pytest.approx(0.2)
+
+
+def reference_monitor(detections, labels, window_size, threshold, from_seq):
+    """The full-join monitor the trailing join replaced, over plain record lists."""
+    label_rows = {r.seq: r for r in labels if r.seq >= from_seq}
+    pairs = [(d, label_rows[d.seq]) for d in sorted(detections, key=lambda d: d.seq)
+             if d.seq >= from_seq and d.seq in label_rows
+             and label_rows[d.seq].label != LABEL_UNLABELED]
+    pairs = pairs[-window_size:]
+    if not pairs:
+        return DriftReport(from_seq, from_seq, None, 0, False, TRIGGER_NONE)
+    agree = sum(1 for det, lab in pairs if det.verdict == lab.label) / len(pairs)
+    drifted = agree < threshold
+    confusion = [sum(1 for det, lab in pairs
+                     if (det.verdict == LABEL_INTERFERENCE) == d_jam
+                     and (lab.label == LABEL_INTERFERENCE) == l_jam)
+                 for d_jam, l_jam in ((True, True), (True, False), (False, True),
+                                      (False, False))]
+    return DriftReport(pairs[0][0].seq, pairs[-1][0].seq, agree, len(pairs), drifted,
+                       TRIGGER_LOW_AGREEMENT if drifted else TRIGGER_NONE, *confusion)
+
+
+class TestMonitorMatchesFullJoin:
+    @pytest.mark.parametrize("seed", range(25))
+    def test_random_store(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 400))
+        seqs = sorted(int(q) for q in rng.choice(3 * n + 1, size=n, replace=False))
+        # mostly in order, with some neighbours swapped: out-of-order appends
+        for i in range(len(seqs) - 1):
+            if rng.random() < 0.1:
+                seqs[i], seqs[i + 1] = seqs[i + 1], seqs[i]
+        store, detections, labels = TelemetryStore(), [], []
+        for seq in seqs:
+            if rng.random() < 0.85:  # some labeled seqs have no detection
+                d = detection(seq, LABEL_INTERFERENCE if rng.random() < 0.5 else LABEL_CLEAN)
+                store.append("detections", d)
+                detections.append(d)
+            if rng.random() < 0.9:
+                u = rng.random()
+                lab = (LabeledSample(seq, LABEL_UNLABELED, 0.0) if u < 0.15 else
+                       LabeledSample(seq, LABEL_INTERFERENCE if u < 0.6 else LABEL_CLEAN, 0.8))
+                store.append("labels", lab)
+                labels.append(lab)
+        top = seqs[-1] if seqs else 0
+        for from_seq in (0, top // 3, top // 2, top, top + 1, top + 50):
+            for window_size in (1, 13, 200, 1000):
+                for threshold in (0.5, 0.85):
+                    assert monitor(store, window_size, threshold, from_seq) == \
+                        reference_monitor(detections, labels, window_size, threshold,
+                                          from_seq), (from_seq, window_size)
 
 
 def make_labeled_history(store, n=400, seed=0):
@@ -296,6 +357,35 @@ class TestClosedLoop:
         assert len(retrains) == 2
         assert all(isinstance(e["best_epoch"], int) for e in retrains)
         assert retrains[0]["n_rows"] < retrains[1]["n_rows"]
+
+    def test_detections_match_per_sample_infer(self, tmp_path):
+        # each sample is detected by the model deployed when it arrived, or by
+        # the first model if none was; verdicts as a per-sample `infer` gives
+        from jamloop import mlp
+        sched = schedule_from_ids([2, 1, 2, 7, 8], seed=9, duration_samples=300)
+        store, det = TelemetryStore(), DetectorXapp()
+        registry = ModelRegistry(tmp_path / "m")
+        loop = ClosedLoop(store, det, registry, LabelerConfig(),
+                          LoopConfig(train=TrainConfig(seed=9, epochs=15)))
+        samples, version_at_arrival = [], []
+        for s in iter_stream(sched):
+            version_at_arrival.append(det.deployed_version)
+            samples.append(s)
+            loop.process(s)
+        loop.close()
+        first = next(v for v in version_at_arrival if v is not None)
+        assert version_at_arrival[-1] > first  # a deploy in mid-run
+        paths = {e.version: e.path for e in registry.entries}
+        models = {}
+        for version in set(version_at_arrival) - {None}:
+            models[version] = DetectorXapp()
+            models[version].swap_model(mlp.load(paths[version]))
+        expected = []
+        for s, v in zip(samples, version_at_arrival):
+            rec = models[v or first].infer(s.public())
+            expected.append((rec.seq, rec.verdict, rec.model_version))
+        got = [(d.seq, d.verdict, d.model_version) for d in store.window("detections")]
+        assert got == expected
 
     def test_loop_never_reads_truth(self, tmp_path):
         # the loop's label/detect path operates on FeatureSample views only

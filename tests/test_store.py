@@ -49,6 +49,21 @@ class TestAppend:
         with pytest.raises(UnknownStreamError):
             store.append("nope", kpi(0))
 
+    def test_duplicate_rejected_after_out_of_order_insert(self, store):
+        for i in (5, 1, 9, 3):
+            store.append("kpi", kpi(i))
+        for dup in (1, 3, 5, 9):  # first, inserted, middle and last seq
+            with pytest.raises(DuplicateSeqError):
+                store.append("kpi", kpi(dup))
+        assert store.count("kpi") == 4
+        assert [r.seq for r in store.window("kpi")] == [1, 3, 5, 9]
+
+    def test_max_seq_after_out_of_order_appends(self, store):
+        assert store.max_seq("kpi") is None
+        for i, expected in ((5, 5), (9, 9), (1, 9), (3, 9), (12, 12), (0, 12)):
+            store.append("kpi", kpi(i))
+            assert store.max_seq("kpi") == expected
+
     def test_capacity_aborts_not_evicts(self):
         small = TelemetryStore(max_records=3)
         for i in range(3):
@@ -119,6 +134,30 @@ class TestJoin:
         store.append("labels", label(1, LABEL_INTERFERENCE))
         joined = store.join_labels()
         assert [lab.seq for _, lab in joined] == [1]
+
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_trailing_pairs_equal_tail_of_full_join(self, seed):
+        rng = np.random.default_rng(seed)
+        store = TelemetryStore()
+        seqs = rng.choice(300, size=120, replace=False)  # sparse, out of order
+        for seq in seqs:
+            if rng.random() < 0.8:
+                store.append("detections", DetectionRecord(int(seq), 0.2, LABEL_CLEAN, 1, 3))
+            if rng.random() < 0.8:
+                unlabeled = rng.random() < 0.2
+                store.append("labels", LabeledSample(
+                    int(seq), LABEL_UNLABELED if unlabeled else LABEL_CLEAN,
+                    0.0 if unlabeled else 0.7))
+        for from_seq in (0, 150, 299, 400):
+            full = store.join_detections(from_seq=from_seq)
+            assert [d.seq for d, _ in full] == sorted(d.seq for d, _ in full)
+            for last in (1, 7, 200):
+                assert store.join_detections(from_seq=from_seq, last=last) == full[-last:]
+
+    def test_last_must_be_positive(self, store):
+        with pytest.raises(ValueError):
+            store.join_detections(last=0)
 
 
 class TestRoundTrip:
@@ -215,3 +254,44 @@ class TestConcurrency:
             t.join()
         assert store.count("kpi") == 500
         assert store.count("labels") == 500
+
+    def test_interleaved_out_of_order_appenders_one_stream(self, store):
+        # each thread's seqs land between the others': in-order appends and
+        # bisected inserts race on one list while a reader joins
+        import sys
+        import threading
+        n_threads, per_thread = 6, 400
+        errors = []
+
+        def put(k):
+            try:
+                for i in range(per_thread):
+                    store.append("detections", DetectionRecord(
+                        i * n_threads + k, 0.2, LABEL_CLEAN, 1, 3))
+                    store.append("labels", label(i * n_threads + k))
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        def read():
+            while any(t.is_alive() for t in writers):
+                pairs = store.join_detections(last=50)
+                if [d.seq for d, _ in pairs] != sorted(d.seq for d, _ in pairs):
+                    errors.append(AssertionError("join out of seq order"))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            writers = [threading.Thread(target=put, args=(k,)) for k in range(n_threads)]
+            reader = threading.Thread(target=read)
+            for t in writers:
+                t.start()
+            reader.start()
+            for t in writers + [reader]:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in writers + [reader])
+        assert not errors
+        n = n_threads * per_thread
+        assert [r.seq for r in store.window("detections")] == list(range(n))
+        assert len(store.join_detections()) == n
