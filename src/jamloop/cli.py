@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -89,17 +90,13 @@ def cmd_eval_labeler(args, cfg) -> int:
     run_labeler(store, cfg.labeler)
     labels = {r.seq: r.label for r in store.window("labels")}
 
-    # segment boundaries from truth/ordering: a segment ends where truth flips
-    # or at a synthetic scenario boundary is unknown, so flip-based splitting
+    # the trace names no scenarios: a segment is a run of constant truth in seq order
+    samples = store.window("kpi")
     segments: list[Segment] = []
-    start = 0
-    for i in range(1, len(samples) + 1):
-        if i == len(samples) or samples[i].truth_interference != samples[start].truth_interference:
-            segments.append(Segment(
-                scenario_id=len(segments) + 1,
-                event="ON" if samples[start].truth_interference else "OFF",
-                start_seq=samples[start].seq, end_seq=samples[i - 1].seq))
-            start = i
+    for truth, run in itertools.groupby(samples, key=lambda s: s.truth_interference):
+        run = list(run)
+        segments.append(Segment(scenario_id=len(segments) + 1, event="ON" if truth else "OFF",
+                                start_seq=run[0].seq, end_seq=run[-1].seq))
     rows = labeler_accuracy_by_scenario(samples, labels, segments,
                                         cfg.labeler.smoothing_halfwidth)
     args.out.mkdir(parents=True, exist_ok=True)

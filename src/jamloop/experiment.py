@@ -9,8 +9,10 @@ CSV artifacts carry.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import json
+import operator
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,10 +20,12 @@ from pathlib import Path
 from . import mlp
 from .detector import DetectorXapp
 from .labeler import LabelerConfig, run_labeler
-from .manager import ClosedLoop, LoopConfig, ModelRegistry
+from .manager import ClosedLoop, LoopConfig, ModelRegistry, labeled_dataset
 from .scenarios import (ChannelParams, KpiSample, ScenarioSchedule, Segment,
                         schedule_from_ids, synth_stream)
-from .store import LABEL_INTERFERENCE, TelemetryStore
+from .store import LABEL_CLEAN, LABEL_INTERFERENCE, TelemetryStore
+
+_SEQ = operator.attrgetter("seq")
 
 
 class ExperimentError(Exception):
@@ -38,45 +42,27 @@ class WindowSpec:
 class ExperimentConfig:
     schedule: ScenarioSchedule
     baseline_train_entries: int = 6  # leading schedule entries for Arm A training
-    window_map: list[WindowSpec] | None = None
     output_dir: Path | None = None
     channel: ChannelParams = field(default_factory=ChannelParams)
     labeler: LabelerConfig = field(default_factory=LabelerConfig)
     loop: LoopConfig = field(default_factory=LoopConfig)
 
-    def resolved_window_map(self) -> list[WindowSpec]:
-        if self.window_map is not None:
-            covered = [p for w in self.window_map for p in w.scenario_positions]
-            if sorted(covered) != list(range(len(self.schedule.entries))):
-                raise ExperimentError(
-                    "window_map must cover every schedule entry exactly once")
-            return self.window_map
-        return default_window_map(self.schedule)
-
 
 def default_window_map(schedule: ScenarioSchedule) -> list[WindowSpec]:
-    """Pair consecutive entries into windows, one pass label per schedule repeat.
+    """Windows of consecutive entry pairs, labeled by pass and letter.
 
-    Windows are labeled 1a, 1b, ... for the first pass over the catalog,
-    2a, 2b, ... for the second, matching paired ON/OFF scenes.
+    A new pass starts wherever the first entry's id recurs. Within a pass
+    the entries pair up in order, a trailing odd entry making a window of
+    its own; windows are labeled 1a, 1b, ... in the first pass, 2a, 2b, ...
+    in the second, matching paired ON/OFF scenes.
     """
-    n = len(schedule.entries)
+    entries = schedule.entries
+    starts = [i for i, e in enumerate(entries) if e.id == entries[0].id]
     windows: list[WindowSpec] = []
-    pass_no = 1
-    letter = 0
-    first_id = schedule.entries[0].id
-    i = 0
-    while i < n:
-        if i > 0 and schedule.entries[i].id == first_id:
-            pass_no += 1
-            letter = 0
-        positions = [i] if i + 1 >= n else [i, i + 1]
-        if len(positions) == 2 and schedule.entries[i + 1].id == first_id and i + 1 > 0:
-            positions = [i]
-        windows.append(WindowSpec(label=f"{pass_no}{chr(ord('a') + letter)}",
-                                  scenario_positions=positions))
-        letter += 1
-        i += len(positions)
+    for pass_no, (lo, hi) in enumerate(zip(starts, starts[1:] + [len(entries)]), start=1):
+        for letter, i in enumerate(range(lo, hi, 2)):
+            windows.append(WindowSpec(label=f"{pass_no}{chr(ord('a') + letter)}",
+                                      scenario_positions=list(range(i, min(i + 2, hi)))))
     return windows
 
 
@@ -119,46 +105,39 @@ class ExperimentReport:
     runtime_s: float
 
 
-def _accuracy(verdicts: dict[int, str], samples: list[KpiSample],
-              start: int, end: int) -> float:
-    n = 0
-    hits = 0
-    for s in samples[start:end + 1]:
-        v = verdicts.get(s.seq)
-        n += 1
-        truth = LABEL_INTERFERENCE if s.truth_interference else "CLEAN"
-        if v == truth:
-            hits += 1
-    return hits / n if n else 0.0
+def _score(verdicts: dict[int, str], samples: list[KpiSample],
+           start_seq: int, end_seq: int) -> float:
+    """Share of the seq-ordered `samples` with seq in [start_seq, end_seq]
+    whose verdict is their truth label; 0.0 when the range holds none."""
+    lo = bisect.bisect_left(samples, start_seq, key=_SEQ)
+    hi = bisect.bisect_right(samples, end_seq, key=_SEQ)
+    hits = sum(verdicts.get(s.seq) == (LABEL_INTERFERENCE if s.truth_interference
+                                       else LABEL_CLEAN)
+               for s in samples[lo:hi])
+    return hits / (hi - lo) if hi > lo else 0.0
 
 
 def labeler_accuracy_by_scenario(samples: list[KpiSample], labels: dict[int, str],
                                  segments: list[Segment],
                                  transition_halfwidth: int = 2
                                  ) -> list[ScenarioLabelAccuracy]:
-    out = []
-    for pos, seg in enumerate(segments):
-        n = hits = n_ex = hits_ex = 0
-        for s in samples[seg.start_seq:seg.end_seq + 1]:
-            truth = LABEL_INTERFERENCE if s.truth_interference else "CLEAN"
-            ok = labels.get(s.seq) == truth
-            n += 1
-            hits += ok
-            near_edge = (s.seq - seg.start_seq < transition_halfwidth
-                         or seg.end_seq - s.seq < transition_halfwidth)
-            if not near_edge:
-                n_ex += 1
-                hits_ex += ok
-        out.append(ScenarioLabelAccuracy(
-            position=pos, scenario_id=seg.scenario_id, event=seg.event,
-            accuracy=hits / n if n else 0.0,
-            accuracy_transition_excluded=hits_ex / n_ex if n_ex else 0.0))
-    return out
+    """Labeler accuracy against truth per segment, over all its samples and
+    without the `transition_halfwidth` (>= 0) samples at each end.
+
+    `samples` must be in seq order; a segment scores the samples whose seq
+    lies in its range, whatever their positions in the list.
+    """
+    return [ScenarioLabelAccuracy(
+        position=pos, scenario_id=seg.scenario_id, event=seg.event,
+        accuracy=_score(labels, samples, seg.start_seq, seg.end_seq),
+        accuracy_transition_excluded=_score(labels, samples,
+                                            seg.start_seq + transition_halfwidth,
+                                            seg.end_seq - transition_halfwidth))
+        for pos, seg in enumerate(segments)]
 
 
 def run_experiment(cfg: ExperimentConfig, registry_dir: Path) -> ExperimentReport:
     t0 = time.perf_counter()
-    window_map = cfg.resolved_window_map()
     if not 0 < cfg.baseline_train_entries <= len(cfg.schedule.entries):
         raise ExperimentError("baseline_train_entries outside the schedule")
 
@@ -173,11 +152,9 @@ def run_experiment(cfg: ExperimentConfig, registry_dir: Path) -> ExperimentRepor
         if s.seq <= train_end_seq:
             store_a.append("kpi", s)
     run_labeler(store_a, cfg.labeler)
-    pairs = store_a.join_labels()
-    dataset = [((s.snr_db, s.bler, float(s.mcs)),
-                1 if lab.label == LABEL_INTERFERENCE else 0) for s, lab in pairs]
     try:
-        baseline_model, _ = mlp.train(dataset, cfg.loop.train, version=1)
+        baseline_model, _ = mlp.train(labeled_dataset(store_a.join_labels()),
+                                      cfg.loop.train, version=1)
     except mlp.TrainingError as exc:
         raise ExperimentError(f"static baseline training failed: {exc}") from exc
     detector_a = DetectorXapp()
@@ -204,16 +181,14 @@ def run_experiment(cfg: ExperimentConfig, registry_dir: Path) -> ExperimentRepor
     labels_b = {r.seq: r.label for r in store_b.window("labels")}
 
     windows: list[WindowAccuracy] = []
-    for w in window_map:
+    for w in default_window_map(cfg.schedule):
         segs = [segments[p] for p in w.scenario_positions]
-        start = min(s.start_seq for s in segs)
-        end = max(s.end_seq for s in segs)
-        loop_acc = (_accuracy(verdicts_b, samples, start, end)
-                    if verdicts_b else None)
+        start, end = segs[0].start_seq, segs[-1].end_seq
         windows.append(WindowAccuracy(
             label=w.label, scenario_ids=[s.scenario_id for s in segs],
-            start_seq=start, end_seq=end, loop_accuracy=loop_acc,
-            baseline_accuracy=_accuracy(verdicts_a, samples, start, end)))
+            start_seq=start, end_seq=end,
+            loop_accuracy=_score(verdicts_b, samples, start, end) if verdicts_b else None,
+            baseline_accuracy=_score(verdicts_a, samples, start, end)))
 
     labeler_rows = labeler_accuracy_by_scenario(
         samples, labels_b, segments, cfg.labeler.smoothing_halfwidth)

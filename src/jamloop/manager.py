@@ -182,6 +182,13 @@ def monitor(store: TelemetryStore, window_size: int = DEFAULT_MONITOR_WINDOW,
                        tp=tp, fp=counts[True, False], fn=counts[False, True], tn=tn)
 
 
+def labeled_dataset(pairs) -> list[tuple[tuple[float, float, float], int]]:
+    """Training rows from `join_labels` pairs: features (snr, bler, mcs),
+    target 1 for an INTERFERENCE label and 0 otherwise."""
+    return [((s.snr_db, s.bler, float(s.mcs)), int(lab.label == LABEL_INTERFERENCE))
+            for s, lab in pairs]
+
+
 @dataclass
 class RetrainOutcome:
     entry: RegistryEntry | None
@@ -196,8 +203,7 @@ def retrain(store: TelemetryStore, cfg: mlp.TrainConfig,
     pairs = [(s, lab) for s, lab in pairs if lab.source == SOURCE_LABELER]
     if not pairs:
         return RetrainOutcome(entry=None, skipped_reason="no labeled history")
-    dataset = [((s.snr_db, s.bler, float(s.mcs)),
-                1 if lab.label == LABEL_INTERFERENCE else 0) for s, lab in pairs]
+    dataset = labeled_dataset(pairs)
     classes = {y for _, y in dataset}
     if len(classes) < 2:
         return RetrainOutcome(entry=None,

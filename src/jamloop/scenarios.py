@@ -10,6 +10,7 @@ transient MCS/SNR mismatch and a BLER spike before the loop re-converges.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -291,29 +292,21 @@ def synth_stream(schedule: ScenarioSchedule, params: ChannelParams | None = None
 
     A sink failure aborts the stream; the summary then covers the emitted prefix.
     """
+    ends = itertools.accumulate(spec.duration_samples for spec in schedule.entries)
+    segments = [Segment(spec.id, spec.event, end - spec.duration_samples, end - 1)
+                for spec, end in zip(schedule.entries, ends)]
     h = hashlib.sha256()
-    segments: list[Segment] = []
     n = 0
-    boundaries = []
-    start = 0
-    for spec in schedule.entries:
-        boundaries.append((start, start + spec.duration_samples - 1, spec))
-        start += spec.duration_samples
-    seg_iter = iter(boundaries)
-    cur = next(seg_iter)
     try:
         for sample in iter_stream(schedule, params):
             if sink is not None:
                 sink(sample)
             _sample_digest_update(h, sample)
             n += 1
-            if sample.seq == cur[1]:
-                segments.append(Segment(cur[2].id, cur[2].event, cur[0], cur[1]))
-                nxt = next(seg_iter, None)
-                if nxt is not None:
-                    cur = nxt
     except Exception as exc:  # sink failure: report partial progress, then re-raise
-        summary = StreamSummary(n_samples=n, segments=segments, digest=h.hexdigest(),
+        summary = StreamSummary(n_samples=n,
+                                segments=[seg for seg in segments if seg.end_seq < n],
+                                digest=h.hexdigest(),
                                 aborted=True, abort_reason=str(exc))
         exc.partial_summary = summary  # type: ignore[attr-defined]
         raise

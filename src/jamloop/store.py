@@ -178,26 +178,24 @@ class TelemetryStore:
         with self._lock:
             return records[-1].seq if records else None
 
-    def join_labels(self, samples: str = "kpi", labels: str = "labels",
-                    from_seq: int = 0, to_seq: int | None = None
+    def join_labels(self, from_seq: int = 0, to_seq: int | None = None
                     ) -> list[tuple[KpiSample, LabeledSample]]:
-        """Inner join of samples and labels on seq; unlabeled pairs excluded."""
-        return self._join(samples, labels, from_seq, to_seq)
+        """Inner join of kpi and labels on seq; unlabeled pairs excluded."""
+        return self._join("kpi", from_seq, to_seq)
 
-    def join_detections(self, detections: str = "detections", labels: str = "labels",
-                        from_seq: int = 0, to_seq: int | None = None,
+    def join_detections(self, from_seq: int = 0, to_seq: int | None = None,
                         last: int | None = None
                         ) -> list[tuple[DetectionRecord, LabeledSample]]:
         """Like `join_labels`; `last` keeps only the trailing `last` pairs."""
-        return self._join(detections, labels, from_seq, to_seq, last)
+        return self._join("detections", from_seq, to_seq, last)
 
-    def _join(self, stream: str, labels: str, from_seq: int, to_seq: int | None,
+    def _join(self, stream: str, from_seq: int, to_seq: int | None,
               last: int | None = None) -> list:
         # a merge join walked back from the high end, so that the trailing
         # `last` pairs cost O(last) steps plus the unmatched records among them
         if last is not None and last < 1:
             raise ValueError("last must be >= 1")
-        records, label_rows = self._stream(stream), self._stream(labels)
+        records, label_rows = self._streams[stream], self._streams["labels"]
         out = []
         with self._lock:
             i0, i = _bounds(records, from_seq, to_seq)

@@ -128,6 +128,20 @@ class TestEvalLabeler:
         assert main(["--out", str(out), "eval-labeler", "--trace", str(trace)]) == EXIT_OK
         assert len((out / "labeler_accuracy.csv").read_text().splitlines()) == 3
 
+    def test_trace_not_starting_at_seq_0_scored_by_seq(self, tmp_path):
+        # scenario 13 is out of the labeler's reach, so it reads CLEAN throughout
+        _, trace = simulate(tmp_path, [{"id": sid, "duration_samples": 300}
+                                       for sid in (2, 13, 2)], seed=3)
+        trace.write_text("".join(trace.read_text().splitlines(keepends=True)[100:]))
+        out = tmp_path / "o"
+        assert main(["--out", str(out), "eval-labeler", "--trace", str(trace)]) == EXIT_OK
+        with (out / "labeler_accuracy.csv").open() as f:
+            rows = list(csv.DictReader(f))
+        assert [(r["event"], r["start_seq"], r["end_seq"]) for r in rows] == [
+            ("OFF", "100", "299"), ("ON", "300", "599"), ("OFF", "600", "899")]
+        assert [float(r["accuracy"]) for r in rows] == [1.0, 0.0, 1.0]
+        assert [float(r["accuracy_transition_excluded"]) for r in rows] == [1.0, 0.0, 1.0]
+
 
 def bad_trace(tmp_path, line):
     """A one-sample trace followed by `line`, which is the trace's line 2."""

@@ -1,0 +1,86 @@
+"""Print the sha256 of every deterministic artifact of a fixed set of CLI runs.
+
+    python tools/artifact_digests.py
+
+Runs, in a temporary directory and with the package under ../src:
+
+- the default two-pass `run-experiment` at seed 7;
+- `simulate --with-truth` of the 18-scenario catalog twice over at 200
+  samples per scenario (seed 7), then `eval-labeler` and `replay` of that
+  trace with the experiment's first model, `v001.model`.
+
+Prints one `sha256  name` line per artifact. `detections.csv` is hashed
+without its `latency_us` column, which is a wall-clock measurement;
+`report.json` (it holds the runtime) and the model registry are left out.
+Two trees whose outputs match behave the same on these runs.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import csv
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from jamloop import cli  # noqa: E402
+
+SEED = "7"
+SCHEDULE_IDS = list(range(1, 19)) * 2
+SAMPLES_PER_SCENARIO = 200
+
+EXPERIMENT_ARTIFACTS = ("accuracy_by_window.csv", "accuracy_by_window.dat",
+                        "plot_accuracy.gp", "labeler_by_scenario.csv",
+                        "transcript.jsonl")
+TRACE_ARTIFACTS = ("trace.jsonl", "labeler_accuracy.csv")
+
+
+def _run(*argv: str) -> None:
+    with contextlib.redirect_stdout(sys.stderr):
+        code = cli.main(list(argv))
+    if code != cli.EXIT_OK:
+        raise SystemExit(f"jamloop {' '.join(argv)} exited {code}")
+
+
+def _detections_digest(path: Path) -> str:
+    with path.open(newline="", encoding="utf-8") as f:
+        rows = [row[:-1] for row in csv.reader(f)]
+    if rows[0] != ["seq", "prob", "verdict", "model_version"]:
+        raise SystemExit(f"{path}: unexpected header {rows[0]}")
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(rows)
+    return hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        exp, trace_dir = Path(tmp) / "experiment", Path(tmp) / "trace"
+        _run("--seed", SEED, "--out", str(exp), "run-experiment")
+
+        schedule = Path(tmp) / "schedule.yaml"
+        schedule.write_text("entries:\n" + "".join(
+            f"  - {{id: {i}, duration_samples: {SAMPLES_PER_SCENARIO}}}\n"
+            for i in SCHEDULE_IDS), encoding="utf-8")
+        trace = trace_dir / "trace.jsonl"
+        common = ("--seed", SEED, "--out", str(trace_dir))
+        _run(*common, "simulate", "--schedule", str(schedule), "--with-truth")
+        _run(*common, "eval-labeler", "--trace", str(trace))
+        _run(*common, "replay", "--trace", str(trace),
+             "--model", str(exp / "models" / "v001.model"))
+
+        digests = {f"experiment/{n}": hashlib.sha256((exp / n).read_bytes()).hexdigest()
+                   for n in EXPERIMENT_ARTIFACTS}
+        digests.update({f"trace/{n}": hashlib.sha256((trace_dir / n).read_bytes()).hexdigest()
+                        for n in TRACE_ARTIFACTS})
+        digests["trace/detections.csv"] = _detections_digest(trace_dir / "detections.csv")
+    for name, digest in digests.items():
+        print(f"{digest}  {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
