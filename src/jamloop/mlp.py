@@ -64,7 +64,7 @@ def _normalize(features: np.ndarray) -> np.ndarray:
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # exp(-|z|) is exp(-z) for z >= 0 and exp(z) below: never overflows
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _unpack(flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -128,51 +128,71 @@ def init_model(seed: int, version: int = 0) -> MlpModel:
     return MlpModel(weights=weights, biases=biases, version=version)
 
 
-def _logits(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Forward pass up to the output pre-activation. x: (n, 3) normalized."""
-    a = x
+def _activations(model: MlpModel, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Input and hidden activations of normalized (n, 3) rows x, and the logits.
+
+    Bias and ReLU are applied in place; np.maximum(0.0, h) keeps its
+    argument order, which fixes the sign of a zero activation.
+    """
+    acts = [x]
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        a = np.maximum(0.0, a @ w + b)
-    return (a @ model.weights[-1] + model.biases[-1]).ravel()
+        h = acts[-1].dot(w)
+        h += b
+        acts.append(np.maximum(0.0, h, out=h))
+    z = acts[-1].dot(model.weights[-1])
+    z += model.biases[-1]
+    return acts, z.ravel()
 
 
 def forward(model: MlpModel, features: tuple[float, float, float]) -> float:
-    """Probability of interference for one (snr_db, bler, mcs) triple."""
+    """Probability of interference for one (snr_db, bler, mcs) triple.
+
+    The per-sample hot path makes the fewest numpy calls: the layers of
+    `_activations` on one 1-D vector, then the output bias and the sigmoid
+    on Python floats. It keeps np.exp, whose bits differ from math.exp's.
+    BLAS sums the batch in another order, so `forward_batch` may differ
+    from it in the last bits.
+    """
     snr_db, bler, mcs = features
-    if not all(math.isfinite(float(v)) for v in (snr_db, bler, mcs)):
+    if not (math.isfinite(snr_db) and math.isfinite(bler) and math.isfinite(mcs)):
         raise ValueError(f"non-finite features {features!r}")
-    x = normalize_features(snr_db, bler, mcs)[None, :]
-    return float(_sigmoid(_logits(model, x))[0])
+    h = normalize_features(snr_db, bler, mcs)
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        h = h.dot(w)
+        h += b
+        np.maximum(0.0, h, out=h)
+    z = float(h.dot(model.weights[-1])[0]) + float(model.biases[-1][0])
+    e = float(np.exp(-abs(z)))
+    return (1.0 if z >= 0 else e) / (1.0 + e)
 
 
 def forward_batch(model: MlpModel, features: np.ndarray) -> np.ndarray:
     """Probabilities for an (n, 3) array of raw (snr_db, bler, mcs) rows."""
     if not np.all(np.isfinite(features)):
         raise ValueError("non-finite features in batch")
-    return _sigmoid(_logits(model, _normalize(features)))
+    return _sigmoid(_activations(model, _normalize(features))[1])
 
 
-def _loss_and_grad(model: MlpModel, x: np.ndarray, y: np.ndarray, sw: np.ndarray,
-                   gw: list[np.ndarray], gb: list[np.ndarray]) -> float:
-    """Weighted BCE of normalized rows x; exact backprop gradients go into gw, gb.
+def _bce(z: np.ndarray, y: np.ndarray, sw: np.ndarray) -> np.ndarray:
+    """Per-row weighted BCE from logits: sw * (softplus(z) - y*z), numerically stable."""
+    return sw * (np.logaddexp(0.0, z) - y * z)
 
-    sw are per-row weights summing to 1, y the labels as floats.
+
+def _backprop(model: MlpModel, x: np.ndarray, y: np.ndarray, sw: np.ndarray,
+              gw: list[np.ndarray], gb: list[np.ndarray]) -> np.ndarray:
+    """Exact gradients of the weighted BCE of normalized rows x, into gw and gb.
+
+    sw are per-row weights summing to 1, y the labels as floats. Returns the
+    logits, from which `_bce` gives the loss.
     """
-    acts = [x]
-    for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        acts.append(np.maximum(0.0, acts[-1] @ w + b))
-    z = (acts[-1] @ model.weights[-1] + model.biases[-1]).ravel()
-
-    # BCE via logits: softplus(z) - y*z, numerically stable
-    loss = float((sw * (np.logaddexp(0.0, z) - y * z)).sum())
-
+    acts, z = _activations(model, x)
     delta = (sw * (_sigmoid(z) - y))[:, None]
     for layer in range(len(model.weights) - 1, -1, -1):
         np.matmul(acts[layer].T, delta, out=gw[layer])
         np.add.reduce(delta, axis=0, out=gb[layer])
         if layer > 0:
-            delta = (delta @ model.weights[layer].T) * (acts[layer] > 0)
-    return loss
+            delta = delta.dot(model.weights[layer].T) * (acts[layer] > 0)
+    return z
 
 
 def loss_and_grad(model: MlpModel, features: np.ndarray, labels: np.ndarray,
@@ -187,8 +207,18 @@ def loss_and_grad(model: MlpModel, features: np.ndarray, labels: np.ndarray,
     else:
         sw = sample_weights / np.sum(sample_weights)
     gw, gb = _unpack(np.empty(N_PARAMS))
-    loss = _loss_and_grad(model, _normalize(features), labels.astype(float), sw, gw, gb)
-    return loss, gw, gb
+    y = labels.astype(float)
+    z = _backprop(model, _normalize(features), y, sw, gw, gb)
+    return float(_bce(z, y, sw).sum()), gw, gb
+
+
+def _batch_sums(a: np.ndarray, batch_size: int) -> np.ndarray:
+    """Sum of each consecutive minibatch of a; the last one may be shorter."""
+    n_full = len(a) // batch_size
+    sums = a[:n_full * batch_size].reshape(n_full, batch_size).sum(axis=1)
+    if n_full * batch_size < len(a):
+        sums = np.append(sums, a[n_full * batch_size:].sum())
+    return sums
 
 
 @dataclass
@@ -263,11 +293,13 @@ def train(dataset: list[tuple[tuple[float, float, float], int]],
     else:
         weights_tr = np.ones(len(y_tr))
 
-    # the model's weights and biases are views into theta, its gradient's into grad
+    # the model's weights and biases are views into theta, its gradient's into grad;
+    # each optimizer step works in the two scratch vectors
     theta = _init_params(cfg.seed)
     model = MlpModel(*_unpack(theta), version=version)
     grad = np.empty(N_PARAMS)
     gw, gb = _unpack(grad)
+    step, denom = np.empty(N_PARAMS), np.empty(N_PARAMS)
     adam = cfg.optimizer == "ADAM"
     if adam:
         beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -280,29 +312,40 @@ def train(dataset: list[tuple[tuple[float, float, float], int]],
     best_epoch = 0
     epoch_loss: list[float] = []
     epoch_val_acc: list[float] = []
-    n_tr = len(y_tr)
+    n_tr, bs = len(y_tr), cfg.batch_size
+    z_tr = np.empty(n_tr)
     for epoch in range(cfg.epochs):
         order = rng.permutation(n_tr)
         xe, ye, we = x_tr[order], y_tr[order], weights_tr[order]
-        losses = []
-        for start in range(0, n_tr, cfg.batch_size):
-            stop = start + cfg.batch_size
-            wb = we[start:stop]
-            losses.append(_loss_and_grad(model, xe[start:stop], ye[start:stop],
-                                         wb / wb.sum(), gw, gb))
+        swe = we / np.repeat(_batch_sums(we, bs), bs)[:n_tr]  # sums to 1 per minibatch
+        for start in range(0, n_tr, bs):
+            stop = start + bs
+            z_tr[start:stop] = _backprop(model, xe[start:stop], ye[start:stop],
+                                         swe[start:stop], gw, gb)
             if adam:
+                # in place, in this operation order (it fixes the bits):
+                # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g**2;
+                # theta -= lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps)
                 t += 1
                 m *= beta1
-                m += (1 - beta1) * grad
+                np.multiply(grad, 1 - beta1, out=step)
+                m += step
                 v *= beta2
-                v += (1 - beta2) * grad ** 2
-                theta -= (cfg.learning_rate * (m / (1 - beta1 ** t))
-                          / (np.sqrt(v / (1 - beta2 ** t)) + eps))
+                np.multiply(grad, grad, out=step)
+                step *= 1 - beta2
+                v += step
+                np.divide(m, 1 - beta1 ** t, out=step)
+                step *= cfg.learning_rate
+                np.divide(v, 1 - beta2 ** t, out=denom)
+                np.sqrt(denom, out=denom)
+                denom += eps
+                step /= denom
             else:
-                theta -= cfg.learning_rate * grad
-        probs = _sigmoid(_logits(model, x_va))
+                np.multiply(grad, cfg.learning_rate, out=step)
+            theta -= step
+        probs = _sigmoid(_activations(model, x_va)[1])
         val_acc = float(np.mean((probs >= model.threshold).astype(int) == y_va))
-        epoch_loss.append(float(np.mean(losses)))
+        epoch_loss.append(float(np.mean(_batch_sums(_bce(z_tr, ye, swe), bs))))
         epoch_val_acc.append(val_acc)
         if val_acc > best_acc:
             best_acc = val_acc
@@ -337,10 +380,16 @@ def save(model: MlpModel, path: str | Path) -> None:
 
 
 def load(path: str | Path) -> MlpModel:
+    """Read a model file; a file that is not a valid MODEL_FORMAT model raises ModelError."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ModelError(f"cannot parse model file {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ModelError(f"model file {path}: top level is {type(doc).__name__}, not an object")
+    if doc.get("format") != MODEL_FORMAT:
+        raise ModelError(
+            f"model file {path}: format {doc.get('format')!r}, expected {MODEL_FORMAT!r}")
     if "version" not in doc:
         raise VersionFieldError(f"model file {path} lacks the required 'version' field")
     if doc.get("layer_dims") != LAYER_DIMS:
@@ -349,18 +398,28 @@ def load(path: str | Path) -> MlpModel:
     acts = doc.get("activations")
     if acts != ACTIVATIONS:
         raise ActivationError(f"model file {path}: unsupported activations {acts}")
-    weights, biases = [], []
-    for i, (fan_in, fan_out) in enumerate(zip(LAYER_DIMS[:-1], LAYER_DIMS[1:])):
-        flat = np.array(doc["weights"][i], dtype=float)
-        if flat.size != fan_in * fan_out:
-            raise DimensionError(
-                f"model file {path}: layer {i} has {flat.size} weights, "
-                f"expected {fan_in * fan_out}")
-        weights.append(flat.reshape(fan_in, fan_out))
-        b = np.array(doc["biases"][i], dtype=float)
-        if b.size != fan_out:
-            raise DimensionError(
-                f"model file {path}: layer {i} has {b.size} biases, expected {fan_out}")
-        biases.append(b)
-    return MlpModel(weights=weights, biases=biases, threshold=float(doc["threshold"]),
-                    version=int(doc["version"]), trained_on=doc.get("trained_on", {}))
+    try:
+        weights, biases = [], []
+        for i, (fan_in, fan_out) in enumerate(zip(LAYER_DIMS[:-1], LAYER_DIMS[1:])):
+            flat = np.array(doc["weights"][i], dtype=float)
+            if flat.size != fan_in * fan_out:
+                raise DimensionError(
+                    f"model file {path}: layer {i} has {flat.size} weights, "
+                    f"expected {fan_in * fan_out}")
+            weights.append(flat.reshape(fan_in, fan_out))
+            b = np.array(doc["biases"][i], dtype=float)
+            if b.size != fan_out:
+                raise DimensionError(
+                    f"model file {path}: layer {i} has {b.size} biases, expected {fan_out}")
+            biases.append(b)
+        threshold, version = float(doc["threshold"]), int(doc["version"])
+    except KeyError as exc:
+        raise ModelError(f"model file {path} lacks the required {exc} field") from exc
+    except (IndexError, TypeError, ValueError) as exc:
+        raise ModelError(f"model file {path}: bad weights, biases, threshold or version: "
+                         f"{exc}") from exc
+    try:
+        return MlpModel(weights=weights, biases=biases, threshold=threshold,
+                        version=version, trained_on=doc.get("trained_on", {}))
+    except ModelError as exc:  # non-finite parameters, threshold outside (0,1)
+        raise ModelError(f"model file {path}: {exc}") from exc

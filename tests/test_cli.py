@@ -194,6 +194,22 @@ def small_model(tmp_path, version=1, bias=None):
     return path
 
 
+def corrupt_model(tmp_path, edit):
+    """A saved model file with one field edited; edit maps the JSON doc in place."""
+    path = small_model(tmp_path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return path
+
+
+BAD_MODEL_EDITS = {
+    "no_weights": lambda d: d.pop("weights"),
+    "threshold_text": lambda d: d.update(threshold="abc"),
+    "other_format": lambda d: d.update(format="jamloop-mlp-v9"),
+}
+
+
 class TestReplay:
     def test_detection_per_sample(self, tmp_path):
         _, trace = simulate(tmp_path, [{"id": 2, "duration_samples": 40}])
@@ -213,6 +229,16 @@ class TestReplay:
         code = main(["replay", "--trace", str(trace),
                      "--model", str(tmp_path / "nope.model")])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("edit", BAD_MODEL_EDITS)
+    def test_bad_model_file_exits_2(self, tmp_path, capsys, edit):
+        _, trace = simulate(tmp_path, [{"id": 2, "duration_samples": 10}])
+        model_path = corrupt_model(tmp_path, BAD_MODEL_EDITS[edit])
+        code = main(["--out", str(tmp_path / "out"), "replay", "--trace", str(trace),
+                     "--model", str(model_path)])
+        assert code == EXIT_USAGE
+        assert str(model_path) in capsys.readouterr().err
+        assert not (tmp_path / "out" / "detections.csv").exists()
 
     def test_empty_trace_writes_header_only(self, tmp_path):
         trace = tmp_path / "empty.jsonl"
@@ -258,6 +284,16 @@ class TestDeploy:
     def test_missing_model_exits_2(self, tmp_path):
         code = main(["deploy", "--model", str(tmp_path / "nope.model")])
         assert code == EXIT_USAGE
+
+
+    @pytest.mark.parametrize("edit", BAD_MODEL_EDITS)
+    def test_bad_model_file_exits_2(self, tmp_path, capsys, edit):
+        model_path = corrupt_model(tmp_path, BAD_MODEL_EDITS[edit])
+        out = tmp_path / "out"
+        code = main(["--out", str(out), "deploy", "--model", str(model_path)])
+        assert code == EXIT_USAGE
+        assert str(model_path) in capsys.readouterr().err
+        assert not (out / "models" / "registry.jsonl").exists()
 
 
 class TestRunExperiment:

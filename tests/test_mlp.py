@@ -1,12 +1,14 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from jamloop import mlp
 from jamloop.mlp import (LAYER_DIMS, ActivationError, DimensionError, MlpModel,
-                         TrainConfig, TrainingError, VersionFieldError, forward,
-                         forward_batch, init_model, loss_and_grad, train)
+                         ModelError, TrainConfig, TrainingError, VersionFieldError,
+                         forward, forward_batch, init_model, loss_and_grad, train)
 
 
 def zero_model(version=0):
@@ -38,6 +40,14 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(model, (float("inf"), 0.1, 5.0))
 
+    @pytest.mark.parametrize("position", [1, 2], ids=["bler", "mcs"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_nonfinite_bler_or_mcs_rejected(self, position, bad):
+        feats = [12.0, 0.1, 5.0]
+        feats[position] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            forward(init_model(1), tuple(feats))
+
     def test_single_path_closed_form(self):
         # route one hidden unit per layer so the chain is analytically traceable:
         # h1 = relu(w * snr_norm), h2 = relu(v * h1), out = sigmoid(u * h2 + c)
@@ -60,6 +70,79 @@ class TestForward:
         batch = forward_batch(model, feats)
         for row, prob in zip(feats, batch):
             assert forward(model, tuple(row)) == pytest.approx(float(prob), rel=1e-12)
+
+
+def _reference_forward(model, features):
+    """The scalar forward pass as first written, whose bits forward must keep.
+
+    A (1, 3) row through `@`, bias and ReLU out of place, and the array
+    sigmoid over exp(-|z|).
+    """
+    snr_db, bler, mcs = features
+    a = np.array([(snr_db + 10.0) / 50.0, bler, mcs / 28.0])[None, :]
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        a = np.maximum(0.0, a @ w + b)
+    z = (a @ model.weights[-1] + model.biases[-1]).ravel()
+    e = np.exp(-np.abs(z))
+    return float(np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))[0])
+
+
+def random_features(rng, n):
+    """Raw (snr_db, bler, mcs) triples over and past the operating range; integer mcs."""
+    return [(float(rng.uniform(-20, 50)), float(rng.uniform(0, 1)), int(rng.integers(0, 29)))
+            for _ in range(n)]
+
+
+class TestForwardMatchesReference:
+    """forward must return the same bits as `_reference_forward`: ==, not approx."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
+    def test_init_models(self, seed):
+        model = init_model(seed)
+        for feats in random_features(np.random.default_rng(seed), 2000):
+            assert forward(model, feats) == _reference_forward(model, feats)
+
+    def test_trained_model(self):
+        model, _ = train(overlapping_dataset(600, 0.15, seed=8),
+                         TrainConfig(seed=2, epochs=10))
+        for feats in random_features(np.random.default_rng(9), 5000):
+            assert forward(model, feats) == _reference_forward(model, feats)
+
+    def test_logit_near_zero(self):
+        # shift the output bias so the logit lands within about 1e-15 of 0 on
+        # either side, where the sigmoid's two branches meet
+        rng = np.random.default_rng(10)
+        signs = set()
+        for seed in range(50):
+            model = init_model(seed)
+            feats = random_features(rng, 1)[0]
+            p = _reference_forward(model, feats)
+            base = model.biases[-1][0] - math.log(p / (1.0 - p))
+            for k in range(-5, 6):
+                model.biases[-1][0] = base + k * 1e-15
+                got = forward(model, feats)
+                assert got == _reference_forward(model, feats)
+                assert abs(got - 0.5) < 1e-12
+                signs.add(got >= 0.5)
+        assert signs == {True, False}
+
+    @pytest.mark.parametrize("scale", [30.0, 300.0, 3000.0])
+    def test_large_logits(self, scale):
+        # |z| from tens to beyond 745, where exp(-|z|) underflows to 0
+        rng = np.random.default_rng(11)
+        for seed in range(10):
+            model = init_model(seed)
+            model.weights[-1] *= scale
+            for feats in random_features(rng, 200):
+                assert forward(model, feats) == _reference_forward(model, feats)
+
+    def test_integer_mcs(self):
+        model = init_model(12)
+        for mcs in range(29):
+            feats = (14.5, 0.25, mcs)
+            got = forward(model, feats)
+            assert got == _reference_forward(model, feats)
+            assert got == forward(model, (14.5, 0.25, float(mcs)))
 
 
 class TestLossAndGrad:
@@ -289,6 +372,21 @@ class TestTrainMatchesReference:
         assert report == ref_report
         assert model.version == 4
 
+    @pytest.mark.parametrize("optimizer", ["ADAM", "SGD"])
+    @pytest.mark.parametrize("batch_size,epochs", [(64, 12), (1, 2), (480, 12), (4096, 12)],
+                             ids=["64", "1", "n_train", "over_n_train"])
+    def test_batch_tilings_bit_identical(self, optimizer, batch_size, epochs):
+        # class-weighted rows, so the tail minibatch of 64 (480 = 7 * 64 + 32)
+        # and the single minibatch of the last two cases weigh rows unequally
+        data = overlapping_dataset(600, 0.15, seed=22)
+        cfg = TrainConfig(seed=6, epochs=epochs, batch_size=batch_size, optimizer=optimizer)
+        model, report = train(data, cfg)
+        assert report.n_train == 480
+        (ref_w, ref_b), ref_report = _reference_train(data, cfg)
+        for got, want in zip(model.weights + model.biases, ref_w + ref_b):
+            assert np.array_equal(got, want)
+        assert report == ref_report
+
     def test_returned_arrays_share_no_memory(self):
         model, _ = train(separable_dataset(n=200, seed=2), TrainConfig(seed=3, epochs=3))
         arrays = model.weights + model.biases
@@ -343,4 +441,35 @@ class TestSerialization:
         doc["activations"] = ["relu", "tanh", "sigmoid"]
         path.write_text(json.dumps(doc))
         with pytest.raises(ActivationError):
+            mlp.load(path)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda d: d.pop("weights"),
+        lambda d: d.pop("biases"),
+        lambda d: d.pop("threshold"),
+        lambda d: d.update(threshold="abc"),
+        lambda d: d.update(threshold=1.5),
+        lambda d: d.update(version="two"),
+        lambda d: d["weights"][0].__setitem__(3, "x"),
+        lambda d: d["weights"].pop(),
+        lambda d: d.update(weights=5),
+        lambda d: d.update(format="jamloop-mlp-v9"),
+        lambda d: d.pop("format"),
+    ], ids=["no_weights", "no_biases", "no_threshold", "threshold_text", "threshold_1.5",
+            "version_text", "weight_text", "missing_layer", "weights_not_list",
+            "other_format", "no_format"])
+    def test_bad_model_file_raises_model_error(self, tmp_path, corrupt):
+        path = tmp_path / "m.model"
+        mlp.save(init_model(1, version=1), path)
+        doc = json.loads(path.read_text())
+        corrupt(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelError, match=re.escape(str(path))):
+            mlp.load(path)
+
+    @pytest.mark.parametrize("top", ["3", "[1, 2]", '"jamloop-mlp-v1"', "null"])
+    def test_non_object_top_level_raises_model_error(self, tmp_path, top):
+        path = tmp_path / "m.model"
+        path.write_text(top)
+        with pytest.raises(ModelError, match=re.escape(str(path))):
             mlp.load(path)
