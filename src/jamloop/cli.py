@@ -20,12 +20,16 @@ from .experiment import (ExperimentError, default_experiment_config,
 from .labeler import run_labeler
 from .manager import ManagerError, ModelRegistry
 from .scenarios import KpiSample, ScheduleError, Segment, load_schedule, synth_stream
-from .store import (SchemaError, StoreError, TelemetryStore, read_records, to_wire,
-                    write_records)
+from .store import (SchemaError, StoreError, TelemetryStore, read_trace, to_wire,
+                    write_detections)
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
+
+# per command, the arguments that name an input file
+INPUT_FILES = {"simulate": ("schedule",), "eval-labeler": ("trace",),
+               "replay": ("model", "trace"), "deploy": ("model",)}
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -75,7 +79,7 @@ def cmd_simulate(args, cfg) -> int:
 
 
 def cmd_eval_labeler(args, cfg) -> int:
-    columns, samples = read_records(args.trace, stream="kpi")
+    columns, samples = read_trace(args.trace)
     if not samples:
         print("error: empty trace", file=sys.stderr)
         return EXIT_FAILURE
@@ -132,25 +136,18 @@ def cmd_run_experiment(args, cfg) -> int:
 
 
 def cmd_replay(args, cfg) -> int:
-    if not args.model.exists():
-        print(f"error: model file {args.model} not found", file=sys.stderr)
-        return EXIT_USAGE
     model = mlp.load(args.model)
-    _, samples = read_records(args.trace, stream="kpi")
+    _, samples = read_trace(args.trace)
     detector = DetectorXapp()
     detector.swap_model(model)
     args.out.mkdir(parents=True, exist_ok=True)
     out_path = args.out / "detections.csv"
-    n = write_records(out_path, "detections",
-                      (detector.infer(s.public()) for s in samples), "CSV")
+    n = write_detections(out_path, (detector.infer(s.public()) for s in samples))
     print(f"wrote {n} detections to {out_path}")
     return EXIT_OK
 
 
 def cmd_deploy(args, cfg) -> int:
-    if not args.model.exists():
-        print(f"error: model file {args.model} not found", file=sys.stderr)
-        return EXIT_USAGE
     model = mlp.load(args.model)
     registry_dir = args.registry or (args.out / "models")
     registry = ModelRegistry(registry_dir)
@@ -176,6 +173,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    for name in INPUT_FILES.get(args.command, ()):
+        path = getattr(args, name)
+        if not path.exists():
+            print(f"error: {name} file {path} not found", file=sys.stderr)
+            return EXIT_USAGE
     handlers = {
         "simulate": cmd_simulate,
         "eval-labeler": cmd_eval_labeler,

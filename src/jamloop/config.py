@@ -44,11 +44,22 @@ def _section(doc: dict, name: str) -> dict:
     return section
 
 
+def _check_type(name: str, key: str, value, default) -> None:
+    # a key takes its default's type; an int also serves for a float, a bool for neither
+    kind = type(default)
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(f"config section {name!r}: {key} must be {kind.__name__}, "
+                          f"got {value!r}")
+
+
 def _build(cls, section: dict, name: str):
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(section) - known
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    unknown = set(section) - set(defaults)
     if unknown:
         raise ConfigError(f"config section {name!r}: unknown key(s) {sorted(unknown)}")
+    for key, value in section.items():
+        _check_type(name, key, value, defaults[key])
     obj = cls(**section)
     try:
         getattr(obj, "validate", lambda: None)()
@@ -60,7 +71,10 @@ def _build(cls, section: dict, name: str):
 def load_config(path: str | Path | None) -> GlobalConfig:
     doc: dict = {}
     if path is not None:
-        raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+        try:
+            raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
         if raw is None:
             raw = {}
         if not isinstance(raw, dict):

@@ -231,6 +231,8 @@ class TrainConfig:
     val_fraction: float = 0.2
 
     def validate(self) -> None:
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError("val_fraction must be in (0,1)")
         if self.batch_size < 1:

@@ -90,10 +90,6 @@ class ScenarioSchedule:
         for spec in self.entries:
             spec.validate()
 
-    @property
-    def total_samples(self) -> int:
-        return sum(s.duration_samples for s in self.entries)
-
 
 @dataclass(frozen=True)
 class ChannelParams:
@@ -151,6 +147,21 @@ def schedule_from_ids(ids: list[int], seed: int,
     return ScenarioSchedule(entries=entries, seed=seed)
 
 
+def _number(item: dict, key: str, kind: type, i: int, default=None):
+    """`item[key]`, or `default` if it is absent, converted by `kind`.
+
+    A missing value without a default, or one that does not convert, is a
+    `ScheduleError` naming entry `i`.
+    """
+    value = item.get(key, default)
+    if value is None:
+        raise ScheduleError(f"entry {i}: missing field {key!r}")
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ScheduleError(f"entry {i}: {key} must be a number, got {value!r}") from exc
+
+
 def load_schedule(path: str | Path, seed: int) -> ScenarioSchedule:
     """Load a schedule file (YAML document, see README for the schema).
 
@@ -185,21 +196,21 @@ def load_schedule(path: str | Path, seed: int) -> ScenarioSchedule:
             base = SCENARIO_CATALOG[sid]
             entries.append(ScenarioSpec(
                 base.id, base.event, base.interference_db, base.noise_amplitude,
-                int(item.get("duration_samples", DEFAULT_DURATION_SAMPLES))))
+                _number(item, "duration_samples", int, i, DEFAULT_DURATION_SAMPLES)))
             continue
-        try:
-            event = item["event"]
-            if isinstance(event, bool):  # YAML 1.1 reads bare ON/OFF as booleans
-                event = "ON" if event else "OFF"
-            spec = ScenarioSpec(
-                id=int(item.get("id", i + 1)),
-                event=str(event).upper(),
-                interference_db=float(item["interference_db"]),
-                noise_amplitude=float(item["noise_amplitude"]),
-                duration_samples=int(item.get("duration_samples", DEFAULT_DURATION_SAMPLES)),
-            )
-        except KeyError as exc:
-            raise ScheduleError(f"entry {i}: missing field {exc}") from exc
+        if "event" not in item:
+            raise ScheduleError(f"entry {i}: missing field 'event'")
+        event = item["event"]
+        if isinstance(event, bool):  # YAML 1.1 reads bare ON/OFF as booleans
+            event = "ON" if event else "OFF"
+        spec = ScenarioSpec(
+            id=_number(item, "id", int, i, i + 1),
+            event=str(event).upper(),
+            interference_db=_number(item, "interference_db", float, i),
+            noise_amplitude=_number(item, "noise_amplitude", float, i),
+            duration_samples=_number(item, "duration_samples", int, i,
+                                     DEFAULT_DURATION_SAMPLES),
+        )
         spec.validate()
         if not spec.in_catalog_domain():
             warnings.append(

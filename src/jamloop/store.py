@@ -1,4 +1,5 @@
-"""Append-only in-memory telemetry store with windowed queries and file I/O.
+"""Append-only in-memory telemetry store with windowed queries, plus the
+JSONL KPI trace reader and the detections CSV writer.
 
 Three fixed streams wire the closed loop together: `kpi` (raw samples),
 `labels` (labeler verdicts), `detections` (deployed-model outputs).
@@ -27,8 +28,7 @@ SOURCE_GROUND_TRUTH = "GROUND_TRUTH"
 
 DEFAULT_MAX_RECORDS = 1_000_000
 
-KPI_CSV_COLUMNS = ["seq", "ts_ms", "snr_db", "mcs", "bler", "truth"]
-LABEL_CSV_COLUMNS = ["seq", "label", "confidence", "source"]
+KPI_COLUMNS = ["seq", "ts_ms", "snr_db", "mcs", "bler", "truth"]
 DETECTION_CSV_COLUMNS = ["seq", "prob", "verdict", "model_version", "latency_us"]
 
 
@@ -215,22 +215,6 @@ class TelemetryStore:
         out.reverse()
         return out
 
-    # ---- persistence ----
-
-    def export(self, stream: str, path: str | Path, fmt: str = "JSONL",
-               with_truth: bool = True) -> int:
-        """Write a stream to disk; returns the record count written."""
-        return write_records(path, stream, self.window(stream), fmt, with_truth)
-
-    def import_file(self, path: str | Path, fmt: str = "JSONL",
-                    stream: str | None = None) -> str:
-        """Read a file into a stream (inferred from its columns if not given)."""
-        columns, records = read_records(path, fmt, stream)
-        stream = stream or _infer_stream(columns)
-        for record in records:
-            self.append(stream, record)
-        return stream
-
 
 def _kpi_from_wire(row: dict) -> KpiSample:
     truth = row.get("truth", False)
@@ -241,131 +225,72 @@ def _kpi_from_wire(row: dict) -> KpiSample:
                      bler=float(row["bler"]), truth_interference=bool(truth))
 
 
-def _label_from_wire(row: dict) -> LabeledSample:
-    return LabeledSample(seq=int(row["seq"]), label=str(row["label"]),
-                         confidence=float(row["confidence"]), source=str(row["source"]))
+def to_wire(sample: KpiSample, with_truth: bool = True) -> dict:
+    """One KPI sample as the object a JSONL trace line holds."""
+    d = {"seq": sample.seq, "ts_ms": sample.ts_ms, "snr_db": sample.snr_db,
+         "mcs": sample.mcs, "bler": sample.bler}
+    if with_truth:
+        d["truth"] = sample.truth_interference
+    return d
 
 
-def _detection_from_wire(row: dict) -> DetectionRecord:
-    return DetectionRecord(seq=int(row["seq"]), prob=float(row["prob"]),
-                           verdict=str(row["verdict"]),
-                           model_version=int(row["model_version"]),
-                           latency_us=int(row["latency_us"]))
-
-
-# per stream: its columns, and the converter of one row read back
-_WIRE = {"kpi": (KPI_CSV_COLUMNS, _kpi_from_wire),
-         "labels": (LABEL_CSV_COLUMNS, _label_from_wire),
-         "detections": (DETECTION_CSV_COLUMNS, _detection_from_wire)}
-
-
-def _wire(stream: str):
-    try:
-        return _WIRE[stream]
-    except KeyError:
-        raise UnknownStreamError(f"unknown stream {stream!r}") from None
-
-
-def _infer_stream(columns) -> str:
-    if "label" in columns:
-        return "labels"
-    if "verdict" in columns:
-        return "detections"
-    return "kpi"
-
-
-def to_wire(record, with_truth: bool = True) -> dict:
-    """One record as the object a JSONL line holds."""
-    if isinstance(record, KpiSample):
-        d = {"seq": record.seq, "ts_ms": record.ts_ms, "snr_db": record.snr_db,
-             "mcs": record.mcs, "bler": record.bler}
-        if with_truth:
-            d["truth"] = record.truth_interference
-        return d
-    if isinstance(record, LabeledSample):
-        return {"seq": record.seq, "label": record.label,
-                "confidence": record.confidence, "source": record.source}
-    if isinstance(record, DetectionRecord):
-        return {"seq": record.seq, "prob": record.prob, "verdict": record.verdict,
-                "model_version": record.model_version, "latency_us": record.latency_us}
-    raise RecordInvalidError(f"unsupported record type {type(record).__name__}")
-
-
-def _kpi_csv_row(s: KpiSample) -> tuple:
-    return s.seq, s.ts_ms, s.snr_db, s.mcs, s.bler, int(s.truth_interference)
-
-
-def write_records(path: str | Path, stream: str, records, fmt: str = "JSONL",
-                  with_truth: bool = True) -> int:
-    """Write one stream's records as JSONL or CSV; returns the count written."""
-    cols = _wire(stream)[0]
-    if stream == "kpi" and not with_truth:
-        cols = cols[:-1]
-    fmt = fmt.upper()
-    if fmt not in ("JSONL", "CSV"):
-        raise ValueError(f"unknown export format {fmt!r}")
+def write_detections(path: str | Path, records) -> int:
+    """Write detection records as CSV under a header row; returns the count written."""
+    row = operator.attrgetter(*DETECTION_CSV_COLUMNS)
     n = 0
     with Path(path).open("w", encoding="utf-8", newline="") as f:
-        if fmt == "JSONL":
-            for r in records:
-                f.write(json.dumps(to_wire(r, with_truth)) + "\n")
-                n += 1
-            return n
         w = csv.writer(f)
-        w.writerow(cols)
+        w.writerow(DETECTION_CSV_COLUMNS)
         # csv.writer writes a float with repr, its shortest round-trip form
-        row = _kpi_csv_row if cols[-1] == "truth" else operator.attrgetter(*cols)
         for r in records:
             w.writerow(row(r))
             n += 1
     return n
 
 
-def read_records(path: str | Path, fmt: str = "JSONL",
-                 stream: str | None = None) -> tuple[list[str], list]:
-    """Read a JSONL or CSV file of one stream's records.
+def read_trace(path: str | Path) -> tuple[list[str], list[KpiSample]]:
+    """Read a JSONL KPI trace, one sample per line; blank lines are skipped.
 
-    Returns the first row's columns and the records; the stream, if not
-    given, is inferred from those columns. Each row is converted and
-    validated as it is read. A row that is not an object, has a column its
-    stream lacks, does not convert or holds an invalid record (say `bler`
-    1.5) raises `SchemaError` naming the file and line.
+    Returns the first row's columns and the samples in file order. Each row
+    is converted and validated as it is read. A row that is not an object,
+    has a column a KPI sample lacks, does not convert, holds an invalid
+    sample (say `bler` 1.5) or repeats an earlier row's seq raises
+    `SchemaError` naming the file and line.
     """
     path = Path(path)
-    fmt = fmt.upper()
-    if fmt not in ("JSONL", "CSV"):
-        raise ValueError(f"unknown import format {fmt!r}")
     columns: list[str] = []
-    records: list = []
-    keys = parse = None
-    with path.open("r", encoding="utf-8", newline="" if fmt == "CSV" else None) as f:
-        csv_rows = csv.DictReader(f) if fmt == "CSV" else None
-        for lineno, row in enumerate(csv_rows or f, start=1):
-            if csv_rows is not None:
-                lineno = csv_rows.line_num
-            elif not (row := row.strip()):
+    samples: list[KpiSample] = []
+    seqs: set[int] | None = None  # built at the first seq out of order
+    keys = frozenset(KPI_COLUMNS)
+    with path.open("r", encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            if not (line := line.strip()):
                 continue
-            else:
-                try:
-                    row = json.loads(row)
-                except json.JSONDecodeError as exc:
-                    raise SchemaError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise SchemaError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             if not isinstance(row, dict):
                 raise SchemaError(f"{path}:{lineno}: expected an object, "
                                   f"got {type(row).__name__}")
-            if parse is None:
+            if not samples:
                 columns = list(row)
-                stream = stream or _infer_stream(columns)
-                cols, parse = _wire(stream)
-                keys = frozenset(cols)
             if not row.keys() <= keys:
                 raise SchemaError(f"{path}:{lineno}: unknown column(s) "
                                   f"{sorted(map(str, row.keys() - keys))} "
-                                  f"for stream {stream!r}")
+                                  f"for stream 'kpi'")
             try:
-                record = parse(row)
-                _validate_record(record)
+                sample = _kpi_from_wire(row)
+                _validate_kpi(sample)
             except (KeyError, TypeError, ValueError, RecordInvalidError) as exc:
                 raise SchemaError(f"{path}:{lineno}: bad row {row!r}: {exc}") from exc
-            records.append(record)
-    return columns, records
+            # in seq order a seq cannot repeat; past that, every seq is tracked
+            if seqs is None and samples and sample.seq <= samples[-1].seq:
+                seqs = {s.seq for s in samples}
+            if seqs is not None:
+                if sample.seq in seqs:
+                    raise SchemaError(f"{path}:{lineno}: seq {sample.seq} "
+                                      f"repeats an earlier line")
+                seqs.add(sample.seq)
+            samples.append(sample)
+    return columns, samples

@@ -74,6 +74,24 @@ class TestSimulate:
         sched.write_text("nothing: here\n")
         assert main(["simulate", "--schedule", str(sched)]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("entry", [
+        {"id": 2, "duration_samples": "abc"},
+        {"event": "ON", "interference_db": -8.0, "noise_amplitude": 0.1,
+         "duration_samples": "abc"},
+        {"event": "ON", "interference_db": "abc", "noise_amplitude": 0.1},
+        {"event": "ON", "interference_db": -8.0, "noise_amplitude": "abc"},
+    ], ids=["catalog_duration", "custom_duration", "interference_db", "noise_amplitude"])
+    def test_non_numeric_entry_value_exits_2(self, tmp_path, capsys, entry):
+        sched = write_schedule(tmp_path / "bad.yaml", [2, entry])
+        assert main(["--out", str(tmp_path / "o"), "simulate",
+                     "--schedule", str(sched)]) == EXIT_USAGE
+        assert "entry 1: " in capsys.readouterr().err
+
+    def test_missing_schedule_exits_2(self, tmp_path, capsys):
+        sched = tmp_path / "nope.yaml"
+        assert main(["simulate", "--schedule", str(sched)]) == EXIT_USAGE
+        assert f"{sched} not found" in capsys.readouterr().err
+
     def test_out_of_domain_entry_warns_but_runs(self, tmp_path, capsys):
         code, trace = simulate(
             tmp_path, [{"id": 50, "event": "ON", "interference_db": -3.0,
@@ -169,6 +187,19 @@ class TestMalformedTrace:
                                     '"bler": 0.1, "truth": false, "rsrp": -90}')
         assert self.invoke(tmp_path, command, trace) == EXIT_USAGE
         assert "rsrp" in capsys.readouterr().err
+
+    def test_repeated_seq_exits_2(self, tmp_path, capsys, command):
+        _, trace = simulate(tmp_path, [{"id": 2, "duration_samples": 50}])
+        lines = trace.read_text().splitlines(keepends=True)
+        trace.write_text("".join(lines + lines[:1]))
+        assert self.invoke(tmp_path, command, trace) == EXIT_USAGE
+        assert f"{trace}:51: seq 0 repeats an earlier line" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "detections.csv").exists()
+
+    def test_missing_trace_exits_2(self, tmp_path, capsys, command):
+        trace = tmp_path / "nope.jsonl"
+        assert self.invoke(tmp_path, command, trace) == EXIT_USAGE
+        assert f"{trace} not found" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field", ['"mcs": 99, "bler": 0.1', '"mcs": 2, "bler": 1.5'])
     def test_invalid_kpi_record_exits_2(self, tmp_path, capsys, command, field):
@@ -325,6 +356,12 @@ class TestRunExperiment:
         cfg.write_text("mystery:\n  a: 1\n")
         assert main(["--config", str(cfg), "run-experiment"]) == EXIT_USAGE
 
+    def test_yaml_syntax_error_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("loop: [\n")
+        assert main(["--config", str(cfg), "run-experiment"]) == EXIT_USAGE
+        assert f"cannot parse config file {cfg}" in capsys.readouterr().err
+
     def test_nested_loop_train_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("loop:\n  train:\n    epochs: 5\n")
@@ -346,7 +383,10 @@ class TestConfigSections:
 
 
 @pytest.mark.parametrize("section,key", [("labeler", "window_size: 2"),
-                                         ("loop", "monitor_window: 0")])
+                                         ("loop", "monitor_window: 0"),
+                                         ("labeler", "window_size: abc"),
+                                         ("engine", "ewma_alpha: abc"),
+                                         ("mlp", "epochs: 0")])
 def test_invalid_config_value_exits_2(tmp_path, capsys, section, key):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(f"{section}:\n  {key}\n")

@@ -1,13 +1,15 @@
+import csv
+import json
+
 import numpy as np
 import pytest
 
 from jamloop.scenarios import KpiSample
 from jamloop.store import (DetectionRecord, DuplicateSeqError, LabeledSample,
                            RecordInvalidError, SchemaError, StoreFullError,
-                           TelemetryStore, UnknownStreamError, KPI_CSV_COLUMNS,
+                           TelemetryStore, UnknownStreamError, KPI_COLUMNS,
                            LABEL_CLEAN, LABEL_INTERFERENCE, LABEL_UNLABELED,
-                           SOURCE_GROUND_TRUTH, SOURCE_LABELER, read_records,
-                           write_records)
+                           read_trace, to_wire, write_detections)
 
 
 def kpi(seq, snr=10.0, mcs=5, bler=0.1, truth=False):
@@ -161,44 +163,17 @@ class TestJoin:
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("fmt", ["JSONL", "CSV"])
-    def test_kpi_round_trip_exact(self, store, tmp_path, fmt):
+    @pytest.mark.parametrize("fmt", ["JSONL"])
+    def test_kpi_round_trip_exact(self, tmp_path, fmt):
         rng = np.random.default_rng(17)
         originals = [kpi(i, snr=float(rng.normal(12, 8)), mcs=int(rng.integers(0, 29)),
                          bler=float(rng.uniform()), truth=bool(rng.integers(0, 2)))
                      for i in range(1000)]
-        for s in originals:
-            store.append("kpi", s)
         path = tmp_path / f"kpi.{fmt.lower()}"
-        assert store.export("kpi", path, fmt) == 1000
-
-        fresh = TelemetryStore()
-        fresh.import_file(path, fmt, stream="kpi")
-        restored = fresh.window("kpi", 0, 999)
+        path.write_text("".join(json.dumps(to_wire(s)) + "\n" for s in originals))
+        columns, restored = read_trace(path)
+        assert columns == KPI_COLUMNS
         assert restored == originals  # bit-exact via repr round trip
-
-    @pytest.mark.parametrize("fmt", ["JSONL", "CSV"])
-    def test_detections_round_trip(self, store, tmp_path, fmt):
-        for i in range(50):
-            store.append("detections", DetectionRecord(i, 0.125 * (i % 8),
-                                                       LABEL_CLEAN, 3, 12))
-        path = tmp_path / f"det.{fmt.lower()}"
-        store.export("detections", path, fmt)
-        fresh = TelemetryStore()
-        assert fresh.import_file(path, fmt) == "detections"
-        assert fresh.window("detections", 0, 49) == store.window("detections", 0, 49)
-
-    @pytest.mark.parametrize("fmt", ["JSONL", "CSV"])
-    def test_labels_round_trip(self, store, tmp_path, fmt):
-        for i in range(50):
-            store.append("labels", LabeledSample(
-                i, LABEL_INTERFERENCE if i % 3 else LABEL_CLEAN, 0.1 * (i % 9 + 1),
-                SOURCE_GROUND_TRUTH if i % 2 else SOURCE_LABELER))
-        path = tmp_path / f"labels.{fmt.lower()}"
-        store.export("labels", path, fmt)
-        fresh = TelemetryStore()
-        assert fresh.import_file(path, fmt) == "labels"
-        assert fresh.window("labels") == store.window("labels")
 
     def test_simulated_trace_rewritten_byte_identical(self, tmp_path):
         from jamloop.cli import main
@@ -208,31 +183,61 @@ class TestRoundTrip:
         assert main(["--seed", "3", "--out", str(tmp_path), "simulate",
                      "--schedule", str(sched), "--with-truth"]) == 0
         trace = tmp_path / "trace.jsonl"
-        columns, records = read_records(trace)
-        assert columns == KPI_CSV_COLUMNS and len(records) == 120
-        assert write_records(tmp_path / "again.jsonl", "kpi", records) == 120
-        assert (tmp_path / "again.jsonl").read_bytes() == trace.read_bytes()
+        columns, records = read_trace(trace)
+        assert columns == KPI_COLUMNS and len(records) == 120
+        again = "".join(json.dumps(to_wire(r)) + "\n" for r in records)
+        assert again.encode() == trace.read_bytes()
 
     @pytest.mark.parametrize("line", ["3", "[1, 2]", '"seq"', "null"])
-    def test_non_object_line_names_file_and_line(self, store, tmp_path, line):
+    def test_non_object_line_names_file_and_line(self, tmp_path, line):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"seq": 0, "ts_ms": 0, "snr_db": 1.0, "mcs": 2, "bler": 0.1}\n'
                         f"\n{line}\n")
         with pytest.raises(SchemaError, match=r"bad\.jsonl:3: expected an object"):
-            store.import_file(path)
-        assert store.count("kpi") == 0
+            read_trace(path)
 
-    def test_unknown_column_named_in_error(self, store, tmp_path):
+    def test_unknown_column_named_in_error(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"seq": 0, "ts_ms": 0, "snr_db": 1.0, "mcs": 2, '
                         '"bler": 0.1, "bogus_col": 9}\n')
         with pytest.raises(SchemaError, match="bogus_col"):
-            store.import_file(path, "JSONL", stream="kpi")
+            read_trace(path)
 
-    def test_export_empty_stream(self, store, tmp_path):
+    @pytest.mark.parametrize("seqs", [(4, 2, 4), (3, 4, 4)])
+    def test_repeated_seq_names_line(self, tmp_path, seqs):
+        path = tmp_path / "dup.jsonl"
+        path.write_text("".join(json.dumps(to_wire(kpi(i))) + "\n" for i in seqs))
+        with pytest.raises(SchemaError, match=r"dup\.jsonl:3: seq 4 repeats an earlier line"):
+            read_trace(path)
+
+    def test_out_of_order_unique_seqs_read_in_file_order(self, tmp_path):
+        path = tmp_path / "shuffled.jsonl"
+        path.write_text("".join(json.dumps(to_wire(kpi(i))) + "\n" for i in (4, 0, 9, 2)))
+        assert [s.seq for s in read_trace(path)[1]] == [4, 0, 9, 2]
+
+    def test_string_truth_read_by_value(self, tmp_path):
+        path = tmp_path / "strings.jsonl"
+        rows = [dict(to_wire(kpi(i)), truth=t) for i, t in enumerate(["0", "1", "true"])]
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        assert [s.truth_interference for s in read_trace(path)[1]] == [False, True, True]
+
+    def test_export_empty_stream(self, tmp_path):
         path = tmp_path / "empty.csv"
-        assert store.export("kpi", path, "CSV") == 0
-        assert path.read_text().strip() == "seq,ts_ms,snr_db,mcs,bler,truth"
+        assert write_detections(path, []) == 0
+        assert path.read_text().strip() == "seq,prob,verdict,model_version,latency_us"
+
+    def test_detections_csv_prob_exact(self, tmp_path):
+        rng = np.random.default_rng(5)
+        records = [DetectionRecord(i, float(rng.uniform()),
+                                   LABEL_INTERFERENCE if i % 2 else LABEL_CLEAN, 3, 12 + i)
+                   for i in range(200)]
+        path = tmp_path / "det.csv"
+        assert write_detections(path, records) == 200
+        with path.open(newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [DetectionRecord(int(r["seq"]), float(r["prob"]), r["verdict"],
+                                int(r["model_version"]), int(r["latency_us"]))
+                for r in rows] == records  # prob exact: csv writes repr
 
 
 class TestConcurrency:
