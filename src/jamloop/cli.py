@@ -175,8 +175,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     for name in INPUT_FILES.get(args.command, ()):
         path = getattr(args, name)
-        if not path.exists():
-            print(f"error: {name} file {path} not found", file=sys.stderr)
+        if not path.is_file():
+            problem = "is not a file" if path.exists() else "not found"
+            print(f"error: {name} file {path} {problem}", file=sys.stderr)
             return EXIT_USAGE
     handlers = {
         "simulate": cmd_simulate,

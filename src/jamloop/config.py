@@ -10,7 +10,7 @@ import yaml
 from .labeler import LabelerConfig
 from .manager import LoopConfig
 from .mlp import TrainConfig
-from .scenarios import ChannelParams
+from .scenarios import SCENARIO_CATALOG, ChannelParams
 
 
 class ConfigError(ValueError):
@@ -22,6 +22,16 @@ class ExperimentSection:
     samples_per_scenario: int = 300
     passes: int = 2
     baseline_train_entries: int = 6
+
+    def validate(self) -> None:
+        if self.passes < 1:
+            raise ValueError("passes must be >= 1")
+        if self.samples_per_scenario < 1:
+            raise ValueError("samples_per_scenario must be >= 1")
+        n_entries = len(SCENARIO_CATALOG) * self.passes
+        if not 1 <= self.baseline_train_entries <= n_entries:
+            raise ValueError(f"baseline_train_entries must be in 1..{n_entries} "
+                             f"(the schedule's entries)")
 
 
 @dataclasses.dataclass

@@ -39,8 +39,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .scenarios import FeatureSample
-from .store import (LABEL_CLEAN, LABEL_INTERFERENCE, DuplicateSeqError, LabeledSample,
-                    TelemetryStore)
+from .store import LABEL_CLEAN, LABEL_INTERFERENCE, LabeledSample, TelemetryStore
 
 EXHAUSTIVE_KMEANS_MAX = 16  # tiny windows get the provably optimal 2-partition
 MAD_NORMAL = 0.6744897501960817  # median of |N(0, 1)|
@@ -189,14 +188,10 @@ def label_window(samples: list[FeatureSample], baseline: BaselineState,
         if baseline.sample_count > 0:
             gap = window_median - (baseline.clean_snr_median_db - cfg.baseline_offset_db)
             is_interference = gap < 0
-            conf = min(1.0, abs(gap) / cfg.baseline_offset_db)
         else:
             # cold start: no clean reference yet, bootstrap-trust the window
             is_interference = False
-            conf = 1.0
-        label = LABEL_INTERFERENCE if is_interference else LABEL_CLEAN
         flags = np.full(len(samples), 1 if is_interference else 0)
-        confs = np.full(len(samples), conf)
     else:
         # interference cluster: lower mean SNR; BLER breaks exact SNR ties
         if mean_snr[0] != mean_snr[1]:
@@ -206,31 +201,15 @@ def label_window(samples: list[FeatureSample], baseline: BaselineState,
             jam_cluster = 0 if mean_bler[0] > mean_bler[1] else 1
         flags = (assign == jam_cluster).astype(int)
         flags = _median_filter_labels(flags, cfg.smoothing_halfwidth)
-        cents = np.array([std[assign == c].mean(axis=0) for c in (0, 1)])
-        d0 = np.sqrt(((std - cents[0]) ** 2).sum(axis=1))
-        d1 = np.sqrt(((std - cents[1]) ** 2).sum(axis=1))
-        denom = d0 + d1
-        denom = np.where(denom > 0, denom, 1.0)
-        confs = np.abs(d0 - d1) / denom
 
-    out = [LabeledSample(seq=s.seq,
-                         label=LABEL_INTERFERENCE if f else LABEL_CLEAN,
-                         confidence=float(c))
-           for s, f, c in zip(samples, flags, confs)]
+    out = [LabeledSample(seq=s.seq, label=LABEL_INTERFERENCE if f else LABEL_CLEAN)
+           for s, f in zip(samples, flags)]
 
     new_baseline = replace(baseline)  # shallow copy of scalars
     new_baseline._recent = list(baseline._recent)
     clean_snrs = [s.snr_db for s, f in zip(samples, flags) if not f]
     new_baseline.update(clean_snrs, cfg.baseline_quantile)
     return out, new_baseline
-
-
-@dataclass
-class LabelerRunSummary:
-    samples_seen: int
-    labels_appended: int
-    duplicates_rejected: int
-    windows: int
 
 
 def _jitter_variance(snr: np.ndarray) -> float:
@@ -330,8 +309,8 @@ def _cluster_levels(levels: np.ndarray, weights: np.ndarray, penalty: float) -> 
     return group_of
 
 
-def label_stream(snr: np.ndarray, window_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Label a whole SNR series; returns per-sample jam flags and confidences.
+def label_stream(snr: np.ndarray, window_size: int) -> np.ndarray:
+    """Label a whole SNR series; returns per-sample jam flags.
 
     The series is cut at its mean change points, each of which must reduce
     the squared error by 3 ln n jitter variances (the modified BIC of Zhang &
@@ -343,9 +322,7 @@ def label_stream(snr: np.ndarray, window_size: int) -> tuple[np.ndarray, np.ndar
     the stream enters it in at least two separate visits and at least half as
     often as its most-entered group. Every other group lies resolvably below
     the highest floor and is jammed; a jammer the stream returns to as often
-    as to a floor is taken for one. A sample's confidence is erf(z / sqrt 2),
-    z being its group's distance in standard errors to the nearest group of
-    the other class.
+    as to a floor is taken for one.
     """
     n = len(snr)
     var = _jitter_variance(snr)
@@ -361,20 +338,10 @@ def label_stream(snr: np.ndarray, window_size: int) -> tuple[np.ndarray, np.ndar
                           minlength=n_groups)
     floor = (entered >= 2) & (2 * entered >= entered.max())
     floor[-1] = True  # the highest level
-    g_w = np.bincount(group_of, weights=weights, minlength=n_groups)
-    g_mean = np.bincount(group_of, weights=levels * weights, minlength=n_groups) / g_w
-
-    g_conf = np.ones(n_groups)
-    for g in range(n_groups):
-        other = np.flatnonzero(floor != floor[g])
-        if len(other):
-            z2 = (g_mean[other] - g_mean[g]) ** 2 / (var * (1.0 / g_w[other] + 1.0 / g_w[g]))
-            g_conf[g] = math.erf(math.sqrt(float(z2.min()) / 2.0))
-    sample_group = np.repeat(group_of, counts)
-    return ~floor[sample_group], g_conf[sample_group]
+    return ~floor[np.repeat(group_of, counts)]
 
 
-def run_labeler(store: TelemetryStore, cfg: LabelerConfig | None = None) -> LabelerRunSummary:
+def run_labeler(store: TelemetryStore, cfg: LabelerConfig | None = None) -> None:
     """Label the whole `kpi` stream offline, with `label_stream` on its SNR.
 
     Assumes, as the module docstring sets out, that jamming only lowers SINR
@@ -385,27 +352,16 @@ def run_labeler(store: TelemetryStore, cfg: LabelerConfig | None = None) -> Labe
     this path sees the flushed stream, so it defers every decision until it
     knows all the levels and how often the stream returns to each; a jammed
     first segment is thus not trusted as clean, and a second noise floor is
-    not taken for jamming. `windows` counts the `cfg.window_size` windows
-    the stream spans. Already-labeled seqs are rejected by the store and
-    skipped.
+    not taken for jamming. A store that already holds labels raises
+    `LabelerError` and is left unchanged.
     """
     cfg = cfg or LabelerConfig()
     cfg.validate()
+    if store.count("labels"):
+        raise LabelerError("store already holds labels; run the labeler on a fresh store")
     samples = [r.public() for r in store.window("kpi")]  # truth stripped here
-
-    appended = 0
-    dupes = 0
     if samples:
-        jammed, confs = label_stream(np.array([s.snr_db for s in samples]),
-                                      cfg.window_size)
-        for s, jam, conf in zip(samples, jammed, confs):
-            lab = LabeledSample(seq=s.seq, label=LABEL_INTERFERENCE if jam else LABEL_CLEAN,
-                                confidence=float(conf))
-            try:
-                store.append("labels", lab)
-                appended += 1
-            except DuplicateSeqError:
-                dupes += 1
-    return LabelerRunSummary(samples_seen=len(samples), labels_appended=appended,
-                             duplicates_rejected=dupes,
-                             windows=-(-len(samples) // cfg.window_size))
+        jammed = label_stream(np.array([s.snr_db for s in samples]), cfg.window_size)
+        for s, jam in zip(samples, jammed):
+            store.append("labels", LabeledSample(
+                seq=s.seq, label=LABEL_INTERFERENCE if jam else LABEL_CLEAN))

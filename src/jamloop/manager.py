@@ -21,7 +21,7 @@ from pathlib import Path
 from . import mlp
 from .detector import DetectorXapp, StaleVersionError
 from .labeler import BaselineState, LabelerConfig, label_window
-from .store import LABEL_INTERFERENCE, SOURCE_LABELER, TelemetryStore
+from .store import LABEL_INTERFERENCE, TelemetryStore
 
 TRIGGER_NONE = "NONE"
 TRIGGER_LOW_AGREEMENT = "LOW_AGREEMENT"
@@ -200,7 +200,6 @@ def retrain(store: TelemetryStore, cfg: mlp.TrainConfig,
             registry: ModelRegistry) -> RetrainOutcome:
     """Train a new version on the full labeler-labeled history (never truth)."""
     pairs = store.join_labels()
-    pairs = [(s, lab) for s, lab in pairs if lab.source == SOURCE_LABELER]
     if not pairs:
         return RetrainOutcome(entry=None, skipped_reason="no labeled history")
     dataset = labeled_dataset(pairs)

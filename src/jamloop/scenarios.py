@@ -150,12 +150,14 @@ def schedule_from_ids(ids: list[int], seed: int,
 def _number(item: dict, key: str, kind: type, i: int, default=None):
     """`item[key]`, or `default` if it is absent, converted by `kind`.
 
-    A missing value without a default, or one that does not convert, is a
-    `ScheduleError` naming entry `i`.
+    A missing value without a default, one that does not convert, or a
+    fractional value of an int field is a `ScheduleError` naming entry `i`.
     """
     value = item.get(key, default)
     if value is None:
         raise ScheduleError(f"entry {i}: missing field {key!r}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ScheduleError(f"entry {i}: {key} must be a whole number, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError) as exc:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 import csv
 import json
+import math
 import operator
 import threading
 from dataclasses import dataclass
@@ -21,10 +22,6 @@ from .scenarios import KpiSample
 
 LABEL_CLEAN = "CLEAN"
 LABEL_INTERFERENCE = "INTERFERENCE"
-LABEL_UNLABELED = "UNLABELED"
-
-SOURCE_LABELER = "LABELER"
-SOURCE_GROUND_TRUTH = "GROUND_TRUTH"
 
 DEFAULT_MAX_RECORDS = 1_000_000
 
@@ -59,19 +56,11 @@ class SchemaError(StoreError):
 @dataclass(frozen=True)
 class LabeledSample:
     seq: int
-    label: str  # CLEAN | INTERFERENCE | UNLABELED
-    confidence: float
-    source: str = SOURCE_LABELER
+    label: str  # CLEAN | INTERFERENCE
 
     def validate(self) -> None:
-        if self.label not in (LABEL_CLEAN, LABEL_INTERFERENCE, LABEL_UNLABELED):
+        if self.label not in (LABEL_CLEAN, LABEL_INTERFERENCE):
             raise RecordInvalidError(f"unknown label {self.label!r}")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise RecordInvalidError(f"confidence {self.confidence} outside [0,1]")
-        if (self.label == LABEL_UNLABELED) != (self.confidence == 0.0):
-            raise RecordInvalidError("confidence must be 0 exactly for UNLABELED labels")
-        if self.source not in (SOURCE_LABELER, SOURCE_GROUND_TRUTH):
-            raise RecordInvalidError(f"unknown label source {self.source!r}")
 
 
 @dataclass(frozen=True)
@@ -94,6 +83,8 @@ class DetectionRecord:
 
 
 def _validate_kpi(s: KpiSample) -> None:
+    if not math.isfinite(s.snr_db):
+        raise RecordInvalidError(f"snr_db {s.snr_db} is not finite")
     if not 0.0 <= s.bler <= 1.0:
         raise RecordInvalidError(f"bler {s.bler} outside [0,1]")
     if not 0 <= s.mcs <= 28:
@@ -180,7 +171,7 @@ class TelemetryStore:
 
     def join_labels(self, from_seq: int = 0, to_seq: int | None = None
                     ) -> list[tuple[KpiSample, LabeledSample]]:
-        """Inner join of kpi and labels on seq; unlabeled pairs excluded."""
+        """Inner join of kpi and labels on seq."""
         return self._join("kpi", from_seq, to_seq)
 
     def join_detections(self, from_seq: int = 0, to_seq: int | None = None,
@@ -210,18 +201,25 @@ class TelemetryStore:
                 else:
                     i -= 1
                     j -= 1
-                    if lab.label != LABEL_UNLABELED:
-                        out.append((r, lab))
+                    out.append((r, lab))
         out.reverse()
         return out
+
+
+def _whole(row: dict, key: str) -> int:
+    """`row[key]` as an int; a fractional float is a ValueError, not truncated."""
+    value = row[key]
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{key} {value!r} is not a whole number")
+    return int(value)
 
 
 def _kpi_from_wire(row: dict) -> KpiSample:
     truth = row.get("truth", False)
     if isinstance(truth, str):
         truth = truth.strip() in ("1", "true", "True")
-    return KpiSample(seq=int(row["seq"]), ts_ms=int(row["ts_ms"]),
-                     snr_db=float(row["snr_db"]), mcs=int(row["mcs"]),
+    return KpiSample(seq=_whole(row, "seq"), ts_ms=_whole(row, "ts_ms"),
+                     snr_db=float(row["snr_db"]), mcs=_whole(row, "mcs"),
                      bler=float(row["bler"]), truth_interference=bool(truth))
 
 
@@ -253,9 +251,9 @@ def read_trace(path: str | Path) -> tuple[list[str], list[KpiSample]]:
 
     Returns the first row's columns and the samples in file order. Each row
     is converted and validated as it is read. A row that is not an object,
-    has a column a KPI sample lacks, does not convert, holds an invalid
-    sample (say `bler` 1.5) or repeats an earlier row's seq raises
-    `SchemaError` naming the file and line.
+    has a column a KPI sample lacks, does not convert (say `seq` 1.7),
+    holds an invalid sample (say `bler` 1.5 or `snr_db` NaN) or repeats an
+    earlier row's seq raises `SchemaError` naming the file and line.
     """
     path = Path(path)
     columns: list[str] = []

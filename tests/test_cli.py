@@ -92,6 +92,33 @@ class TestSimulate:
         assert main(["simulate", "--schedule", str(sched)]) == EXIT_USAGE
         assert f"{sched} not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", [
+        {"id": 2, "duration_samples": 2.7},
+        {"id": 4.9, "event": "OFF", "interference_db": -100.0, "noise_amplitude": 0.15},
+        {"event": "ON", "interference_db": -8.0, "noise_amplitude": 0.1,
+         "duration_samples": 50.5},
+    ], ids=["catalog_duration", "custom_id", "custom_duration"])
+    def test_fractional_entry_value_exits_2(self, tmp_path, capsys, entry):
+        sched = write_schedule(tmp_path / "bad.yaml", [2, entry])
+        assert main(["--out", str(tmp_path / "o"), "simulate",
+                     "--schedule", str(sched)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "entry 1: " in err
+        assert "must be a whole number" in err
+        assert not (tmp_path / "o" / "trace.jsonl").exists()
+
+    def test_whole_float_entry_values_accepted(self, tmp_path):
+        code, trace = simulate(tmp_path, [
+            {"id": 2, "duration_samples": 20.0},
+            {"id": 4.0, "event": "OFF", "interference_db": -100.0, "noise_amplitude": 0.15,
+             "duration_samples": 30.0}])
+        assert code == EXIT_OK
+        assert len(trace.read_text().splitlines()) == 50
+
+    def test_directory_schedule_exits_2(self, tmp_path, capsys):
+        assert main(["simulate", "--schedule", str(tmp_path)]) == EXIT_USAGE
+        assert f"{tmp_path} is not a file" in capsys.readouterr().err
+
     def test_out_of_domain_entry_warns_but_runs(self, tmp_path, capsys):
         code, trace = simulate(
             tmp_path, [{"id": 50, "event": "ON", "interference_db": -3.0,
@@ -201,6 +228,33 @@ class TestMalformedTrace:
         assert self.invoke(tmp_path, command, trace) == EXIT_USAGE
         assert f"{trace} not found" in capsys.readouterr().err
 
+    def test_directory_trace_exits_2(self, tmp_path, capsys, command):
+        trace = tmp_path / "trace_dir"
+        trace.mkdir()
+        assert self.invoke(tmp_path, command, trace) == EXIT_USAGE
+        assert f"trace file {trace} is not a file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_snr_exits_2(self, tmp_path, capsys, command, value):
+        trace = bad_trace(tmp_path, '{"seq": 1, "ts_ms": 100, "snr_db": ' + value
+                          + ', "mcs": 2, "bler": 0.1, "truth": false}')
+        assert self.invoke(tmp_path, command, trace) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{trace}:2: bad row" in err
+        assert "snr_db" in err and "not finite" in err
+        assert not (tmp_path / "o" / "detections.csv").exists()
+
+    @pytest.mark.parametrize("field", ["seq", "ts_ms", "mcs"])
+    def test_fractional_int_field_exits_2(self, tmp_path, capsys, command, field):
+        row = {"seq": 1, "ts_ms": 100, "snr_db": 1.0, "mcs": 2, "bler": 0.1, "truth": False}
+        row[field] += 0.7
+        trace = bad_trace(tmp_path, json.dumps(row))
+        assert self.invoke(tmp_path, command, trace) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{trace}:2: bad row" in err
+        assert f"{field} {row[field]!r} is not a whole number" in err
+        assert not (tmp_path / "o" / "detections.csv").exists()
+
     @pytest.mark.parametrize("field", ['"mcs": 99, "bler": 0.1', '"mcs": 2, "bler": 1.5'])
     def test_invalid_kpi_record_exits_2(self, tmp_path, capsys, command, field):
         trace = bad_trace(tmp_path, '{"seq": 1, "ts_ms": 100, "snr_db": 1.0, '
@@ -260,6 +314,16 @@ class TestReplay:
         code = main(["replay", "--trace", str(trace),
                      "--model", str(tmp_path / "nope.model")])
         assert code == EXIT_USAGE
+
+    def test_directory_model_exits_2(self, tmp_path, capsys):
+        _, trace = simulate(tmp_path, [{"id": 2, "duration_samples": 10}])
+        model_dir = tmp_path / "model_dir"
+        model_dir.mkdir()
+        code = main(["--out", str(tmp_path / "o"), "replay", "--trace", str(trace),
+                     "--model", str(model_dir)])
+        assert code == EXIT_USAGE
+        assert f"model file {model_dir} is not a file" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "detections.csv").exists()
 
     @pytest.mark.parametrize("edit", BAD_MODEL_EDITS)
     def test_bad_model_file_exits_2(self, tmp_path, capsys, edit):
@@ -386,7 +450,11 @@ class TestConfigSections:
                                          ("loop", "monitor_window: 0"),
                                          ("labeler", "window_size: abc"),
                                          ("engine", "ewma_alpha: abc"),
-                                         ("mlp", "epochs: 0")])
+                                         ("mlp", "epochs: 0"),
+                                         ("experiment", "passes: 0"),
+                                         ("experiment", "samples_per_scenario: 0"),
+                                         ("experiment", "baseline_train_entries: 0"),
+                                         ("experiment", "baseline_train_entries: 99")])
 def test_invalid_config_value_exits_2(tmp_path, capsys, section, key):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(f"{section}:\n  {key}\n")

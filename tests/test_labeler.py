@@ -77,10 +77,6 @@ class TestLabelWindow:
             labels, _ = label_window(window, BaselineState(), CFG)
             assert len(labels) == n
 
-    def test_confidence_bounds(self):
-        labels, _ = label_window(two_cluster_window(seed=5), BaselineState(), CFG)
-        assert all(0.0 <= lab.confidence <= 1.0 for lab in labels)
-
     def test_baseline_updates_from_clean_samples(self):
         window = two_cluster_window(seed=1)
         baseline_in = BaselineState()
@@ -153,16 +149,14 @@ class TestRunLabeler:
         sched = schedule_from_ids([2, 1], seed=4, duration_samples=150)
         store = TelemetryStore()
         synth_stream(sched, sink=lambda s: store.append("kpi", s))
-        summary = run_labeler(store)
-        assert summary.labels_appended == 300
-        assert store.count("labels") == store.count("kpi")
+        run_labeler(store)
+        assert store.count("labels") == store.count("kpi") == 300
 
     def test_partial_final_window_labeled(self):
         sched = schedule_from_ids([2], seed=4, duration_samples=130)
         store = TelemetryStore()
         synth_stream(sched, sink=lambda s: store.append("kpi", s))
-        summary = run_labeler(store, LabelerConfig(window_size=100))
-        assert summary.windows == 2
+        run_labeler(store, LabelerConfig(window_size=100))
         assert store.count("labels") == 130
 
     def test_rerun_rejects_duplicates_store_unchanged(self):
@@ -170,11 +164,11 @@ class TestRunLabeler:
         store = TelemetryStore()
         synth_stream(sched, sink=lambda s: store.append("kpi", s))
         run_labeler(store)
-        before = store.window("labels", 0, 99)
-        summary = run_labeler(store)
-        assert summary.labels_appended == 0
-        assert summary.duplicates_rejected == 100
-        assert store.window("labels", 0, 99) == before
+        before = store.window("labels")
+        with pytest.raises(LabelerError, match="already holds labels"):
+            run_labeler(store)
+        assert store.window("labels") == before
+        assert store.count("labels") == 100
 
     def test_cold_start_jammed_segment_labeled_interference(self):
         # no clean reference exists while scenario 1 (ON) runs; the offline

@@ -9,7 +9,7 @@ from jamloop.manager import (ClosedLoop, DriftReport, LoopConfig, ModelRegistry,
 from jamloop.mlp import TrainConfig
 from jamloop.scenarios import KpiSample, iter_stream, schedule_from_ids
 from jamloop.store import (DetectionRecord, LABEL_CLEAN, LABEL_INTERFERENCE,
-                           LABEL_UNLABELED, LabeledSample, TelemetryStore)
+                           LabeledSample, TelemetryStore)
 
 
 def kpi(seq, snr=10.0, truth=False):
@@ -26,7 +26,7 @@ def detection(seq, verdict, version=1):
 def fill(store, n, verdict_of, label_of):
     for i in range(n):
         store.append("detections", detection(i, verdict_of(i)))
-        store.append("labels", LabeledSample(i, label_of(i), 0.8))
+        store.append("labels", LabeledSample(i, label_of(i)))
 
 
 class TestMonitor:
@@ -82,8 +82,7 @@ def reference_monitor(detections, labels, window_size, threshold, from_seq):
     """The full-join monitor the trailing join replaced, over plain record lists."""
     label_rows = {r.seq: r for r in labels if r.seq >= from_seq}
     pairs = [(d, label_rows[d.seq]) for d in sorted(detections, key=lambda d: d.seq)
-             if d.seq >= from_seq and d.seq in label_rows
-             and label_rows[d.seq].label != LABEL_UNLABELED]
+             if d.seq >= from_seq and d.seq in label_rows]
     pairs = pairs[-window_size:]
     if not pairs:
         return DriftReport(from_seq, from_seq, None, 0, False, TRIGGER_NONE)
@@ -116,8 +115,9 @@ class TestMonitorMatchesFullJoin:
                 detections.append(d)
             if rng.random() < 0.9:
                 u = rng.random()
-                lab = (LabeledSample(seq, LABEL_UNLABELED, 0.0) if u < 0.15 else
-                       LabeledSample(seq, LABEL_INTERFERENCE if u < 0.6 else LABEL_CLEAN, 0.8))
+                if u < 0.15:  # this seq stays unlabeled
+                    continue
+                lab = LabeledSample(seq, LABEL_INTERFERENCE if u < 0.6 else LABEL_CLEAN)
                 store.append("labels", lab)
                 labels.append(lab)
         top = seqs[-1] if seqs else 0
@@ -135,8 +135,7 @@ def make_labeled_history(store, n=400, seed=0):
         jam = i % 2 == 0
         snr = 8.0 + 0.5 * rng.standard_normal() if jam else 25.0 + 0.5 * rng.standard_normal()
         store.append("kpi", kpi(i, snr=float(snr)))
-        store.append("labels", LabeledSample(
-            i, LABEL_INTERFERENCE if jam else LABEL_CLEAN, 0.9))
+        store.append("labels", LabeledSample(i, LABEL_INTERFERENCE if jam else LABEL_CLEAN))
 
 
 class TestRetrain:
@@ -154,7 +153,7 @@ class TestRetrain:
         store = TelemetryStore()
         for i in range(100):
             store.append("kpi", kpi(i))
-            store.append("labels", LabeledSample(i, LABEL_CLEAN, 0.9))
+            store.append("labels", LabeledSample(i, LABEL_CLEAN))
         registry = ModelRegistry(tmp_path / "models")
         outcome = retrain(store, TrainConfig(seed=1), registry)
         assert outcome.entry is None

@@ -8,7 +8,7 @@ from jamloop.scenarios import KpiSample
 from jamloop.store import (DetectionRecord, DuplicateSeqError, LabeledSample,
                            RecordInvalidError, SchemaError, StoreFullError,
                            TelemetryStore, UnknownStreamError, KPI_COLUMNS,
-                           LABEL_CLEAN, LABEL_INTERFERENCE, LABEL_UNLABELED,
+                           LABEL_CLEAN, LABEL_INTERFERENCE,
                            read_trace, to_wire, write_detections)
 
 
@@ -17,8 +17,8 @@ def kpi(seq, snr=10.0, mcs=5, bler=0.1, truth=False):
                      truth_interference=truth)
 
 
-def label(seq, value=LABEL_CLEAN, conf=0.9):
-    return LabeledSample(seq=seq, label=value, confidence=conf)
+def label(seq, value=LABEL_CLEAN):
+    return LabeledSample(seq=seq, label=value)
 
 
 @pytest.fixture
@@ -42,10 +42,12 @@ class TestAppend:
             store.append("kpi", kpi(7))
         assert store.count("kpi") == 1
 
-    def test_unlabeled_requires_zero_confidence(self):
+    def test_unknown_label_rejected(self, store):
         with pytest.raises(RecordInvalidError):
-            LabeledSample(seq=0, label=LABEL_UNLABELED, confidence=0.5).validate()
-        LabeledSample(seq=0, label=LABEL_UNLABELED, confidence=0.0).validate()
+            LabeledSample(0, "UNLABELED").validate()
+        with pytest.raises(RecordInvalidError):
+            store.append("labels", LabeledSample(0, "UNLABELED"))
+        assert store.count("labels") == 0
 
     def test_unknown_stream(self, store):
         with pytest.raises(UnknownStreamError):
@@ -129,15 +131,6 @@ class TestJoin:
             store.append("labels", label(i + 100))
         assert store.join_labels(to_seq=200) == []
 
-    def test_unlabeled_excluded(self, store):
-        store.append("kpi", kpi(0))
-        store.append("kpi", kpi(1))
-        store.append("labels", LabeledSample(0, LABEL_UNLABELED, 0.0))
-        store.append("labels", label(1, LABEL_INTERFERENCE))
-        joined = store.join_labels()
-        assert [lab.seq for _, lab in joined] == [1]
-
-
     @pytest.mark.parametrize("seed", range(20))
     def test_trailing_pairs_equal_tail_of_full_join(self, seed):
         rng = np.random.default_rng(seed)
@@ -146,11 +139,8 @@ class TestJoin:
         for seq in seqs:
             if rng.random() < 0.8:
                 store.append("detections", DetectionRecord(int(seq), 0.2, LABEL_CLEAN, 1, 3))
-            if rng.random() < 0.8:
-                unlabeled = rng.random() < 0.2
-                store.append("labels", LabeledSample(
-                    int(seq), LABEL_UNLABELED if unlabeled else LABEL_CLEAN,
-                    0.0 if unlabeled else 0.7))
+            if rng.random() < 0.8 and rng.random() >= 0.2:  # some seqs unlabeled
+                store.append("labels", label(int(seq)))
         for from_seq in (0, 150, 299, 400):
             full = store.join_detections(from_seq=from_seq)
             assert [d.seq for d, _ in full] == sorted(d.seq for d, _ in full)
