@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import csv
 import itertools
-import json
 import sys
 from pathlib import Path
 
@@ -20,7 +19,7 @@ from .experiment import (ExperimentError, default_experiment_config,
 from .labeler import run_labeler
 from .manager import ManagerError, ModelRegistry
 from .scenarios import KpiSample, ScheduleError, Segment, load_schedule, synth_stream
-from .store import (SchemaError, StoreError, TelemetryStore, read_trace, to_wire,
+from .store import (SchemaError, StoreError, TelemetryStore, read_trace, trace_line,
                     write_detections)
 
 EXIT_OK = 0
@@ -71,7 +70,7 @@ def cmd_simulate(args, cfg) -> int:
     trace_path = args.out / "trace.jsonl"
     with trace_path.open("w", encoding="utf-8") as f:
         def sink(s: KpiSample) -> None:
-            f.write(json.dumps(to_wire(s, with_truth=args.with_truth)) + "\n")
+            f.write(trace_line(s, args.with_truth) + "\n")
         summary = synth_stream(schedule, cfg.engine, sink)
     print(f"wrote {summary.n_samples} samples to {trace_path} "
           f"(digest {summary.digest[:12]})")

@@ -108,7 +108,7 @@ class ChannelParams:
             raise ValueError("ewma_alpha must be in (0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KpiSample:
     """One uplink measurement. truth_interference is evaluation-only."""
 
@@ -123,7 +123,7 @@ class KpiSample:
         return FeatureSample(self.seq, self.ts_ms, self.snr_db, self.mcs, self.bler)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FeatureSample:
     """Detector/labeler view of a KPI sample: no ground truth field exists."""
 
@@ -150,12 +150,14 @@ def schedule_from_ids(ids: list[int], seed: int,
 def _number(item: dict, key: str, kind: type, i: int, default=None):
     """`item[key]`, or `default` if it is absent, converted by `kind`.
 
-    A missing value without a default, one that does not convert, or a
-    fractional value of an int field is a `ScheduleError` naming entry `i`.
+    A missing value without a default, a boolean, one that does not convert,
+    or a fractional value of an int field is a `ScheduleError` naming entry `i`.
     """
     value = item.get(key, default)
     if value is None:
         raise ScheduleError(f"entry {i}: missing field {key!r}")
+    if isinstance(value, bool):  # a bool is an int: True would read as 1
+        raise ScheduleError(f"entry {i}: {key} must be a number, got {value!r}")
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ScheduleError(f"entry {i}: {key} must be a whole number, got {value!r}")
     try:
@@ -184,7 +186,7 @@ def load_schedule(path: str | Path, seed: int) -> ScenarioSchedule:
     warnings: list[str] = []
     entries: list[ScenarioSpec] = []
     for i, item in enumerate(raw_entries):
-        if isinstance(item, int):
+        if type(item) is int:  # a bool is an int: True would read as scenario 1
             if item not in SCENARIO_CATALOG:
                 raise ScheduleError(f"entry {i}: unknown catalog scenario id {item}")
             entries.append(SCENARIO_CATALOG[item])
@@ -193,7 +195,7 @@ def load_schedule(path: str | Path, seed: int) -> ScenarioSchedule:
             raise ScheduleError(f"entry {i}: expected id or mapping, got {type(item).__name__}")
         if "id" in item and set(item) <= {"id", "duration_samples"}:
             sid = item["id"]
-            if sid not in SCENARIO_CATALOG:
+            if isinstance(sid, bool) or sid not in SCENARIO_CATALOG:
                 raise ScheduleError(f"entry {i}: unknown catalog scenario id {sid}")
             base = SCENARIO_CATALOG[sid]
             entries.append(ScenarioSpec(
@@ -278,24 +280,29 @@ def _sample_digest_update(h, s: KpiSample) -> None:
 
 def iter_stream(schedule: ScenarioSchedule,
                 params: ChannelParams | None = None) -> Iterator[KpiSample]:
-    """Generate the KPI stream sample by sample, deterministically from the seed."""
+    """Generate the KPI stream sample by sample, deterministically from the seed.
+
+    Each segment's jitter is drawn in one call. The generator yields the same
+    normals as one draw per sample, and the sums are the same float64
+    operations, so the stream is bit for bit what per-sample draws give.
+    """
     params = params or ChannelParams()
     params.validate()
     rng = np.random.default_rng(schedule.seed)
+    alpha = params.ewma_alpha
     seq = 0
     ewma: float | None = None
     for spec in schedule.entries:
         mean = sinr_db(spec, params)
         truth = spec.event == "ON"
-        for _ in range(spec.duration_samples):
-            snr_inst = mean + params.snr_jitter_sigma_db * rng.standard_normal()
+        jitter = rng.standard_normal(spec.duration_samples)
+        for snr_inst in (mean + params.snr_jitter_sigma_db * jitter).tolist():
             if ewma is None:
                 ewma = snr_inst
             mcs = mcs_for_snr(ewma, params)
-            bler = bler_for(snr_inst, mcs, params)
-            yield KpiSample(seq=seq, ts_ms=seq * SAMPLE_PERIOD_MS, snr_db=float(snr_inst),
-                            mcs=mcs, bler=float(bler), truth_interference=truth)
-            ewma = params.ewma_alpha * snr_inst + (1.0 - params.ewma_alpha) * ewma
+            yield KpiSample(seq, seq * SAMPLE_PERIOD_MS, snr_inst, mcs,
+                            bler_for(snr_inst, mcs, params), truth)
+            ewma = alpha * snr_inst + (1.0 - alpha) * ewma
             seq += 1
 
 

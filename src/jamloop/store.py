@@ -1,5 +1,5 @@
 """Append-only in-memory telemetry store with windowed queries, plus the
-JSONL KPI trace reader and the detections CSV writer.
+JSONL KPI trace writer and reader and the detections CSV writer.
 
 Three fixed streams wire the closed loop together: `kpi` (raw samples),
 `labels` (labeler verdicts), `detections` (deployed-model outputs).
@@ -53,7 +53,7 @@ class SchemaError(StoreError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledSample:
     seq: int
     label: str  # CLEAN | INTERFERENCE
@@ -63,7 +63,7 @@ class LabeledSample:
             raise RecordInvalidError(f"unknown label {self.label!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DetectionRecord:
     seq: int
     prob: float
@@ -207,29 +207,48 @@ class TelemetryStore:
 
 
 def _whole(row: dict, key: str) -> int:
-    """`row[key]` as an int; a fractional float is a ValueError, not truncated."""
+    """`row[key]` as an int; a fractional float or a boolean is a ValueError."""
     value = row[key]
+    if type(value) is int:
+        return value
+    if isinstance(value, bool):  # a bool is an int: true would read as 1
+        raise ValueError(f"{key} {value!r} is not a number")
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{key} {value!r} is not a whole number")
     return int(value)
+
+
+def _real(row: dict, key: str) -> float:
+    """`row[key]` as a float; a boolean is a ValueError."""
+    value = row[key]
+    if type(value) is float:
+        return value
+    if isinstance(value, bool):
+        raise ValueError(f"{key} {value!r} is not a number")
+    return float(value)
 
 
 def _kpi_from_wire(row: dict) -> KpiSample:
     truth = row.get("truth", False)
     if isinstance(truth, str):
         truth = truth.strip() in ("1", "true", "True")
-    return KpiSample(seq=_whole(row, "seq"), ts_ms=_whole(row, "ts_ms"),
-                     snr_db=float(row["snr_db"]), mcs=_whole(row, "mcs"),
-                     bler=float(row["bler"]), truth_interference=bool(truth))
+    return KpiSample(_whole(row, "seq"), _whole(row, "ts_ms"), _real(row, "snr_db"),
+                     _whole(row, "mcs"), _real(row, "bler"), bool(truth))
 
 
-def to_wire(sample: KpiSample, with_truth: bool = True) -> dict:
-    """One KPI sample as the object a JSONL trace line holds."""
-    d = {"seq": sample.seq, "ts_ms": sample.ts_ms, "snr_db": sample.snr_db,
-         "mcs": sample.mcs, "bler": sample.bler}
+def trace_line(sample: KpiSample, with_truth: bool = True) -> str:
+    """One KPI sample as its JSONL trace line, without the newline.
+
+    The bytes are those of `json.dumps` on the object {"seq", "ts_ms",
+    "snr_db", "mcs", "bler"[, "truth"]}: json writes an int with `repr` and a
+    finite float with `float.__repr__`, as this f-string does. The sample's
+    floats must be finite, as every stored or synthesized sample's are.
+    """
+    line = (f'{{"seq": {sample.seq!r}, "ts_ms": {sample.ts_ms!r}, '
+            f'"snr_db": {sample.snr_db!r}, "mcs": {sample.mcs!r}, "bler": {sample.bler!r}')
     if with_truth:
-        d["truth"] = sample.truth_interference
-    return d
+        return line + (', "truth": true}' if sample.truth_interference else ', "truth": false}')
+    return line + "}"
 
 
 def write_detections(path: str | Path, records) -> int:
@@ -246,14 +265,31 @@ def write_detections(path: str | Path, records) -> int:
     return n
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _parse_line(line: str):
+    """`json.loads(line)` for a stripped line, by one `raw_decode` when it parses.
+
+    A line that does not parse, or holds more than one value, goes through
+    `json.loads` so that the error and its message are the ones it raises.
+    """
+    try:
+        value, end = _raw_decode(line)
+    except json.JSONDecodeError:
+        end = -1
+    return value if end == len(line) else json.loads(line)
+
+
 def read_trace(path: str | Path) -> tuple[list[str], list[KpiSample]]:
     """Read a JSONL KPI trace, one sample per line; blank lines are skipped.
 
     Returns the first row's columns and the samples in file order. Each row
     is converted and validated as it is read. A row that is not an object,
-    has a column a KPI sample lacks, does not convert (say `seq` 1.7),
-    holds an invalid sample (say `bler` 1.5 or `snr_db` NaN) or repeats an
-    earlier row's seq raises `SchemaError` naming the file and line.
+    has a column a KPI sample lacks, does not convert (say `seq` 1.7 or
+    `true`), holds an invalid sample (say `bler` 1.5 or `snr_db` NaN) or
+    repeats an earlier row's seq raises `SchemaError` naming the file and
+    line.
     """
     path = Path(path)
     columns: list[str] = []
@@ -265,7 +301,7 @@ def read_trace(path: str | Path) -> tuple[list[str], list[KpiSample]]:
             if not (line := line.strip()):
                 continue
             try:
-                row = json.loads(line)
+                row = _parse_line(line)
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             if not isinstance(row, dict):

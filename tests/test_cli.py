@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import pytest
 
@@ -105,6 +106,26 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "entry 1: " in err
         assert "must be a whole number" in err
+        assert not (tmp_path / "o" / "trace.jsonl").exists()
+
+    @pytest.mark.parametrize("entry", [
+        True,
+        {"id": True},
+        {"id": True, "duration_samples": 20},
+        {"id": 2, "duration_samples": True},
+        {"id": True, "event": "ON", "interference_db": -8.0, "noise_amplitude": 0.1},
+        {"event": "ON", "interference_db": True, "noise_amplitude": 0.1},
+        {"event": "ON", "interference_db": -8.0, "noise_amplitude": True},
+        {"event": "ON", "interference_db": -8.0, "noise_amplitude": 0.1,
+         "duration_samples": True},
+    ], ids=["bare_id", "catalog_id", "catalog_id_with_duration", "catalog_duration",
+            "custom_id", "interference_db", "noise_amplitude", "custom_duration"])
+    def test_boolean_entry_value_exits_2(self, tmp_path, capsys, entry):
+        sched = write_schedule(tmp_path / "bad.yaml", [2, entry])
+        assert main(["--out", str(tmp_path / "o"), "simulate",
+                     "--schedule", str(sched)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert re.search(r"entry 1: .*(True|got bool)", err), err
         assert not (tmp_path / "o" / "trace.jsonl").exists()
 
     def test_whole_float_entry_values_accepted(self, tmp_path):
@@ -253,6 +274,17 @@ class TestMalformedTrace:
         err = capsys.readouterr().err
         assert f"{trace}:2: bad row" in err
         assert f"{field} {row[field]!r} is not a whole number" in err
+        assert not (tmp_path / "o" / "detections.csv").exists()
+
+    @pytest.mark.parametrize("field", ["seq", "ts_ms", "snr_db", "mcs", "bler"])
+    def test_boolean_field_exits_2(self, tmp_path, capsys, command, field):
+        row = {"seq": 1, "ts_ms": 100, "snr_db": 1.0, "mcs": 2, "bler": 0.1, "truth": False}
+        row[field] = True
+        trace = bad_trace(tmp_path, json.dumps(row))
+        assert self.invoke(tmp_path, command, trace) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{trace}:2: bad row" in err
+        assert f"{field} True is not a number" in err
         assert not (tmp_path / "o" / "detections.csv").exists()
 
     @pytest.mark.parametrize("field", ['"mcs": 99, "bler": 0.1', '"mcs": 2, "bler": 1.5'])

@@ -123,7 +123,54 @@ class TestSchedule:
             ScenarioSchedule([ScenarioSpec(1, "OFF", -8.0, 0.1)], seed=0)
 
 
+def reference_stream(schedule, params):
+    """The generator with one scalar jitter draw per sample, as fields per sample.
+
+    `iter_stream` draws a segment's jitter in one call; this copy pins that it
+    yields the same stream, bit for bit.
+    """
+    rng = np.random.default_rng(schedule.seed)
+    seq = 0
+    ewma = None
+    for spec in schedule.entries:
+        mean = sinr_db(spec, params)
+        truth = spec.event == "ON"
+        for _ in range(spec.duration_samples):
+            snr_inst = mean + params.snr_jitter_sigma_db * rng.standard_normal()
+            if ewma is None:
+                ewma = snr_inst
+            mcs = mcs_for_snr(ewma, params)
+            bler = bler_for(snr_inst, mcs, params)
+            yield (seq, seq * 100, float(snr_inst).hex(), mcs, float(bler).hex(), truth)
+            ewma = params.ewma_alpha * snr_inst + (1.0 - params.ewma_alpha) * ewma
+            seq += 1
+
+
+def short_entry_schedule(seed):
+    """Catalog and custom entries of 1 to 3 samples, then one long segment."""
+    specs = [ScenarioSpec(sid, c.event, c.interference_db, c.noise_amplitude, 1 + sid % 3)
+             for sid, c in SCENARIO_CATALOG.items()]
+    specs += [ScenarioSpec(40, "ON", -3.0, 0.9, 1), ScenarioSpec(41, "OFF", -100.0, 0.01, 1),
+              ScenarioSpec(42, "ON", -60.0, 0.2, 500)]
+    return ScenarioSchedule(specs, seed=seed)
+
+
 class TestSynthStream:
+    @pytest.mark.parametrize("seed", [3, 7, 11])
+    @pytest.mark.parametrize("params", [P, ChannelParams(signal_power_db=2.5,
+                                                         snr_jitter_sigma_db=1.7,
+                                                         ewma_alpha=0.3)],
+                             ids=["default", "custom"])
+    @pytest.mark.parametrize("schedule", [
+        lambda seed: schedule_from_ids(list(range(1, 19)), seed), short_entry_schedule],
+        ids=["catalog", "short_entries"])
+    def test_batched_jitter_matches_per_sample_draws(self, seed, params, schedule):
+        sched = schedule(seed)
+        got = [(s.seq, s.ts_ms, s.snr_db.hex(), s.mcs, s.bler.hex(), s.truth_interference)
+               for s in iter_stream(sched, params)]
+        assert got == list(reference_stream(sched, params))
+        assert len(got) == sum(spec.duration_samples for spec in sched.entries)
+
     def test_off_scenario_truth_all_false(self):
         sched = schedule_from_ids([2], seed=11)
         samples = []

@@ -1,15 +1,16 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from jamloop.scenarios import KpiSample
+from jamloop.scenarios import KpiSample, iter_stream, schedule_from_ids
 from jamloop.store import (DetectionRecord, DuplicateSeqError, LabeledSample,
                            RecordInvalidError, SchemaError, StoreFullError,
                            TelemetryStore, UnknownStreamError, KPI_COLUMNS,
                            LABEL_CLEAN, LABEL_INTERFERENCE,
-                           read_trace, to_wire, write_detections)
+                           read_trace, trace_line, write_detections)
 
 
 def kpi(seq, snr=10.0, mcs=5, bler=0.1, truth=False):
@@ -24,6 +25,30 @@ def label(seq, value=LABEL_CLEAN):
 @pytest.fixture
 def store():
     return TelemetryStore()
+
+
+def dumps_line(s, with_truth=True):
+    """The trace line as `json.dumps` writes it, to pin `trace_line` against."""
+    d = {"seq": s.seq, "ts_ms": s.ts_ms, "snr_db": s.snr_db, "mcs": s.mcs, "bler": s.bler}
+    if with_truth:
+        d["truth"] = s.truth_interference
+    return json.dumps(d)
+
+
+class TestRecords:
+    @pytest.mark.parametrize("record", [
+        kpi(3), kpi(3).public(), label(3),
+        DetectionRecord(3, 0.25, LABEL_CLEAN, 1, 40)],
+        ids=["KpiSample", "FeatureSample", "LabeledSample", "DetectionRecord"])
+    def test_frozen_and_slotted(self, record):
+        assert not hasattr(record, "__dict__")
+        for f in dataclasses.fields(record):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, f.name, getattr(record, f.name))
+        # a name that is no field is refused too; Python 3.11 raises TypeError
+        with pytest.raises((AttributeError, TypeError)):
+            record.extra = 1
+        assert not hasattr(record, "extra")
 
 
 class TestAppend:
@@ -160,7 +185,7 @@ class TestRoundTrip:
                          bler=float(rng.uniform()), truth=bool(rng.integers(0, 2)))
                      for i in range(1000)]
         path = tmp_path / f"kpi.{fmt.lower()}"
-        path.write_text("".join(json.dumps(to_wire(s)) + "\n" for s in originals))
+        path.write_text("".join(trace_line(s) + "\n" for s in originals))
         columns, restored = read_trace(path)
         assert columns == KPI_COLUMNS
         assert restored == originals  # bit-exact via repr round trip
@@ -175,8 +200,37 @@ class TestRoundTrip:
         trace = tmp_path / "trace.jsonl"
         columns, records = read_trace(trace)
         assert columns == KPI_COLUMNS and len(records) == 120
-        again = "".join(json.dumps(to_wire(r)) + "\n" for r in records)
+        again = "".join(trace_line(r) + "\n" for r in records)
         assert again.encode() == trace.read_bytes()
+
+    @pytest.mark.parametrize("with_truth", [True, False])
+    def test_trace_line_is_json_dumps_on_catalog_stream(self, with_truth):
+        samples = list(iter_stream(schedule_from_ids(list(range(1, 19)), seed=7)))
+        assert len(samples) == 18 * 300
+        for s in samples:
+            assert trace_line(s, with_truth) == dumps_line(s, with_truth)
+
+    @pytest.mark.parametrize("value", [5e-324, 1e300, -0.0, 0.1 + 0.2, 1.0, 1e16, 123456.5])
+    def test_trace_line_is_json_dumps_on_edge_floats(self, value):
+        for s in (kpi(2**40, snr=value, bler=0.0), kpi(0, snr=-value, bler=abs(value) % 1,
+                                                        mcs=28, truth=True)):
+            for with_truth in (True, False):
+                assert trace_line(s, with_truth) == dumps_line(s, with_truth)
+
+    @pytest.mark.parametrize("tail", [
+        ' {"seq": 1, "ts_ms": 100, "snr_db": 1.0, "mcs": 2, "bler": 0.1}', "x", "]", "}", " 7"],
+        ids=["second_object", "letter", "bracket", "brace", "number"])
+    def test_trailing_data_names_file_and_line(self, tmp_path, tail):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(trace_line(kpi(0)) + "\n" + trace_line(kpi(1)) + tail + "\n")
+        with pytest.raises(SchemaError, match=r"bad\.jsonl:2: invalid JSON: Extra data"):
+            read_trace(path)
+
+    def test_bom_line_keeps_json_message(self, tmp_path):
+        path = tmp_path / "bom.jsonl"
+        path.write_text("\ufeff" + trace_line(kpi(0)) + "\n", encoding="utf-8")
+        with pytest.raises(SchemaError, match=r"bom\.jsonl:1: invalid JSON: Unexpected UTF-8 BOM"):
+            read_trace(path)
 
     @pytest.mark.parametrize("line", ["3", "[1, 2]", '"seq"', "null"])
     def test_non_object_line_names_file_and_line(self, tmp_path, line):
@@ -196,18 +250,19 @@ class TestRoundTrip:
     @pytest.mark.parametrize("seqs", [(4, 2, 4), (3, 4, 4)])
     def test_repeated_seq_names_line(self, tmp_path, seqs):
         path = tmp_path / "dup.jsonl"
-        path.write_text("".join(json.dumps(to_wire(kpi(i))) + "\n" for i in seqs))
+        path.write_text("".join(trace_line(kpi(i)) + "\n" for i in seqs))
         with pytest.raises(SchemaError, match=r"dup\.jsonl:3: seq 4 repeats an earlier line"):
             read_trace(path)
 
     def test_out_of_order_unique_seqs_read_in_file_order(self, tmp_path):
         path = tmp_path / "shuffled.jsonl"
-        path.write_text("".join(json.dumps(to_wire(kpi(i))) + "\n" for i in (4, 0, 9, 2)))
+        path.write_text("".join(trace_line(kpi(i)) + "\n" for i in (4, 0, 9, 2)))
         assert [s.seq for s in read_trace(path)[1]] == [4, 0, 9, 2]
 
     def test_string_truth_read_by_value(self, tmp_path):
         path = tmp_path / "strings.jsonl"
-        rows = [dict(to_wire(kpi(i)), truth=t) for i, t in enumerate(["0", "1", "true"])]
+        rows = [dict(json.loads(trace_line(kpi(i))), truth=t)
+                for i, t in enumerate(["0", "1", "true"])]
         path.write_text("".join(json.dumps(r) + "\n" for r in rows))
         assert [s.truth_interference for s in read_trace(path)[1]] == [False, True, True]
 

@@ -1,13 +1,14 @@
 """Print the sha256 of every deterministic artifact of a fixed set of CLI runs.
 
-    python tools/artifact_digests.py
+    python tools/artifact_digests.py [--seed N]
 
-Runs, in a temporary directory and with the package under ../src:
+Runs, in a temporary directory, with the package under ../src and at seed
+N (default 7):
 
-- the default two-pass `run-experiment` at seed 7;
+- the default two-pass `run-experiment`;
 - `simulate --with-truth` of the 18-scenario catalog twice over at 200
-  samples per scenario (seed 7), then `eval-labeler` and `replay` of that
-  trace with the experiment's first model, `v001.model`.
+  samples per scenario, then `eval-labeler` and `replay` of that trace with
+  the experiment's first model, `v001.model`.
 
 Prints one `sha256  name` line per artifact. `detections.csv` is hashed
 without its `latency_us` column, which is a wall-clock measurement;
@@ -17,6 +18,7 @@ Two trees whose outputs match behave the same on these runs.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -29,7 +31,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from jamloop import cli  # noqa: E402
 
-SEED = "7"
 SCHEDULE_IDS = list(range(1, 19)) * 2
 SAMPLES_PER_SCENARIO = 200
 
@@ -56,17 +57,20 @@ def _detections_digest(path: Path) -> str:
     return hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--seed", type=int, default=7, help="seed of every run (default 7)")
+    seed = str(p.parse_args(argv).seed)
     with tempfile.TemporaryDirectory() as tmp:
         exp, trace_dir = Path(tmp) / "experiment", Path(tmp) / "trace"
-        _run("--seed", SEED, "--out", str(exp), "run-experiment")
+        _run("--seed", seed, "--out", str(exp), "run-experiment")
 
         schedule = Path(tmp) / "schedule.yaml"
         schedule.write_text("entries:\n" + "".join(
             f"  - {{id: {i}, duration_samples: {SAMPLES_PER_SCENARIO}}}\n"
             for i in SCHEDULE_IDS), encoding="utf-8")
         trace = trace_dir / "trace.jsonl"
-        common = ("--seed", SEED, "--out", str(trace_dir))
+        common = ("--seed", seed, "--out", str(trace_dir))
         _run(*common, "simulate", "--schedule", str(schedule), "--with-truth")
         _run(*common, "eval-labeler", "--trace", str(trace))
         _run(*common, "replay", "--trace", str(trace),
