@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from pathlib import Path
 
 import yaml
@@ -61,6 +62,8 @@ def _check_type(name: str, key: str, value, default) -> None:
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ConfigError(f"config section {name!r}: {key} must be {kind.__name__}, "
                           f"got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"config section {name!r}: {key} must be finite, got {value!r}")
 
 
 def _build(cls, section: dict, name: str):

@@ -13,11 +13,11 @@ The online path, `label_window`, must emit a label for each window as it
 arrives. Each non-overlapping window is standardized on (snr_db, bler) and
 split by 2-means with deterministic init (centroids seeded at the min- and
 max-SNR samples; exhaustive optimal partition for tiny windows). Windows
-whose centroid SNR separation falls under a configured floor are treated
-as homogeneous and classed as a whole against a running clean-SNR baseline
-less `baseline_offset_db`; with no baseline yet, the window is trusted as
-clean. A short median filter smooths per-sample labels near cluster
-boundaries. The closed loop labels through this path.
+whose centroid SNR separation falls under `SEPARATION_MIN_DB` are treated
+as homogeneous and classed as a whole against the median of a running
+clean-SNR baseline less `BASELINE_OFFSET_DB`; with no baseline yet, the
+window is trusted as clean. A short median filter smooths per-sample
+labels near cluster boundaries. The closed loop labels through this path.
 
 The offline path, `run_labeler`, has the whole flushed stream, so it
 applies the assumption (see `label_stream`): it finds the SNR
@@ -43,6 +43,8 @@ from .store import LABEL_CLEAN, LABEL_INTERFERENCE, LabeledSample, TelemetryStor
 
 EXHAUSTIVE_KMEANS_MAX = 16  # tiny windows get the provably optimal 2-partition
 MAD_NORMAL = 0.6744897501960817  # median of |N(0, 1)|
+SEPARATION_MIN_DB = 4.0  # online: a narrower 2-means split is one class
+BASELINE_OFFSET_DB = 6.0  # online: a one-class window this far below the baseline is jammed
 
 
 class LabelerError(Exception):
@@ -52,18 +54,13 @@ class LabelerError(Exception):
 @dataclass(frozen=True)
 class LabelerConfig:
     window_size: int = 100
-    separation_min_db: float = 4.0
     smoothing_halfwidth: int = 2
-    baseline_quantile: float = 0.5
-    baseline_offset_db: float = 6.0
 
     def validate(self) -> None:
         if self.window_size < 4:
             raise ValueError("window_size must be >= 4")
         if self.smoothing_halfwidth < 0:
             raise ValueError("smoothing_halfwidth must be >= 0")
-        if not 0.0 < self.baseline_quantile < 1.0:
-            raise ValueError("baseline_quantile must be in (0,1)")
 
 
 @dataclass
@@ -76,14 +73,15 @@ class BaselineState:
 
     MAX_RECENT = 600  # ~ a few windows of clean memory; tracks regime changes
 
-    def update(self, clean_snrs: list[float], quantile: float) -> None:
+    def update(self, clean_snrs: list[float]) -> None:
         if not clean_snrs:
             return
         self._recent.extend(clean_snrs)
         if len(self._recent) > self.MAX_RECENT:
             self._recent = self._recent[-self.MAX_RECENT:]
         self.sample_count += len(clean_snrs)
-        self.clean_snr_median_db = float(np.quantile(self._recent, quantile))
+        # np.median can differ from this in the last bit
+        self.clean_snr_median_db = float(np.quantile(self._recent, 0.5))
 
 
 def _standardize(values: np.ndarray) -> np.ndarray:
@@ -179,14 +177,14 @@ def label_window(samples: list[FeatureSample], baseline: BaselineState,
         if 0 < assign.sum() < len(assign):
             mean_snr = [snr[assign == c].mean() for c in (0, 1)]
             separation = abs(mean_snr[0] - mean_snr[1])
-            single_class = separation < cfg.separation_min_db
+            single_class = separation < SEPARATION_MIN_DB
         else:  # degenerate window collapsed into one cluster
             single_class = True
 
     if single_class:
         window_median = float(np.median(snr))
         if baseline.sample_count > 0:
-            gap = window_median - (baseline.clean_snr_median_db - cfg.baseline_offset_db)
+            gap = window_median - (baseline.clean_snr_median_db - BASELINE_OFFSET_DB)
             is_interference = gap < 0
         else:
             # cold start: no clean reference yet, bootstrap-trust the window
@@ -208,7 +206,7 @@ def label_window(samples: list[FeatureSample], baseline: BaselineState,
     new_baseline = replace(baseline)  # shallow copy of scalars
     new_baseline._recent = list(baseline._recent)
     clean_snrs = [s.snr_db for s, f in zip(samples, flags) if not f]
-    new_baseline.update(clean_snrs, cfg.baseline_quantile)
+    new_baseline.update(clean_snrs)
     return out, new_baseline
 
 

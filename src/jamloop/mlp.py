@@ -3,18 +3,17 @@
 Architecture is fixed at [3, 16, 8, 1] with ReLU hidden units and a
 sigmoid output. Inputs are (snr_db, bler, mcs) mapped through a fixed
 affine normalization so retrained models stay comparable. Training is
-minibatch Adam (or SGD) on binary cross-entropy, deterministic for a
-given seed, checkpointing the epoch with the best validation accuracy.
+minibatch Adam on binary cross-entropy, deterministic for a given seed,
+checkpointing the epoch with the best validation accuracy.
 All weights and biases train as one flat parameter vector with per-layer
 views, so each optimizer step is a few whole-vector operations.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -84,7 +83,6 @@ class MlpModel:
     biases: list[np.ndarray]
     threshold: float = 0.5
     version: int = 0
-    trained_on: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.validate()
@@ -109,8 +107,7 @@ class MlpModel:
     def copy(self) -> "MlpModel":
         return MlpModel(weights=[w.copy() for w in self.weights],
                         biases=[b.copy() for b in self.biases],
-                        threshold=self.threshold, version=self.version,
-                        trained_on=copy.deepcopy(self.trained_on))
+                        threshold=self.threshold, version=self.version)
 
 
 def _init_params(seed: int) -> np.ndarray:
@@ -226,7 +223,6 @@ class TrainConfig:
     epochs: int = 50
     batch_size: int = 32
     learning_rate: float = 1e-2
-    optimizer: str = "ADAM"  # ADAM | SGD
     seed: int = 0
     val_fraction: float = 0.2
 
@@ -237,8 +233,6 @@ class TrainConfig:
             raise ValueError("val_fraction must be in (0,1)")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.optimizer not in ("ADAM", "SGD"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
 
 @dataclass
@@ -246,7 +240,6 @@ class TrainReport:
     epoch_loss: list[float]
     epoch_val_accuracy: list[float]
     best_epoch: int
-    final_train_loss: float
     val_accuracy: float
     n_train: int
     n_val: int
@@ -296,18 +289,16 @@ def train(dataset: list[tuple[tuple[float, float, float], int]],
         weights_tr = np.ones(len(y_tr))
 
     # the model's weights and biases are views into theta, its gradient's into grad;
-    # each optimizer step works in the two scratch vectors
+    # each Adam step works in the two scratch vectors
     theta = _init_params(cfg.seed)
     model = MlpModel(*_unpack(theta), version=version)
     grad = np.empty(N_PARAMS)
     gw, gb = _unpack(grad)
     step, denom = np.empty(N_PARAMS), np.empty(N_PARAMS)
-    adam = cfg.optimizer == "ADAM"
-    if adam:
-        beta1, beta2, eps = 0.9, 0.999, 1e-8
-        m = np.zeros(N_PARAMS)
-        v = np.zeros(N_PARAMS)
-        t = 0
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    m = np.zeros(N_PARAMS)
+    v = np.zeros(N_PARAMS)
+    t = 0
 
     best = model.copy()
     best_acc = -1.0
@@ -324,26 +315,23 @@ def train(dataset: list[tuple[tuple[float, float, float], int]],
             stop = start + bs
             z_tr[start:stop] = _backprop(model, xe[start:stop], ye[start:stop],
                                          swe[start:stop], gw, gb)
-            if adam:
-                # in place, in this operation order (it fixes the bits):
-                # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g**2;
-                # theta -= lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps)
-                t += 1
-                m *= beta1
-                np.multiply(grad, 1 - beta1, out=step)
-                m += step
-                v *= beta2
-                np.multiply(grad, grad, out=step)
-                step *= 1 - beta2
-                v += step
-                np.divide(m, 1 - beta1 ** t, out=step)
-                step *= cfg.learning_rate
-                np.divide(v, 1 - beta2 ** t, out=denom)
-                np.sqrt(denom, out=denom)
-                denom += eps
-                step /= denom
-            else:
-                np.multiply(grad, cfg.learning_rate, out=step)
+            # in place, in this operation order (it fixes the bits):
+            # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g**2;
+            # theta -= lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps)
+            t += 1
+            m *= beta1
+            np.multiply(grad, 1 - beta1, out=step)
+            m += step
+            v *= beta2
+            np.multiply(grad, grad, out=step)
+            step *= 1 - beta2
+            v += step
+            np.divide(m, 1 - beta1 ** t, out=step)
+            step *= cfg.learning_rate
+            np.divide(v, 1 - beta2 ** t, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += eps
+            step /= denom
             theta -= step
         probs = _sigmoid(_activations(model, x_va)[1])
         val_acc = float(np.mean((probs >= model.threshold).astype(int) == y_va))
@@ -355,10 +343,9 @@ def train(dataset: list[tuple[tuple[float, float, float], int]],
             best_epoch = epoch
 
     best.version = version
-    best.trained_on = {"n_samples": len(dataset), "n_clean": n_neg, "n_interference": n_pos}
     report = TrainReport(epoch_loss=epoch_loss, epoch_val_accuracy=epoch_val_acc,
-                         best_epoch=best_epoch, final_train_loss=epoch_loss[-1],
-                         val_accuracy=best_acc, n_train=len(y_tr), n_val=len(y_va),
+                         best_epoch=best_epoch, val_accuracy=best_acc,
+                         n_train=len(y_tr), n_val=len(y_va),
                          class_counts={"clean": n_neg, "interference": n_pos})
     return best, report
 
@@ -374,7 +361,6 @@ def save(model: MlpModel, path: str | Path) -> None:
                           "mcs_scale": MCS_SCALE, "bler": "identity"},
         "threshold": model.threshold,
         "version": model.version,
-        "trained_on": model.trained_on,
         "weights": [w.ravel().tolist() for w in model.weights],  # row-major
         "biases": [b.tolist() for b in model.biases],
     }
@@ -422,6 +408,6 @@ def load(path: str | Path) -> MlpModel:
                          f"{exc}") from exc
     try:
         return MlpModel(weights=weights, biases=biases, threshold=threshold,
-                        version=version, trained_on=doc.get("trained_on", {}))
+                        version=version)
     except ModelError as exc:  # non-finite parameters, threshold outside (0,1)
         raise ModelError(f"model file {path}: {exc}") from exc

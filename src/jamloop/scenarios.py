@@ -151,7 +151,8 @@ def _number(item: dict, key: str, kind: type, i: int, default=None):
     """`item[key]`, or `default` if it is absent, converted by `kind`.
 
     A missing value without a default, a boolean, one that does not convert,
-    or a fractional value of an int field is a `ScheduleError` naming entry `i`.
+    a fractional value of an int field or a non-finite value of a float
+    field is a `ScheduleError` naming entry `i`.
     """
     value = item.get(key, default)
     if value is None:
@@ -161,9 +162,12 @@ def _number(item: dict, key: str, kind: type, i: int, default=None):
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ScheduleError(f"entry {i}: {key} must be a whole number, got {value!r}")
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError) as exc:
         raise ScheduleError(f"entry {i}: {key} must be a number, got {value!r}") from exc
+    if kind is float and not math.isfinite(number):
+        raise ScheduleError(f"entry {i}: {key} must be finite, got {value!r}")
+    return number
 
 
 def load_schedule(path: str | Path, seed: int) -> ScenarioSchedule:
@@ -269,8 +273,6 @@ class StreamSummary:
     n_samples: int
     segments: list[Segment]
     digest: str
-    aborted: bool = False
-    abort_reason: str | None = None
 
 
 def _sample_digest_update(h, s: KpiSample) -> None:
@@ -310,24 +312,16 @@ def synth_stream(schedule: ScenarioSchedule, params: ChannelParams | None = None
                  sink: Callable[[KpiSample], None] | None = None) -> StreamSummary:
     """Run the generator to completion, feeding each sample to the sink.
 
-    A sink failure aborts the stream; the summary then covers the emitted prefix.
+    An exception the sink raises ends the stream and propagates unchanged.
     """
     ends = itertools.accumulate(spec.duration_samples for spec in schedule.entries)
     segments = [Segment(spec.id, spec.event, end - spec.duration_samples, end - 1)
                 for spec, end in zip(schedule.entries, ends)]
     h = hashlib.sha256()
     n = 0
-    try:
-        for sample in iter_stream(schedule, params):
-            if sink is not None:
-                sink(sample)
-            _sample_digest_update(h, sample)
-            n += 1
-    except Exception as exc:  # sink failure: report partial progress, then re-raise
-        summary = StreamSummary(n_samples=n,
-                                segments=[seg for seg in segments if seg.end_seq < n],
-                                digest=h.hexdigest(),
-                                aborted=True, abort_reason=str(exc))
-        exc.partial_summary = summary  # type: ignore[attr-defined]
-        raise
+    for sample in iter_stream(schedule, params):
+        if sink is not None:
+            sink(sample)
+        _sample_digest_update(h, sample)
+        n += 1
     return StreamSummary(n_samples=n, segments=segments, digest=h.hexdigest())

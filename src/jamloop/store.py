@@ -93,14 +93,10 @@ def _validate_kpi(s: KpiSample) -> None:
         raise RecordInvalidError("seq must be non-negative")
 
 
-def _validate_record(record) -> None:
-    """Raise `RecordInvalidError` unless `record` is a valid record of some stream."""
-    if isinstance(record, KpiSample):
-        _validate_kpi(record)
-    elif isinstance(record, (LabeledSample, DetectionRecord)):
-        record.validate()
-    else:
-        raise RecordInvalidError(f"unsupported record type {type(record).__name__}")
+# each stream's record type, and the check a record of it must pass
+_RECORDS = {"kpi": (KpiSample, _validate_kpi),
+            "labels": (LabeledSample, LabeledSample.validate),
+            "detections": (DetectionRecord, DetectionRecord.validate)}
 
 
 _SEQ = operator.attrgetter("seq")
@@ -123,11 +119,9 @@ class TelemetryStore:
     bisects and a slice; an out-of-order seq is bisected into place.
     """
 
-    STREAMS = ("kpi", "labels", "detections")
-
     def __init__(self, max_records: int = DEFAULT_MAX_RECORDS) -> None:
         self.max_records = max_records
-        self._streams: dict[str, list] = {name: [] for name in self.STREAMS}
+        self._streams: dict[str, list] = {name: [] for name in _RECORDS}
         self._lock = threading.Lock()
 
     def _stream(self, name: str) -> list:
@@ -140,9 +134,13 @@ class TelemetryStore:
         return len(self._stream(stream))
 
     def append(self, stream: str, record) -> int:
-        """Append one validated record; returns the stream count after append."""
-        _validate_record(record)
+        """Append one valid record of the stream's type; returns the stream count after."""
         records = self._stream(stream)
+        kind, check = _RECORDS[stream]
+        if not isinstance(record, kind):
+            raise RecordInvalidError(f"stream {stream!r} takes {kind.__name__} records, "
+                                     f"got {type(record).__name__}")
+        check(record)
         seq = record.seq
         with self._lock:
             if len(records) >= self.max_records:
@@ -169,19 +167,17 @@ class TelemetryStore:
         with self._lock:
             return records[-1].seq if records else None
 
-    def join_labels(self, from_seq: int = 0, to_seq: int | None = None
-                    ) -> list[tuple[KpiSample, LabeledSample]]:
-        """Inner join of kpi and labels on seq."""
-        return self._join("kpi", from_seq, to_seq)
+    def join_labels(self) -> list[tuple[KpiSample, LabeledSample]]:
+        """Inner join of kpi and labels on seq, over the whole history."""
+        return self._join("kpi", 0)
 
-    def join_detections(self, from_seq: int = 0, to_seq: int | None = None,
-                        last: int | None = None
+    def join_detections(self, from_seq: int = 0, last: int | None = None
                         ) -> list[tuple[DetectionRecord, LabeledSample]]:
-        """Like `join_labels`; `last` keeps only the trailing `last` pairs."""
-        return self._join("detections", from_seq, to_seq, last)
+        """Inner join of detections and labels on seq, from `from_seq` on;
+        `last` keeps only the trailing `last` pairs."""
+        return self._join("detections", from_seq, last)
 
-    def _join(self, stream: str, from_seq: int, to_seq: int | None,
-              last: int | None = None) -> list:
+    def _join(self, stream: str, from_seq: int, last: int | None = None) -> list:
         # a merge join walked back from the high end, so that the trailing
         # `last` pairs cost O(last) steps plus the unmatched records among them
         if last is not None and last < 1:
@@ -189,8 +185,8 @@ class TelemetryStore:
         records, label_rows = self._streams[stream], self._streams["labels"]
         out = []
         with self._lock:
-            i0, i = _bounds(records, from_seq, to_seq)
-            j0, j = _bounds(label_rows, from_seq, to_seq)
+            i0, i = _bounds(records, from_seq, None)
+            j0, j = _bounds(label_rows, from_seq, None)
             while i > i0 and j > j0 and len(out) != last:
                 r, lab = records[i - 1], label_rows[j - 1]
                 seq, label_seq = r.seq, lab.seq
@@ -286,7 +282,8 @@ def read_trace(path: str | Path) -> tuple[list[str], list[KpiSample]]:
 
     Returns the first row's columns and the samples in file order. Each row
     is converted and validated as it is read. A row that is not an object,
-    has a column a KPI sample lacks, does not convert (say `seq` 1.7 or
+    has a column a KPI sample lacks or other columns than the first row's
+    (say `truth` on some rows only), does not convert (say `seq` 1.7 or
     `true`), holds an invalid sample (say `bler` 1.5 or `snr_db` NaN) or
     repeats an earlier row's seq raises `SchemaError` naming the file and
     line.
@@ -295,7 +292,7 @@ def read_trace(path: str | Path) -> tuple[list[str], list[KpiSample]]:
     columns: list[str] = []
     samples: list[KpiSample] = []
     seqs: set[int] | None = None  # built at the first seq out of order
-    keys = frozenset(KPI_COLUMNS)
+    keys = frozenset(KPI_COLUMNS)  # the first row's once it is read
     with path.open("r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             if not (line := line.strip()):
@@ -308,11 +305,13 @@ def read_trace(path: str | Path) -> tuple[list[str], list[KpiSample]]:
                 raise SchemaError(f"{path}:{lineno}: expected an object, "
                                   f"got {type(row).__name__}")
             if not samples:
-                columns = list(row)
-            if not row.keys() <= keys:
-                raise SchemaError(f"{path}:{lineno}: unknown column(s) "
-                                  f"{sorted(map(str, row.keys() - keys))} "
-                                  f"for stream 'kpi'")
+                if not row.keys() <= keys:
+                    raise SchemaError(f"{path}:{lineno}: unknown column(s) "
+                                      f"{sorted(row.keys() - keys)} for stream 'kpi'")
+                columns, keys = list(row), frozenset(row)
+            elif row.keys() != keys:
+                raise SchemaError(f"{path}:{lineno}: columns {sorted(row)} are not "
+                                  f"the first row's {sorted(keys)}")
             try:
                 sample = _kpi_from_wire(row)
                 _validate_kpi(sample)

@@ -1,8 +1,11 @@
 import csv
+import dataclasses
 import json
 import re
+from pathlib import Path
 
 import pytest
+import yaml
 
 from jamloop import mlp
 from jamloop.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
@@ -126,6 +129,19 @@ class TestSimulate:
                      "--schedule", str(sched)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert re.search(r"entry 1: .*(True|got bool)", err), err
+        assert not (tmp_path / "o" / "trace.jsonl").exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("interference_db", ".nan"), ("interference_db", ".inf"), ("interference_db", "-.inf"),
+        ("noise_amplitude", ".inf"), ("noise_amplitude", ".nan")])
+    def test_non_finite_entry_value_exits_2(self, tmp_path, capsys, key, value):
+        entry = {"event": "ON", "interference_db": "-8.0", "noise_amplitude": "0.1", key: value}
+        sched = tmp_path / "bad.yaml"  # YAML, not JSON: .nan and .inf are floats
+        sched.write_text("entries:\n  - 2\n  - {"
+                         + ", ".join(f"{k}: {v}" for k, v in entry.items()) + "}\n")
+        assert main(["--out", str(tmp_path / "o"), "simulate",
+                     "--schedule", str(sched)]) == EXIT_USAGE
+        assert f"entry 1: {key} must be finite" in capsys.readouterr().err
         assert not (tmp_path / "o" / "trace.jsonl").exists()
 
     def test_whole_float_entry_values_accepted(self, tmp_path):
@@ -254,6 +270,26 @@ class TestMalformedTrace:
         trace.mkdir()
         assert self.invoke(tmp_path, command, trace) == EXIT_USAGE
         assert f"trace file {trace} is not a file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("with_truth", [True, False], ids=["truth_dropped", "truth_added"])
+    def test_columns_unlike_first_row_exit_2(self, tmp_path, capsys, command, with_truth):
+        # lines 101-400 drop the truth column the first line carries, or add it
+        _, trace = simulate(tmp_path, [{"id": sid, "duration_samples": 200} for sid in (2, 1)],
+                            with_truth=with_truth)
+        lines = trace.read_text().splitlines(keepends=True)
+        for i in range(100, 400):
+            row = json.loads(lines[i])
+            if with_truth:
+                del row["truth"]
+            else:
+                row["truth"] = True
+            lines[i] = json.dumps(row) + "\n"
+        trace.write_text("".join(lines))
+        assert self.invoke(tmp_path, command, trace) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{trace}:101: columns " in err
+        assert "are not the first row's" in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_snr_exits_2(self, tmp_path, capsys, command, value):
@@ -486,12 +522,47 @@ class TestConfigSections:
                                          ("experiment", "passes: 0"),
                                          ("experiment", "samples_per_scenario: 0"),
                                          ("experiment", "baseline_train_entries: 0"),
-                                         ("experiment", "baseline_train_entries: 99")])
+                                         ("experiment", "baseline_train_entries: 99"),
+                                         ("loop", "drift_threshold: .nan"),
+                                         ("loop", "deploy_gate: .nan"),
+                                         ("mlp", "learning_rate: .inf"),
+                                         ("engine", "signal_power_db: .nan"),
+                                         ("engine", "ewma_alpha: -.inf")])
 def test_invalid_config_value_exits_2(tmp_path, capsys, section, key):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(f"{section}:\n  {key}\n")
     assert main(["--config", str(cfg), "run-experiment"]) == EXIT_USAGE
     assert f"config section {section!r}: {key.split(':')[0]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,key", [("labeler", "separation_min_db: 4.0"),
+                                         ("labeler", "baseline_offset_db: 6.0"),
+                                         ("labeler", "baseline_quantile: 0.5"),
+                                         ("mlp", "optimizer: ADAM")])
+def test_removed_config_key_exits_2(tmp_path, capsys, section, key):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"{section}:\n  {key}\n")
+    assert main(["--config", str(cfg), "run-experiment"]) == EXIT_USAGE
+    assert (f"config section {section!r}: unknown key(s) [{key.split(':')[0]!r}]"
+            in capsys.readouterr().err)
+
+
+def test_readme_config_example_is_the_defaults(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"^## Configuration file\n.*?^```yaml\n(.*?)^```", readme,
+                      re.M | re.S).group(1)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(block)
+    assert load_config(cfg) == load_config(None)
+    # and it names every key of every section
+    documented = {name: set(section) for name, section in yaml.safe_load(block).items()}
+    defaults = load_config(None)
+    assert documented == {
+        "engine": {f.name for f in dataclasses.fields(defaults.engine)},
+        "labeler": {f.name for f in dataclasses.fields(defaults.labeler)},
+        "mlp": {f.name for f in dataclasses.fields(defaults.loop.train)},
+        "loop": {f.name for f in dataclasses.fields(defaults.loop)} - {"train"},
+        "experiment": {f.name for f in dataclasses.fields(defaults.experiment)}}
 
 
 class TestArgErrors:

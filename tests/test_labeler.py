@@ -39,7 +39,7 @@ class TestLabelWindow:
 
     def test_all_clean_window_via_fallback(self):
         baseline = BaselineState()
-        baseline.update([25.0] * 200, CFG.baseline_quantile)
+        baseline.update([25.0] * 200)
         rng = np.random.default_rng(2)
         window = [feature(i, 25.0 + 0.5 * rng.standard_normal()) for i in range(100)]
         labels, _ = label_window(window, baseline, CFG)
@@ -47,7 +47,7 @@ class TestLabelWindow:
 
     def test_all_jammed_window_via_fallback(self):
         baseline = BaselineState()
-        baseline.update([25.0] * 200, CFG.baseline_quantile)
+        baseline.update([25.0] * 200)
         rng = np.random.default_rng(2)
         window = [feature(i, 8.0 + 0.5 * rng.standard_normal(), bler=0.9)
                   for i in range(100)]
@@ -66,7 +66,7 @@ class TestLabelWindow:
     def test_deterministic(self):
         window = two_cluster_window(seed=9)
         baseline = BaselineState()
-        baseline.update([25.0] * 100, CFG.baseline_quantile)
+        baseline.update([25.0] * 100)
         a, _ = label_window(window, baseline, CFG)
         b, _ = label_window(window, baseline, CFG)
         assert a == b

@@ -74,6 +74,18 @@ class TestAppend:
             store.append("labels", LabeledSample(0, "UNLABELED"))
         assert store.count("labels") == 0
 
+    @pytest.mark.parametrize("stream,record", [
+        ("kpi", label(0)), ("kpi", kpi(0).public()),
+        ("labels", kpi(0)), ("labels", DetectionRecord(0, 0.2, LABEL_CLEAN, 1, 3)),
+        ("detections", label(0)), ("detections", kpi(0))],
+        ids=["kpi-LabeledSample", "kpi-FeatureSample", "labels-KpiSample",
+             "labels-DetectionRecord", "detections-LabeledSample", "detections-KpiSample"])
+    def test_record_of_another_type_rejected(self, store, stream, record):
+        with pytest.raises(RecordInvalidError, match=f"stream '{stream}' takes .* "
+                                                     f"got {type(record).__name__}"):
+            store.append(stream, record)
+        assert store.count(stream) == 0
+
     def test_unknown_stream(self, store):
         with pytest.raises(UnknownStreamError):
             store.append("nope", kpi(0))
@@ -154,7 +166,7 @@ class TestJoin:
         for i in range(10):
             store.append("kpi", kpi(i))
             store.append("labels", label(i + 100))
-        assert store.join_labels(to_seq=200) == []
+        assert store.join_labels() == []
 
     @pytest.mark.parametrize("seed", range(20))
     def test_trailing_pairs_equal_tail_of_full_join(self, seed):
@@ -245,6 +257,17 @@ class TestRoundTrip:
         path.write_text('{"seq": 0, "ts_ms": 0, "snr_db": 1.0, "mcs": 2, '
                         '"bler": 0.1, "bogus_col": 9}\n')
         with pytest.raises(SchemaError, match="bogus_col"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("truth", [(True, False), (False, True)],
+                             ids=["dropped", "added"])
+    def test_columns_unlike_first_row_name_line(self, tmp_path, truth):
+        path = tmp_path / "mixed.jsonl"
+        path.write_text("\n" + trace_line(kpi(0), truth[0]) + "\n"
+                        + trace_line(kpi(1), truth[0]) + "\n"
+                        + trace_line(kpi(2), truth[1]) + "\n")
+        with pytest.raises(SchemaError, match=r"mixed\.jsonl:4: columns .* are not "
+                                              r"the first row's"):
             read_trace(path)
 
     @pytest.mark.parametrize("seqs", [(4, 2, 4), (3, 4, 4)])
