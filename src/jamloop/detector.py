@@ -87,7 +87,8 @@ class DetectorXapp:
         """Detections of `samples`, in order, all from one (model, version).
 
         One `forward_batch` scores them all; its probabilities may differ from
-        `infer`'s in the last bits, its verdicts do not. Each record's
+        `infer`'s in the last bits. So the verdicts match `infer`'s unless a
+        probability lies within those last bits of the threshold. Each record's
         `latency_us` is the batch's time (feature array and forward pass)
         divided by its size, in whole microseconds.
         """

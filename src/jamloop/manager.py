@@ -256,6 +256,11 @@ class LoopConfig:
     def validate(self) -> None:
         if self.monitor_window < 1:
             raise ValueError("monitor_window must be >= 1")
+        # above 1 is valid: no agreement reaches it, so every monitor check refits
+        if not self.drift_threshold >= 0:
+            raise ValueError("drift_threshold must be >= 0")
+        if not 0 <= self.deploy_gate <= 1:
+            raise ValueError("deploy_gate must be in [0, 1]")
 
 
 class ClosedLoop:

@@ -6,7 +6,9 @@ affine normalization so retrained models stay comparable. Training is
 minibatch Adam on binary cross-entropy, deterministic for a given seed,
 checkpointing the epoch with the best validation accuracy.
 All weights and biases train as one flat parameter vector with per-layer
-views, so each optimizer step is a few whole-vector operations.
+views. Adam stacks its moments (m, v) as the rows of one (2, N_PARAMS)
+array and the gradient and its square as the rows of another, so each step
+is ten in-place ufunc calls, in the operation order that fixes the bits.
 """
 
 from __future__ import annotations
@@ -61,9 +63,9 @@ def _normalize(features: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # exp(-|z|) is exp(-z) for z >= 0 and exp(z) below: never overflows
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    # neither exp overflows: the numerator exp(min(z, 0)) is 1 for z >= 0 and
+    # exp(z) = exp(-|z|) below, the same bits as choosing between 1 and exp(-|z|)
+    return np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-np.abs(z)))
 
 
 def _unpack(flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -182,13 +184,22 @@ def _backprop(model: MlpModel, x: np.ndarray, y: np.ndarray, sw: np.ndarray,
     sw are per-row weights summing to 1, y the labels as floats. Returns the
     logits, from which `_bce` gives the loss.
     """
-    acts, z = _activations(model, x)
-    delta = (sw * (_sigmoid(z) - y))[:, None]
-    for layer in range(len(model.weights) - 1, -1, -1):
-        np.matmul(acts[layer].T, delta, out=gw[layer])
-        np.add.reduce(delta, axis=0, out=gb[layer])
-        if layer > 0:
-            delta = delta.dot(model.weights[layer].T) * (acts[layer] > 0)
+    # unrolled for the fixed [3, 16, 8, 1] layers; each delta is updated in place
+    (_, h1, h2), z = _activations(model, x)
+    d = _sigmoid(z)
+    d -= y
+    d *= sw
+    d = d[:, None]
+    h2.T.dot(d, out=gw[2])
+    np.add.reduce(d, axis=0, out=gb[2])
+    d = d.dot(model.weights[2].T)
+    d *= h2 > 0
+    h1.T.dot(d, out=gw[1])
+    np.add.reduce(d, axis=0, out=gb[1])
+    d = d.dot(model.weights[1].T)
+    d *= h1 > 0
+    x.T.dot(d, out=gw[0])
+    np.add.reduce(d, axis=0, out=gb[0])
     return z
 
 
@@ -233,6 +244,8 @@ class TrainConfig:
             raise ValueError("val_fraction must be in (0,1)")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not self.learning_rate > 0:
+            raise ValueError("learning_rate must be > 0")
 
 
 @dataclass
@@ -288,16 +301,16 @@ def train(dataset: list[tuple[tuple[float, float, float], int]],
     else:
         weights_tr = np.ones(len(y_tr))
 
-    # the model's weights and biases are views into theta, its gradient's into grad;
-    # each Adam step works in the two scratch vectors
+    # rows of N_PARAMS: theta (the model's views), gg (g, g**2), mv (Adam's m, v);
+    # betas, 1 - betas and corr repeat one value per row, so no step broadcasts
     theta = _init_params(cfg.seed)
     model = MlpModel(*_unpack(theta), version=version)
-    grad = np.empty(N_PARAMS)
-    gw, gb = _unpack(grad)
-    step, denom = np.empty(N_PARAMS), np.empty(N_PARAMS)
+    gg, mv = np.empty((2, N_PARAMS)), np.zeros((2, N_PARAMS))
+    g, g_sq = gg
+    gw, gb = _unpack(g)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    m = np.zeros(N_PARAMS)
-    v = np.zeros(N_PARAMS)
+    betas = np.repeat([[beta1], [beta2]], N_PARAMS, axis=1)
+    one_minus_betas, corr = 1 - betas, np.empty((2, N_PARAMS))
     t = 0
 
     best = model.copy()
@@ -319,20 +332,17 @@ def train(dataset: list[tuple[tuple[float, float, float], int]],
             # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g**2;
             # theta -= lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps)
             t += 1
-            m *= beta1
-            np.multiply(grad, 1 - beta1, out=step)
-            m += step
-            v *= beta2
-            np.multiply(grad, grad, out=step)
-            step *= 1 - beta2
-            v += step
-            np.divide(m, 1 - beta1 ** t, out=step)
-            step *= cfg.learning_rate
-            np.divide(v, 1 - beta2 ** t, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += eps
-            step /= denom
-            theta -= step
+            np.multiply(g, g, out=g_sq)
+            gg *= one_minus_betas
+            mv *= betas
+            mv += gg
+            corr[0], corr[1] = 1 - beta1 ** t, 1 - beta2 ** t  # Python float pow
+            np.divide(mv, corr, out=gg)
+            g *= cfg.learning_rate
+            np.sqrt(g_sq, out=g_sq)
+            g_sq += eps
+            g /= g_sq
+            theta -= g
         probs = _sigmoid(_activations(model, x_va)[1])
         val_acc = float(np.mean((probs >= model.threshold).astype(int) == y_va))
         epoch_loss.append(float(np.mean(_batch_sums(_bce(z_tr, ye, swe), bs))))

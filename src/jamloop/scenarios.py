@@ -106,6 +106,8 @@ class ChannelParams:
             raise ValueError("all channel parameters must be finite")
         if not 0 < self.ewma_alpha <= 1:
             raise ValueError("ewma_alpha must be in (0, 1]")
+        if self.snr_jitter_sigma_db < 0:
+            raise ValueError("snr_jitter_sigma_db must be >= 0")
 
 
 @dataclass(frozen=True, slots=True)

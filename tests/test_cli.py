@@ -527,12 +527,33 @@ class TestConfigSections:
                                          ("loop", "deploy_gate: .nan"),
                                          ("mlp", "learning_rate: .inf"),
                                          ("engine", "signal_power_db: .nan"),
-                                         ("engine", "ewma_alpha: -.inf")])
+                                         ("engine", "ewma_alpha: -.inf"),
+                                         ("mlp", "learning_rate: 0.0"),
+                                         ("mlp", "learning_rate: -0.01"),
+                                         ("loop", "deploy_gate: -0.1"),
+                                         ("loop", "deploy_gate: 1.5"),
+                                         ("loop", "drift_threshold: -2"),
+                                         ("engine", "snr_jitter_sigma_db: -0.5")])
 def test_invalid_config_value_exits_2(tmp_path, capsys, section, key):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(f"{section}:\n  {key}\n")
     assert main(["--config", str(cfg), "run-experiment"]) == EXIT_USAGE
     assert f"config section {section!r}: {key.split(':')[0]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,key,value", [("loop", "drift_threshold", 1.01),
+                                               ("loop", "drift_threshold", 0.0),
+                                               ("loop", "deploy_gate", 0.0),
+                                               ("loop", "deploy_gate", 1.0),
+                                               ("mlp", "learning_rate", 0.0001),
+                                               ("engine", "snr_jitter_sigma_db", 0.0)])
+def test_config_value_at_range_edge_loads(tmp_path, section, key, value):
+    # a drift threshold above 1 refits at every monitor check (perfbench's catalog2x)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"{section}:\n  {key}: {value}\n")
+    loaded = load_config(cfg)
+    owner = {"loop": loaded.loop, "mlp": loaded.loop.train, "engine": loaded.engine}[section]
+    assert getattr(owner, key) == value
 
 
 @pytest.mark.parametrize("section,key", [("labeler", "separation_min_db: 4.0"),

@@ -238,45 +238,53 @@ class TestTrain:
                     assert np.all(x >= 0.0) and np.all(x <= 1.0)
 
 
+def _reference_norm(f):
+    return np.column_stack([(f[:, 0] + 10.0) / 50.0, f[:, 1], f[:, 2] / 28.0])
+
+
+def _reference_sigmoid(z):
+    """Boolean-mask sigmoid: 1 / (1 + exp(-z)) where z >= 0, exp(z) / (1 + exp(z)) below."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _reference_grads(ws, bs, feats, labels, sample_w):
+    """Weighted BCE and its gradients for raw feature rows, as a plain per-layer loop."""
+    y = labels.astype(float)
+    sw = sample_w / np.sum(sample_w)
+    acts = [_reference_norm(feats)]
+    for w, b in zip(ws[:-1], bs[:-1]):
+        acts.append(np.maximum(0.0, acts[-1] @ w + b))
+    z = (acts[-1] @ ws[-1] + bs[-1]).ravel()
+    loss = float(np.sum(sw * (np.logaddexp(0.0, z) - y * z)))
+    delta = (sw * (_reference_sigmoid(z) - y))[:, None]
+    gw, gb = [None] * len(ws), [None] * len(bs)
+    for layer in range(len(ws) - 1, -1, -1):
+        gw[layer] = acts[layer].T @ delta
+        gb[layer] = delta.sum(axis=0)
+        if layer > 0:
+            delta = (delta @ ws[layer].T) * (acts[layer] > 0)
+    return loss, gw, gb
+
+
 def _reference_train(dataset, cfg, version=0):
     """Training as a plain per-layer loop: the arithmetic mlp.train must keep.
 
     Separate weight/bias arrays, per-layer Adam moments, raw features
-    normalized per minibatch and a boolean-mask sigmoid.
+    normalized per minibatch and the boolean-mask `_reference_sigmoid`;
+    each minibatch's gradients come from `_reference_grads`.
     """
-    def norm(f):
-        return np.column_stack([(f[:, 0] + 10.0) / 50.0, f[:, 1], f[:, 2] / 28.0])
-
-    def sigmoid(z):
-        out = np.empty_like(z)
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
-        return out
+    norm, sigmoid, grads = _reference_norm, _reference_sigmoid, _reference_grads
 
     def predict(ws, bs, x):
         a = x
         for w, b in zip(ws[:-1], bs[:-1]):
             a = np.maximum(0.0, a @ w + b)
         return sigmoid((a @ ws[-1] + bs[-1]).ravel())
-
-    def grads(ws, bs, feats, labels, sample_w):
-        y = labels.astype(float)
-        sw = sample_w / np.sum(sample_w)
-        acts = [norm(feats)]
-        for w, b in zip(ws[:-1], bs[:-1]):
-            acts.append(np.maximum(0.0, acts[-1] @ w + b))
-        z = (acts[-1] @ ws[-1] + bs[-1]).ravel()
-        loss = float(np.sum(sw * (np.logaddexp(0.0, z) - y * z)))
-        delta = (sw * (sigmoid(z) - y))[:, None]
-        gw, gb = [None] * len(ws), [None] * len(bs)
-        for layer in range(len(ws) - 1, -1, -1):
-            gw[layer] = acts[layer].T @ delta
-            gb[layer] = delta.sum(axis=0)
-            if layer > 0:
-                delta = (delta @ ws[layer].T) * (acts[layer] > 0)
-        return loss, gw, gb
 
     features = np.array([list(f) for f, _ in dataset], dtype=float)
     labels = np.array([y for _, y in dataset], dtype=int)
@@ -351,6 +359,87 @@ def overlapping_dataset(n, minority_frac, seed):
     return data
 
 
+def _assert_grads_match_reference(model, feats, labels, sample_w=None):
+    """loss_and_grad and _backprop give `_reference_grads`' bytes; returns the logits."""
+    ref_loss, ref_gw, ref_gb = _reference_grads(
+        model.weights, model.biases, feats, labels,
+        np.ones(len(labels)) if sample_w is None else sample_w)
+    loss, gw, gb = loss_and_grad(model, feats, labels, sample_w)
+    assert loss.hex() == ref_loss.hex()
+    sw = np.full(len(labels), 1.0 / len(labels)) if sample_w is None \
+        else sample_w / np.sum(sample_w)
+    bp_gw, bp_gb = mlp._unpack(np.empty(mlp.N_PARAMS))
+    z = mlp._backprop(model, mlp._normalize(feats), labels.astype(float), sw, bp_gw, bp_gb)
+    for want, *got in zip(ref_gw + ref_gb, gw + gb, bp_gw + bp_gb):
+        for g in got:
+            assert g.shape == want.shape and g.tobytes() == want.tobytes()
+    return z
+
+
+def random_batch(rng, n):
+    feats = np.column_stack([rng.uniform(-20, 50, n), rng.uniform(0, 1, n),
+                             rng.integers(0, 29, n).astype(float)])
+    return feats, rng.integers(0, 2, n)
+
+
+class TestGradsMatchReference:
+    """loss_and_grad and _backprop keep the bits of `_reference_grads`: compared by bytes."""
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_random_batches(self, weighted):
+        rng = np.random.default_rng(30)
+        for seed in range(40):
+            feats, labels = random_batch(rng, int(rng.integers(2, 65)))
+            sample_w = rng.uniform(0.1, 3.0, len(labels)) if weighted else None
+            _assert_grads_match_reference(init_model(seed), feats, labels, sample_w)
+
+    def test_zero_logits(self):
+        # zero output weights and bias put every logit at exactly +0.0; `dot`
+        # sums from +0.0, so no model gives -0.0, and the sigmoid is pinned
+        # there directly
+        model = init_model(31)
+        model.weights[-1][...] = 0.0
+        model.biases[-1][...] = 0.0
+        feats, labels = random_batch(np.random.default_rng(31), 12)
+        z = _assert_grads_match_reference(model, feats, labels)
+        assert z.tobytes() == np.zeros(12).tobytes()
+        zeros = np.array([0.0, -0.0])
+        assert mlp._sigmoid(zeros).tobytes() == _reference_sigmoid(zeros).tobytes()
+        assert mlp._sigmoid(zeros).tolist() == [0.5, 0.5]
+
+    def test_logits_past_745(self):
+        # exp(-|z|) underflows to 0 beyond |z| = 745, on either side
+        rng = np.random.default_rng(32)
+        model = init_model(32)
+        model.weights[-1] *= 3000.0
+        feats, labels = random_batch(rng, 64)
+        z = _assert_grads_match_reference(model, feats, labels, rng.uniform(0.1, 3.0, 64))
+        assert np.any(z > 745.0) and np.any(z < -745.0)
+        big = np.array([745.5, -745.5, 800.0, -800.0, 1e300, -1e300])
+        assert mlp._sigmoid(big).tobytes() == _reference_sigmoid(big).tobytes()
+
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_one_row_batch(self, label):
+        rng = np.random.default_rng(33)
+        for seed in range(10):
+            feats, _ = random_batch(rng, 1)
+            _assert_grads_match_reference(init_model(seed), feats, np.array([label]))
+            _assert_grads_match_reference(init_model(seed), feats, np.array([label]),
+                                          np.array([2.5]))
+
+    @pytest.mark.parametrize("dead", [0, 1])
+    def test_dead_hidden_layer(self, dead):
+        # a bias far below the pre-activations zeroes every ReLU output of one layer
+        model = init_model(34)
+        model.biases[dead][...] = -1e3
+        feats, labels = random_batch(np.random.default_rng(34), 20)
+        _assert_grads_match_reference(model, feats, labels)
+        h = mlp._activations(model, mlp._normalize(feats))[0][dead + 1]
+        assert not np.any(h)
+        _, gw, _ = loss_and_grad(model, feats, labels)
+        assert not np.any(gw[dead])
+
+
 class TestTrainMatchesReference:
     # Adam is train's only optimizer; the case ids keep its name
     @pytest.mark.parametrize("minority_frac,batch_size", [(0.5, 32), (0.15, 7)],
@@ -368,11 +457,14 @@ class TestTrainMatchesReference:
         assert report == ref_report
         assert model.version == 4
 
-    @pytest.mark.parametrize("batch_size,epochs", [(64, 12), (1, 2), (480, 12), (4096, 12)],
-                             ids=["64-ADAM", "1-ADAM", "n_train-ADAM", "over_n_train-ADAM"])
+    @pytest.mark.parametrize("batch_size,epochs",
+                             [(64, 12), (1, 2), (480, 12), (4096, 12), (479, 12)],
+                             ids=["64-ADAM", "1-ADAM", "n_train-ADAM", "over_n_train-ADAM",
+                                  "one_row_tail-ADAM"])
     def test_batch_tilings_bit_identical(self, batch_size, epochs):
         # class-weighted rows, so the tail minibatch of 64 (480 = 7 * 64 + 32)
-        # and the single minibatch of the last two cases weigh rows unequally
+        # and the single minibatch of n_train and over_n_train weigh rows
+        # unequally; 480 = 479 + 1 ends each epoch on a one-row minibatch
         data = overlapping_dataset(600, 0.15, seed=22)
         cfg = TrainConfig(seed=6, epochs=epochs, batch_size=batch_size)
         model, report = train(data, cfg)
