@@ -148,16 +148,12 @@ def cmd_replay(args, cfg) -> int:
 
 def cmd_deploy(args, cfg) -> int:
     model = mlp.load(args.model)
-    registry_dir = args.registry or (args.out / "models")
-    registry = ModelRegistry(registry_dir)
-    deployed = registry.deployed_entry()
-    if deployed is not None and model.version <= deployed.version:
-        print(f"error: version {model.version} not newer than deployed "
-              f"{deployed.version}", file=sys.stderr)
-        return EXIT_FAILURE
-    entry = registry.register(args.model, model.version, {"source": "manual deploy"})
+    registry = ModelRegistry(args.registry or (args.out / "models"))
+    # register takes only the next version, which is above the deployed one
+    registry.register(args.model, model.version, {"source": "manual deploy"})
     registry.mark_deployed(model.version)
-    print(f"registered and marked deployed: version {model.version} at {entry.path}")
+    print(f"registered and marked deployed: version {model.version} "
+          f"at {registry.model_path(model.version)}")
     return EXIT_OK
 
 

@@ -1,10 +1,11 @@
 """Near-real-time inference xApp with atomic zero-downtime model hot-swap.
 
-The deployed model lives in a single slot holding an immutable
-(model, version) pair. Inference reads the slot reference once per call,
-so every detection, and every batch of them, is produced by exactly one
-complete model; swaps replace the reference atomically and never block
-the inference hot path.
+The deployed model lives in a single slot, and a model's version is its
+own: nothing assigns it after construction. Inference reads the slot
+reference once per call, so every detection, and every batch of them, is
+produced by exactly one complete model and carries that model's version;
+swaps replace the reference atomically and never block the inference hot
+path.
 """
 
 from __future__ import annotations
@@ -34,12 +35,6 @@ class StaleVersionError(DetectorError):
 
 
 @dataclass(frozen=True)
-class _SlotHolder:
-    model: MlpModel
-    version: int
-
-
-@dataclass(frozen=True)
 class SwapReceipt:
     old_version: int | None
     new_version: int
@@ -50,14 +45,14 @@ class DetectorXapp:
     """Per-sample interference inference over truth-blind feature samples."""
 
     def __init__(self) -> None:
-        self._slot: _SlotHolder | None = None
+        self._slot: MlpModel | None = None
         self._swap_lock = threading.Lock()
         self._last_seq = -1
 
     @property
     def deployed_version(self) -> int | None:
-        holder = self._slot
-        return holder.version if holder else None
+        model = self._slot
+        return model.version if model else None
 
     def swap_model(self, new: MlpModel) -> SwapReceipt:
         """Atomically replace the deployed model; stale versions are rejected."""
@@ -67,24 +62,24 @@ class DetectorXapp:
                 raise StaleVersionError(
                     f"version {new.version} not newer than deployed {current.version}")
             boundary = self._last_seq
-            self._slot = _SlotHolder(model=new, version=new.version)
+            self._slot = new
             return SwapReceipt(old_version=current.version if current else None,
                                new_version=new.version, seq_boundary=boundary)
 
     def infer(self, sample: FeatureSample) -> DetectionRecord:
-        holder = self._slot  # single read: model and version stay paired
-        if holder is None:
+        model = self._slot  # single read: prob and version come from one model
+        if model is None:
             raise NoModelDeployedError("no model deployed; deploy an initial model first")
         t0 = time.perf_counter_ns()
-        prob = forward(holder.model, (sample.snr_db, sample.bler, sample.mcs))
+        prob = forward(model, (sample.snr_db, sample.bler, sample.mcs))
         latency_us = (time.perf_counter_ns() - t0) // 1000
-        verdict = LABEL_INTERFERENCE if prob >= holder.model.threshold else LABEL_CLEAN
+        verdict = LABEL_INTERFERENCE if prob >= model.threshold else LABEL_CLEAN
         self._last_seq = sample.seq
         return DetectionRecord(seq=sample.seq, prob=prob, verdict=verdict,
-                               model_version=holder.version, latency_us=int(latency_us))
+                               model_version=model.version, latency_us=int(latency_us))
 
     def infer_batch(self, samples: Sequence[FeatureSample]) -> list[DetectionRecord]:
-        """Detections of `samples`, in order, all from one (model, version).
+        """Detections of `samples`, in order, all from one model.
 
         One `forward_batch` scores them all; its probabilities may differ from
         `infer`'s in the last bits. So the verdicts match `infer`'s unless a
@@ -92,16 +87,16 @@ class DetectorXapp:
         `latency_us` is the batch's time (feature array and forward pass)
         divided by its size, in whole microseconds.
         """
-        holder = self._slot  # single read: the whole batch sees one model
-        if holder is None:
+        model = self._slot  # single read: the whole batch sees one model
+        if model is None:
             raise NoModelDeployedError("no model deployed; deploy an initial model first")
         if not samples:
             return []
         t0 = time.perf_counter_ns()
-        probs = forward_batch(holder.model, np.array(
+        probs = forward_batch(model, np.array(
             [(s.snr_db, s.bler, s.mcs) for s in samples], dtype=float))
         latency_us = (time.perf_counter_ns() - t0) // 1000 // len(samples)
-        threshold, version = holder.model.threshold, holder.version
+        threshold, version = model.threshold, model.version
         self._last_seq = samples[-1].seq
         return [DetectionRecord(seq=s.seq, prob=prob,
                                 verdict=LABEL_INTERFERENCE if prob >= threshold

@@ -63,7 +63,6 @@ class DriftReport:
 @dataclass
 class RegistryEntry:
     version: int
-    path: str
     val_accuracy: float | None  # None for a model registered from outside
     deployed: bool
     created_at: float
@@ -71,7 +70,7 @@ class RegistryEntry:
 
 
 class ModelRegistry:
-    """Versioned model artifacts: models/v<NNN>.model + registry.jsonl."""
+    """Versioned model artifacts: v<NNN>.model files + registry.jsonl, whose lines name no file."""
 
     def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
@@ -84,19 +83,38 @@ class ModelRegistry:
                 if not line.strip():
                     continue
                 try:
-                    self.entries.append(RegistryEntry(**json.loads(line)))
+                    self.entries.append(self._parse_entry(line))
                 except (ValueError, TypeError) as exc:
                     raise ManagerError(
                         f"{self._journal}:{lineno}: corrupt registry entry: {exc}") from exc
+
+    def _parse_entry(self, line: str) -> RegistryEntry:
+        """The entry of the journal line after `self.entries`; an older `path` is ignored."""
+        doc = json.loads(line)
+        if not isinstance(doc, dict):
+            raise ValueError(f"expected an object, got {type(doc).__name__}")
+        doc.pop("path", None)
+        e = RegistryEntry(**doc)
+        acc, previous = e.val_accuracy, self.next_version() - 1
+        if type(e.version) is not int or e.version <= previous:
+            raise ValueError(f"version {e.version!r} is not a whole number above {previous}")
+        if type(e.deployed) is not bool:
+            raise ValueError(f"deployed {e.deployed!r} is not a boolean")
+        if e.deployed and self.deployed_entry():
+            raise ValueError(f"version {self.deployed_entry().version} is deployed already")
+        if acc is not None and (type(acc) not in (int, float) or not 0 <= acc <= 1):
+            raise ValueError(f"val_accuracy {acc!r} is neither null nor in [0, 1]")
+        return e
 
     def next_version(self) -> int:
         return max((e.version for e in self.entries), default=0) + 1
 
     def deployed_entry(self) -> RegistryEntry | None:
-        for e in self.entries:
-            if e.deployed:
-                return e
-        return None
+        return next((e for e in self.entries if e.deployed), None)
+
+    def model_path(self, version: int) -> Path:
+        """The file of model `version`."""
+        return self.directory / f"v{version:03d}.model"
 
     def _new_model_path(self, version: int) -> Path:
         """Where model `version` goes; it must be the registry's next version."""
@@ -104,36 +122,33 @@ class ModelRegistry:
         if version != expected:
             raise ManagerError(f"model version {version} does not extend the registry "
                                f"(expected {expected})")
-        return self.directory / f"v{version:03d}.model"
+        return self.model_path(version)
 
     def _append(self, entry: RegistryEntry) -> RegistryEntry:
         # the model file is in place already; it goes if the journal cannot name it
         try:
             self._rewrite_journal([*self.entries, entry])
         except BaseException:
-            Path(entry.path).unlink(missing_ok=True)
+            self.model_path(entry.version).unlink(missing_ok=True)
             raise
         self.entries.append(entry)
         return entry
 
     def add(self, model: mlp.MlpModel, report: mlp.TrainReport) -> RegistryEntry:
-        path = self._new_model_path(model.version)
-        mlp.save(model, path)
+        mlp.save(model, self._new_model_path(model.version))
         return self._append(RegistryEntry(
-            version=model.version, path=str(path), val_accuracy=report.val_accuracy,
+            version=model.version, val_accuracy=report.val_accuracy,
             deployed=False, created_at=time.time(),
             train_report={"best_epoch": report.best_epoch,
-                          "val_accuracy": report.val_accuracy,
                           "n_train": report.n_train,
                           "n_val": report.n_val,
                           "class_counts": report.class_counts}))
 
     def register(self, path: str | Path, version: int, train_report: dict) -> RegistryEntry:
         """Copy in a model file trained elsewhere; its holdout accuracy is unknown."""
-        target = self._new_model_path(version)
-        shutil.copyfile(path, target)
+        shutil.copyfile(path, self._new_model_path(version))
         return self._append(RegistryEntry(
-            version=version, path=str(target), val_accuracy=None, deployed=False,
+            version=version, val_accuracy=None, deployed=False,
             created_at=time.time(), train_report=train_report))
 
     def mark_deployed(self, version: int) -> None:
@@ -235,7 +250,7 @@ def deploy_if_better(entry: RegistryEntry, detector: DetectorXapp,
     if entry.val_accuracy < gate:
         return DeployDecision(False, entry.version,
                               f"val accuracy {entry.val_accuracy:.3f} below gate {gate}")
-    model = mlp.load(entry.path)
+    model = mlp.load(registry.model_path(entry.version))
     try:
         receipt = detector.swap_model(model)
     except StaleVersionError as exc:

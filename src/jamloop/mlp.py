@@ -52,14 +52,14 @@ class TrainingError(Exception):
     pass
 
 
-def normalize_features(snr_db: float, bler: float, mcs: float) -> np.ndarray:
+def normalize_features(snr_db, bler, mcs) -> np.ndarray:
+    """Three floats, or three columns as a (3, n) array, at the model's input scale."""
     return np.array([(snr_db + SNR_SHIFT) / SNR_SCALE, bler, mcs / MCS_SCALE])
 
 
 def _normalize(features: np.ndarray) -> np.ndarray:
     """(n, 3) raw (snr_db, bler, mcs) rows mapped to the model's input scale."""
-    return np.column_stack([(features[:, 0] + SNR_SHIFT) / SNR_SCALE,
-                            features[:, 1], features[:, 2] / MCS_SCALE])
+    return np.column_stack(normalize_features(*features.T))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -105,11 +105,6 @@ class MlpModel:
                 raise ModelError(f"layer {i}: non-finite parameters")
         if not 0.0 < self.threshold < 1.0:
             raise ModelError(f"threshold {self.threshold} outside (0,1)")
-
-    def copy(self) -> "MlpModel":
-        return MlpModel(weights=[w.copy() for w in self.weights],
-                        biases=[b.copy() for b in self.biases],
-                        threshold=self.threshold, version=self.version)
 
 
 def _init_params(seed: int) -> np.ndarray:
@@ -313,9 +308,7 @@ def train(dataset: list[tuple[tuple[float, float, float], int]],
     one_minus_betas, corr = 1 - betas, np.empty((2, N_PARAMS))
     t = 0
 
-    best = model.copy()
-    best_acc = -1.0
-    best_epoch = 0
+    best_theta, best_acc, best_epoch = theta.copy(), -1.0, 0
     epoch_loss: list[float] = []
     epoch_val_acc: list[float] = []
     n_tr, bs = len(y_tr), cfg.batch_size
@@ -349,15 +342,14 @@ def train(dataset: list[tuple[tuple[float, float, float], int]],
         epoch_val_acc.append(val_acc)
         if val_acc > best_acc:
             best_acc = val_acc
-            best = model.copy()  # independent arrays, not views of theta
+            best_theta = theta.copy()
             best_epoch = epoch
 
-    best.version = version
     report = TrainReport(epoch_loss=epoch_loss, epoch_val_accuracy=epoch_val_acc,
                          best_epoch=best_epoch, val_accuracy=best_acc,
                          n_train=len(y_tr), n_val=len(y_va),
                          class_counts={"clean": n_neg, "interference": n_pos})
-    return best, report
+    return MlpModel(*_unpack(best_theta), version=version), report
 
 
 # ---- serialization ----
@@ -388,8 +380,10 @@ def load(path: str | Path) -> MlpModel:
     if doc.get("format") != MODEL_FORMAT:
         raise ModelError(
             f"model file {path}: format {doc.get('format')!r}, expected {MODEL_FORMAT!r}")
-    if "version" not in doc:
-        raise VersionFieldError(f"model file {path} lacks the required 'version' field")
+    version = doc.get("version")
+    if type(version) is not int or version < 0:  # missing, 2.5, true, "4" and -1 fail
+        raise VersionFieldError(
+            f"model file {path}: version must be a whole number >= 0, got {version!r}")
     if doc.get("layer_dims") != LAYER_DIMS:
         raise DimensionError(
             f"model file {path}: layer_dims {doc.get('layer_dims')} != {LAYER_DIMS}")
@@ -410,11 +404,11 @@ def load(path: str | Path) -> MlpModel:
                 raise DimensionError(
                     f"model file {path}: layer {i} has {b.size} biases, expected {fan_out}")
             biases.append(b)
-        threshold, version = float(doc["threshold"]), int(doc["version"])
+        threshold = float(doc["threshold"])
     except KeyError as exc:
         raise ModelError(f"model file {path} lacks the required {exc} field") from exc
     except (IndexError, TypeError, ValueError) as exc:
-        raise ModelError(f"model file {path}: bad weights, biases, threshold or version: "
+        raise ModelError(f"model file {path}: bad weights, biases or threshold: "
                          f"{exc}") from exc
     try:
         return MlpModel(weights=weights, biases=biases, threshold=threshold,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -22,9 +22,6 @@ import yaml
 OFF_INTERFERENCE_DB = -100.0
 SAMPLE_PERIOD_MS = 100
 DEFAULT_DURATION_SAMPLES = 300
-
-TABLE1_INTERFERENCE_DB = (-8.0, -20.0, -40.0, OFF_INTERFERENCE_DB)
-TABLE1_NOISE_AMPLITUDES = (0.056, 0.15, 0.33)
 
 
 class ScheduleError(ValueError):
@@ -54,10 +51,10 @@ class ScenarioSpec:
             raise ScheduleError(f"scenario {self.id}: duration_samples must be positive")
 
     def in_catalog_domain(self) -> bool:
-        return (
-            self.interference_db in TABLE1_INTERFERENCE_DB
-            and self.noise_amplitude in TABLE1_NOISE_AMPLITUDES
-        )
+        """Whether (interference_db, noise_amplitude) is a catalog scenario's pair."""
+        return any((s.interference_db, s.noise_amplitude)
+                   == (self.interference_db, self.noise_amplitude)
+                   for s in SCENARIO_CATALOG.values())
 
 
 def _catalog() -> dict[int, ScenarioSpec]:
@@ -136,17 +133,18 @@ class FeatureSample:
     bler: float
 
 
+def _catalog_spec(sid: int, duration_samples: int, where: str = "") -> ScenarioSpec:
+    """Catalog scenario `sid` lasting `duration_samples`; `where` prefixes an error."""
+    if isinstance(sid, bool) or sid not in SCENARIO_CATALOG:  # True would be id 1
+        raise ScheduleError(f"{where}unknown catalog scenario id {sid}")
+    return replace(SCENARIO_CATALOG[sid], duration_samples=duration_samples)
+
+
 def schedule_from_ids(ids: list[int], seed: int,
                       duration_samples: int = DEFAULT_DURATION_SAMPLES) -> ScenarioSchedule:
     """Build a schedule straight from catalog scenario ids."""
-    entries = []
-    for sid in ids:
-        if sid not in SCENARIO_CATALOG:
-            raise ScheduleError(f"unknown catalog scenario id {sid}")
-        base = SCENARIO_CATALOG[sid]
-        entries.append(ScenarioSpec(base.id, base.event, base.interference_db,
-                                    base.noise_amplitude, duration_samples))
-    return ScenarioSchedule(entries=entries, seed=seed)
+    return ScenarioSchedule(entries=[_catalog_spec(sid, duration_samples) for sid in ids],
+                            seed=seed)
 
 
 def _number(item: dict, key: str, kind: type, i: int, default=None):
@@ -192,21 +190,15 @@ def load_schedule(path: str | Path, seed: int) -> ScenarioSchedule:
     warnings: list[str] = []
     entries: list[ScenarioSpec] = []
     for i, item in enumerate(raw_entries):
-        if type(item) is int:  # a bool is an int: True would read as scenario 1
-            if item not in SCENARIO_CATALOG:
-                raise ScheduleError(f"entry {i}: unknown catalog scenario id {item}")
-            entries.append(SCENARIO_CATALOG[item])
-            continue
+        if isinstance(item, int):  # a bare id reads as {id: n}
+            item = {"id": item}
         if not isinstance(item, dict):
             raise ScheduleError(f"entry {i}: expected id or mapping, got {type(item).__name__}")
         if "id" in item and set(item) <= {"id", "duration_samples"}:
-            sid = item["id"]
-            if isinstance(sid, bool) or sid not in SCENARIO_CATALOG:
-                raise ScheduleError(f"entry {i}: unknown catalog scenario id {sid}")
-            base = SCENARIO_CATALOG[sid]
-            entries.append(ScenarioSpec(
-                base.id, base.event, base.interference_db, base.noise_amplitude,
-                _number(item, "duration_samples", int, i, DEFAULT_DURATION_SAMPLES)))
+            entries.append(_catalog_spec(
+                _number(item, "id", int, i),
+                _number(item, "duration_samples", int, i, DEFAULT_DURATION_SAMPLES),
+                f"entry {i}: "))
             continue
         if "event" not in item:
             raise ScheduleError(f"entry {i}: missing field 'event'")

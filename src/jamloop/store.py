@@ -27,6 +27,9 @@ DEFAULT_MAX_RECORDS = 1_000_000
 
 KPI_COLUMNS = ["seq", "ts_ms", "snr_db", "mcs", "bler", "truth"]
 DETECTION_CSV_COLUMNS = ["seq", "prob", "verdict", "model_version", "latency_us"]
+# a trace's truth: JSON true or false, or one of these strings once stripped
+_TRUTH_STRINGS = {"1": True, "true": True, "True": True, "0": False, "false": False,
+                  "False": False}
 
 
 class StoreError(Exception):
@@ -227,9 +230,11 @@ def _real(row: dict, key: str) -> float:
 def _kpi_from_wire(row: dict) -> KpiSample:
     truth = row.get("truth", False)
     if isinstance(truth, str):
-        truth = truth.strip() in ("1", "true", "True")
+        truth = _TRUTH_STRINGS.get(truth.strip(), truth)
+    if type(truth) is not bool:
+        raise ValueError(f"truth {truth!r} is not true, false or one of {list(_TRUTH_STRINGS)}")
     return KpiSample(_whole(row, "seq"), _whole(row, "ts_ms"), _real(row, "snr_db"),
-                     _whole(row, "mcs"), _real(row, "bler"), bool(truth))
+                     _whole(row, "mcs"), _real(row, "bler"), truth)
 
 
 def trace_line(sample: KpiSample, with_truth: bool = True) -> str:

@@ -84,7 +84,9 @@ class TestSimulate:
          "duration_samples": "abc"},
         {"event": "ON", "interference_db": "abc", "noise_amplitude": 0.1},
         {"event": "ON", "interference_db": -8.0, "noise_amplitude": "abc"},
-    ], ids=["catalog_duration", "custom_duration", "interference_db", "noise_amplitude"])
+        {"id": [1]},
+    ], ids=["catalog_duration", "custom_duration", "interference_db", "noise_amplitude",
+            "catalog_id"])
     def test_non_numeric_entry_value_exits_2(self, tmp_path, capsys, entry):
         sched = write_schedule(tmp_path / "bad.yaml", [2, entry])
         assert main(["--out", str(tmp_path / "o"), "simulate",
@@ -323,6 +325,14 @@ class TestMalformedTrace:
         assert f"{field} True is not a number" in err
         assert not (tmp_path / "o" / "detections.csv").exists()
 
+    @pytest.mark.parametrize("truth", ["null", "[]", '"yes"', "0.5", "2"])
+    def test_other_truth_value_exits_2(self, tmp_path, capsys, command, truth):
+        trace = bad_trace(tmp_path, '{"seq": 1, "ts_ms": 100, "snr_db": 1.0, "mcs": 2, '
+                                    '"bler": 0.1, "truth": ' + truth + '}')
+        assert self.invoke(tmp_path, command, trace) == EXIT_USAGE
+        assert f"{trace}:2: bad row" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "detections.csv").exists()
+
     @pytest.mark.parametrize("field", ['"mcs": 99, "bler": 0.1', '"mcs": 2, "bler": 1.5'])
     def test_invalid_kpi_record_exits_2(self, tmp_path, capsys, command, field):
         trace = bad_trace(tmp_path, '{"seq": 1, "ts_ms": 100, "snr_db": 1.0, '
@@ -360,6 +370,10 @@ BAD_MODEL_EDITS = {
     "no_weights": lambda d: d.pop("weights"),
     "threshold_text": lambda d: d.update(threshold="abc"),
     "other_format": lambda d: d.update(format="jamloop-mlp-v9"),
+    "version_fraction": lambda d: d.update(version=2.5),
+    "version_bool": lambda d: d.update(version=True),
+    "version_string": lambda d: d.update(version="4"),
+    "version_negative": lambda d: d.update(version=-1),
 }
 
 

@@ -169,7 +169,7 @@ class TestRetrain:
         e1 = retrain(store, cfg, registry).entry
         e2 = retrain(store, cfg, registry).entry
         assert (e1.version, e2.version) == (1, 2)
-        m1, m2 = mlp.load(e1.path), mlp.load(e2.path)
+        m1, m2 = (mlp.load(registry.model_path(e.version)) for e in (e1, e2))
         for w1, w2 in zip(m1.weights, m2.weights):
             assert np.array_equal(w1, w2)
 
@@ -208,6 +208,23 @@ class TestDeployIfBetter:
         decision = deploy_if_better(entry, det, registry)
         assert not decision.deployed
         assert "already deployed" in decision.reason
+
+    def test_moved_registry_loads_its_models(self, tmp_path):
+        # journal lines written before the move still find their model files
+        store = TelemetryStore()
+        make_labeled_history(store)
+        registry = ModelRegistry(tmp_path / "models")
+        cfg = TrainConfig(seed=1, epochs=5)
+        e1 = retrain(store, cfg, registry).entry
+        retrain(store, cfg, registry)
+        det = DetectorXapp()
+        assert deploy_if_better(e1, det, registry, gate=0.0).deployed
+        (tmp_path / "models").rename(tmp_path / "moved")
+        moved = ModelRegistry(tmp_path / "moved")
+        assert deploy_if_better(moved.entries[1], det, moved, gate=0.0).deployed
+        assert det.deployed_version == 2
+        assert ModelRegistry(tmp_path / "moved").deployed_entry().version == 2
+        assert '"path"' not in (tmp_path / "moved" / "registry.jsonl").read_text()
 
     def test_registry_versions_unique_dense(self, tmp_path):
         registry = ModelRegistry(tmp_path / "models")
@@ -280,6 +297,7 @@ class TestRegistryJournal:
             "registry.jsonl", "v001.model"]
 
     def test_corrupt_line_names_file_and_line(self, tmp_path):
+        import json
         self._registry_with_two(tmp_path)
         journal = tmp_path / "models" / "registry.jsonl"
         lines = journal.read_text().splitlines()
@@ -289,6 +307,45 @@ class TestRegistryJournal:
         journal.write_text(lines[0] + "\n[2]\n")
         with pytest.raises(ManagerError, match=r"registry\.jsonl:2"):
             ModelRegistry(tmp_path / "models")
+        first, second = (json.loads(line) for line in lines)
+        for edit in ({"version": "2"}, {"version": 2.0}, {"version": True}, {"version": 1},
+                     {"version": 0}, {"deployed": "yes"}, {"deployed": 1},
+                     {"val_accuracy": 1.5}, {"val_accuracy": -0.1}, {"val_accuracy": "0.9"},
+                     {"val_accuracy": True}, {"val_accuracy": float("nan")}):
+            journal.write_text(json.dumps(first) + "\n" + json.dumps({**second, **edit}) + "\n")
+            with pytest.raises(ManagerError, match=r"registry\.jsonl:2: corrupt"):
+                ModelRegistry(tmp_path / "models")
+        journal.write_text("".join(json.dumps(dict(d, deployed=True)) + "\n"
+                                   for d in (first, second)))
+        with pytest.raises(ManagerError, match=r"registry\.jsonl:2: .*deployed already"):
+            ModelRegistry(tmp_path / "models")
+
+    def test_valid_fields_load(self, tmp_path):
+        import json
+        self._registry_with_two(tmp_path)
+        journal = tmp_path / "models" / "registry.jsonl"
+        first, second = journal.read_text().splitlines()
+        edits = [{"val_accuracy": 0, "deployed": True}, {"val_accuracy": 1.0}]
+        journal.write_text("".join(json.dumps({**json.loads(line), **edit}) + "\n"
+                                   for line, edit in zip((first, second), edits)))
+        registry = ModelRegistry(tmp_path / "models")
+        assert [(e.version, e.val_accuracy, e.deployed) for e in registry.entries] == [
+            (1, 0, True), (2, 1.0, False)]
+
+    def test_older_path_key_loads(self, tmp_path):
+        # journals once named each model file in a `path` key
+        import json
+        registry = self._registry_with_two(tmp_path)
+        journal = tmp_path / "models" / "registry.jsonl"
+        docs = [json.loads(line) for line in journal.read_text().splitlines()]
+        journal.write_text("".join(json.dumps(
+            {**d, "path": str(tmp_path / "models" / f"v{d['version']:03d}.model")}) + "\n"
+            for d in docs))
+        reloaded = ModelRegistry(tmp_path / "models")
+        assert [(e.version, e.val_accuracy, e.deployed, e.train_report)
+                for e in reloaded.entries] == [
+            (e.version, e.val_accuracy, e.deployed, e.train_report) for e in registry.entries]
+        assert reloaded.next_version() == 3
 
     def test_register_rejects_version_gap(self, tmp_path):
         registry = self._registry_with_two(tmp_path)
@@ -374,7 +431,7 @@ class TestClosedLoop:
         loop.close()
         first = next(v for v in version_at_arrival if v is not None)
         assert version_at_arrival[-1] > first  # a deploy in mid-run
-        paths = {e.version: e.path for e in registry.entries}
+        paths = {e.version: registry.model_path(e.version) for e in registry.entries}
         models = {}
         for version in set(version_at_arrival) - {None}:
             models[version] = DetectorXapp()

@@ -553,14 +553,21 @@ class TestSerialization:
         lambda d: d.update(threshold="abc"),
         lambda d: d.update(threshold=1.5),
         lambda d: d.update(version="two"),
+        lambda d: d.update(version=2.5),
+        lambda d: d.update(version=2.0),
+        lambda d: d.update(version=True),
+        lambda d: d.update(version="4"),
+        lambda d: d.update(version=-1),
+        lambda d: d.update(version=None),
         lambda d: d["weights"][0].__setitem__(3, "x"),
         lambda d: d["weights"].pop(),
         lambda d: d.update(weights=5),
         lambda d: d.update(format="jamloop-mlp-v9"),
         lambda d: d.pop("format"),
     ], ids=["no_weights", "no_biases", "no_threshold", "threshold_text", "threshold_1.5",
-            "version_text", "weight_text", "missing_layer", "weights_not_list",
-            "other_format", "no_format"])
+            "version_text", "version_fraction", "version_float", "version_bool",
+            "version_string", "version_negative", "version_null", "weight_text",
+            "missing_layer", "weights_not_list", "other_format", "no_format"])
     def test_bad_model_file_raises_model_error(self, tmp_path, corrupt):
         path = tmp_path / "m.model"
         mlp.save(init_model(1, version=1), path)

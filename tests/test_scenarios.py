@@ -122,6 +122,31 @@ class TestSchedule:
         with pytest.raises(ScheduleError):
             ScenarioSchedule([ScenarioSpec(1, "OFF", -8.0, 0.1)], seed=0)
 
+    @pytest.mark.parametrize("ids", [[True], [2, False], [0], [19]])
+    def test_from_ids_rejects_non_catalog_id(self, ids):
+        with pytest.raises(ScheduleError, match="unknown catalog scenario id"):
+            schedule_from_ids(ids, seed=1)
+
+    def test_bare_and_mapped_ids_give_the_same_specs(self, tmp_path):
+        f = tmp_path / "sched.yaml"
+        f.write_text("entries: [3, {id: 3}, {id: 3.0, duration_samples: 300}]\n")
+        entries = load_schedule(f, seed=1).entries
+        assert entries == [SCENARIO_CATALOG[3]] * 3
+        assert entries == schedule_from_ids([3] * 3, seed=1).entries
+
+    @pytest.mark.parametrize("duration", [1, 300, 10_000])
+    def test_catalog_specs_in_catalog_domain(self, duration):
+        for spec in schedule_from_ids(list(SCENARIO_CATALOG), 1, duration).entries:
+            assert spec.in_catalog_domain()
+            assert ScenarioSpec(99, spec.event, spec.interference_db, spec.noise_amplitude,
+                                duration).in_catalog_domain()
+
+    @pytest.mark.parametrize("interference_db,noise_amplitude", [
+        (-8.0, 0.1), (-30.0, 0.15), (-100.0, 0.2), (-100.0001, 0.056), (-8.0, 0.0561)])
+    def test_off_catalog_pair_outside_domain(self, interference_db, noise_amplitude):
+        spec = ScenarioSpec(1, "ON", interference_db, noise_amplitude)
+        assert not spec.in_catalog_domain()
+
 
 def reference_stream(schedule, params):
     """The generator with one scalar jitter draw per sample, as fields per sample.

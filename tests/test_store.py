@@ -289,6 +289,24 @@ class TestRoundTrip:
         path.write_text("".join(json.dumps(r) + "\n" for r in rows))
         assert [s.truth_interference for s in read_trace(path)[1]] == [False, True, True]
 
+    @pytest.mark.parametrize("truth,want", [
+        (True, True), (False, False), ("1", True), ("0", False), ("true", True),
+        ("false", False), ("True", True), ("False", False), (" True ", True),
+        ("\tfalse", False)])
+    def test_accepted_truth_values(self, tmp_path, truth, want):
+        path = tmp_path / "truth.jsonl"
+        path.write_text(json.dumps(dict(json.loads(trace_line(kpi(0))), truth=truth)) + "\n")
+        assert read_trace(path)[1][0].truth_interference is want
+
+    @pytest.mark.parametrize("truth", [None, [], "yes", 0.5, 2, 1, 0, "", "TRUE", {}])
+    def test_other_truth_value_names_line(self, tmp_path, truth):
+        path = tmp_path / "truth.jsonl"
+        rows = [json.loads(trace_line(kpi(0))),
+                dict(json.loads(trace_line(kpi(1))), truth=truth)]
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        with pytest.raises(SchemaError, match=r"truth\.jsonl:2: bad row .*truth"):
+            read_trace(path)
+
     def test_export_empty_stream(self, tmp_path):
         path = tmp_path / "empty.csv"
         assert write_detections(path, []) == 0
