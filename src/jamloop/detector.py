@@ -1,11 +1,11 @@
 """Near-real-time inference xApp with atomic zero-downtime model hot-swap.
 
 The deployed model lives in a single slot, and a model's version is its
-own: nothing assigns it after construction. Inference reads the slot
-reference once per call, so every detection, and every batch of them, is
-produced by exactly one complete model and carries that model's version;
-swaps replace the reference atomically and never block the inference hot
-path.
+own: `MlpModel` is frozen, so no field changes after construction.
+Inference reads the slot reference once per call, so every detection, and
+every batch of them, is produced by exactly one complete model and carries
+that model's version; swaps replace the reference atomically and never
+block the inference hot path.
 """
 
 from __future__ import annotations

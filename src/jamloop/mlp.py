@@ -79,7 +79,7 @@ def _unpack(flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
     return weights, biases
 
 
-@dataclass
+@dataclass(frozen=True)
 class MlpModel:
     weights: list[np.ndarray]  # weights[l]: (dims[l], dims[l+1])
     biases: list[np.ndarray]

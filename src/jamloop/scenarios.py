@@ -150,14 +150,15 @@ def schedule_from_ids(ids: list[int], seed: int,
 def _number(item: dict, key: str, kind: type, i: int, default=None):
     """`item[key]`, or `default` if it is absent, converted by `kind`.
 
-    A missing value without a default, a boolean, one that does not convert,
-    a fractional value of an int field or a non-finite value of a float
-    field is a `ScheduleError` naming entry `i`.
+    A missing value without a default, a boolean, a string, one that does
+    not convert, a fractional value of an int field or a non-finite value of
+    a float field is a `ScheduleError` naming entry `i`.
     """
     value = item.get(key, default)
     if value is None:
         raise ScheduleError(f"entry {i}: missing field {key!r}")
-    if isinstance(value, bool):  # a bool is an int: True would read as 1
+    # a bool is an int (True would read as 1), and int("2") would read a string
+    if isinstance(value, (bool, str)):
         raise ScheduleError(f"entry {i}: {key} must be a number, got {value!r}")
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ScheduleError(f"entry {i}: {key} must be a whole number, got {value!r}")

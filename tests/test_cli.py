@@ -85,8 +85,11 @@ class TestSimulate:
         {"event": "ON", "interference_db": "abc", "noise_amplitude": 0.1},
         {"event": "ON", "interference_db": -8.0, "noise_amplitude": "abc"},
         {"id": [1]},
+        {"id": "2"},
+        {"id": 2, "duration_samples": "300"},
+        {"event": "ON", "interference_db": "-8", "noise_amplitude": 0.1},
     ], ids=["catalog_duration", "custom_duration", "interference_db", "noise_amplitude",
-            "catalog_id"])
+            "catalog_id", "quoted_catalog_id", "quoted_duration", "quoted_interference_db"])
     def test_non_numeric_entry_value_exits_2(self, tmp_path, capsys, entry):
         sched = write_schedule(tmp_path / "bad.yaml", [2, entry])
         assert main(["--out", str(tmp_path / "o"), "simulate",

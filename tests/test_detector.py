@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import threading
 import time
@@ -122,6 +123,15 @@ class TestSwap:
         with pytest.raises(StaleVersionError):
             det.swap_model(bias_model(1))
         assert det.deployed_version == 2
+
+    def test_deployed_model_version_cannot_change(self):
+        det = DetectorXapp()
+        model = bias_model(2)
+        det.swap_model(model)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.version = 5
+        assert det.deployed_version == 2
+        assert det.infer(feature(0)).model_version == 2
 
     def test_concurrent_swaps_one_winner_per_version(self):
         det = DetectorXapp()
