@@ -8,19 +8,22 @@ from __future__ import annotations
 import argparse
 import csv
 import itertools
+import operator
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import mlp
 from .config import ConfigError, load_config
 from .detector import DetectorXapp
 from .experiment import (ExperimentError, default_experiment_config,
                          labeler_accuracy_by_scenario, run_experiment)
-from .labeler import run_labeler
+from .labeler import label_stream
 from .manager import ManagerError, ModelRegistry
 from .scenarios import KpiSample, ScheduleError, Segment, load_schedule, synth_stream
-from .store import (SchemaError, StoreError, TelemetryStore, read_trace, trace_line,
-                    write_detections)
+from .store import (LABEL_CLEAN, LABEL_INTERFERENCE, SchemaError, StoreError, atomic_writer,
+                    read_trace, trace_line, write_detections)
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -68,7 +71,8 @@ def cmd_simulate(args, cfg) -> int:
         print(f"warning: {warning}", file=sys.stderr)
     args.out.mkdir(parents=True, exist_ok=True)
     trace_path = args.out / "trace.jsonl"
-    with trace_path.open("w", encoding="utf-8") as f:
+    # a run that fails part way leaves no partial trace, and an earlier trace whole
+    with atomic_writer(trace_path) as f:
         def sink(s: KpiSample) -> None:
             f.write(trace_line(s, args.with_truth) + "\n")
         summary = synth_stream(schedule, cfg.engine, sink)
@@ -87,14 +91,13 @@ def cmd_eval_labeler(args, cfg) -> int:
               file=sys.stderr)
         return EXIT_FAILURE
 
-    store = TelemetryStore(max_records=max(len(samples) + 1, 1_000_000))
-    for s in samples:
-        store.append("kpi", s)
-    run_labeler(store, cfg.labeler)
-    labels = {r.seq: r.label for r in store.window("labels")}
+    samples.sort(key=operator.attrgetter("seq"))  # read_trace keeps file order
+    # the labeler sees the SNR column only, so it cannot read truth
+    jammed = label_stream(np.array([s.snr_db for s in samples]), cfg.labeler.window_size)
+    labels = {s.seq: LABEL_INTERFERENCE if jam else LABEL_CLEAN
+              for s, jam in zip(samples, jammed.tolist())}
 
     # the trace names no scenarios: a segment is a run of constant truth in seq order
-    samples = store.window("kpi")
     segments: list[Segment] = []
     for truth, run in itertools.groupby(samples, key=lambda s: s.truth_interference):
         run = list(run)

@@ -19,15 +19,17 @@ clean-SNR baseline less `BASELINE_OFFSET_DB`; with no baseline yet, the
 window is trusted as clean. A short median filter smooths per-sample
 labels near cluster boundaries. The closed loop labels through this path.
 
-The offline path, `run_labeler`, has the whole flushed stream, so it
-applies the assumption (see `label_stream`): it finds the SNR
-levels by change-point detection, groups them, and decides only once it
-knows every level and how often the stream returns to it. It thus avoids
-the online path's cold-start trust and its single clean baseline, which
-takes every rise of the noise floor for jamming.
+The offline path, `label_stream`, has the whole flushed stream, so it
+applies the assumption: it finds the SNR levels by change-point
+detection, groups them, and decides only once it knows every level and
+how often the stream returns to it. It thus avoids the online path's
+cold-start trust and its single clean baseline, which takes every rise of
+the noise floor for jamming. `run_labeler` applies it to a store's `kpi`
+stream.
 
-The labeler consumes FeatureSample views only: ground truth is stripped
-at the store boundary and cannot be read here by construction.
+Ground truth cannot be read here by construction: `label_window` and
+`run_labeler` consume FeatureSample views, stripped of truth at the store
+boundary, and `label_stream` takes a float array of SNR values only.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ cannot re-trigger.
 from __future__ import annotations
 
 import json
-import os
+import math
 import shutil
 import time
 from collections import Counter
@@ -21,7 +21,7 @@ from pathlib import Path
 from . import mlp
 from .detector import DetectorXapp, StaleVersionError
 from .labeler import BaselineState, LabelerConfig, label_window
-from .store import LABEL_INTERFERENCE, TelemetryStore
+from .store import LABEL_INTERFERENCE, TelemetryStore, atomic_writer
 
 TRIGGER_NONE = "NONE"
 TRIGGER_LOW_AGREEMENT = "LOW_AGREEMENT"
@@ -104,6 +104,10 @@ class ModelRegistry:
             raise ValueError(f"version {self.deployed_entry().version} is deployed already")
         if acc is not None and (type(acc) not in (int, float) or not 0 <= acc <= 1):
             raise ValueError(f"val_accuracy {acc!r} is neither null nor in [0, 1]")
+        if type(e.created_at) not in (int, float) or not math.isfinite(e.created_at):
+            raise ValueError(f"created_at {e.created_at!r} is not a finite number")
+        if type(e.train_report) is not dict:
+            raise ValueError(f"train_report {e.train_report!r} is not an object")
         return e
 
     def next_version(self) -> int:
@@ -163,17 +167,10 @@ class ModelRegistry:
             e.deployed = e is target
 
     def _rewrite_journal(self, entries: list[RegistryEntry]) -> None:
-        # write a sibling file and rename it over the journal: a process that
-        # dies mid-write leaves the previous journal whole
-        tmp = self._journal.with_name(self._journal.name + ".tmp")
-        try:
-            with tmp.open("w", encoding="utf-8") as f:
-                for e in entries:
-                    f.write(json.dumps(e.__dict__, allow_nan=False) + "\n")
-            os.replace(tmp, self._journal)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        # a process that dies mid-write leaves the previous journal whole
+        with atomic_writer(self._journal) as f:
+            for e in entries:
+                f.write(json.dumps(e.__dict__, allow_nan=False) + "\n")
 
 
 def monitor(store: TelemetryStore, window_size: int = DEFAULT_MONITOR_WINDOW,

@@ -1,5 +1,6 @@
 """Append-only in-memory telemetry store with windowed queries, plus the
-JSONL KPI trace writer and reader and the detections CSV writer.
+JSONL KPI trace writer and reader, the detections CSV writer and the
+atomic file writer.
 
 Three fixed streams wire the closed loop together: `kpi` (raw samples),
 `labels` (labeler verdicts), `detections` (deployed-model outputs).
@@ -10,10 +11,12 @@ seqs are rejected so replays surface loudly instead of merging silently.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import csv
 import json
 import math
 import operator
+import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -250,6 +253,21 @@ def trace_line(sample: KpiSample, with_truth: bool = True) -> str:
     if with_truth:
         return line + (', "truth": true}' if sample.truth_interference else ', "truth": false}')
     return line + "}"
+
+
+@contextlib.contextmanager
+def atomic_writer(path: Path):
+    """A text file to write `path` through: a sibling temporary file, renamed
+    over `path` when the block ends and removed if it raises, so a writer
+    that fails or dies part way leaves no partial file and an earlier `path` whole."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("w", encoding="utf-8") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_detections(path: str | Path, records) -> int:

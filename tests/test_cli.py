@@ -1,15 +1,18 @@
 import csv
 import dataclasses
 import json
+import random
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 from jamloop import mlp
 from jamloop.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
 from jamloop.config import load_config
+from jamloop.manager import ModelRegistry
 from jamloop.mlp import TrainConfig
 
 
@@ -161,6 +164,35 @@ class TestSimulate:
         assert main(["simulate", "--schedule", str(tmp_path)]) == EXIT_USAGE
         assert f"{tmp_path} is not a file" in capsys.readouterr().err
 
+    def test_failed_write_leaves_no_partial_trace(self, tmp_path, monkeypatch):
+        from jamloop import cli
+        entries = [{"id": 2, "duration_samples": 250}, {"id": 1, "duration_samples": 250}]
+        out = tmp_path / "out"
+        trace = out / "trace.jsonl"
+
+        def failing_at(k):
+            def trace_line(sample, with_truth=True):
+                if sample.seq == k:
+                    raise RuntimeError(f"sink failed at sample {k}")
+                return real_trace_line(sample, with_truth)
+            return trace_line
+
+        real_trace_line = cli.trace_line
+        monkeypatch.setattr(cli, "trace_line", failing_at(300))
+        with pytest.raises(RuntimeError, match="sample 300"):
+            simulate(tmp_path, entries)
+        assert not trace.exists()
+        assert list(out.iterdir()) == []
+
+        monkeypatch.undo()
+        assert simulate(tmp_path, entries)[0] == EXIT_OK
+        before = trace.read_bytes()
+        monkeypatch.setattr(cli, "trace_line", failing_at(0))
+        with pytest.raises(RuntimeError, match="sample 0"):
+            simulate(tmp_path, entries, seed=2)
+        assert trace.read_bytes() == before
+        assert [p.name for p in out.iterdir()] == ["trace.jsonl"]
+
     def test_out_of_domain_entry_warns_but_runs(self, tmp_path, capsys):
         code, trace = simulate(
             tmp_path, [{"id": 50, "event": "ON", "interference_db": -3.0,
@@ -228,6 +260,44 @@ class TestEvalLabeler:
             ("OFF", "100", "299"), ("ON", "300", "599"), ("OFF", "600", "899")]
         assert [float(r["accuracy"]) for r in rows] == [1.0, 0.0, 1.0]
         assert [float(r["accuracy_transition_excluded"]) for r in rows] == [1.0, 0.0, 1.0]
+
+    def test_seq_order_not_file_order_decides(self, tmp_path):
+        _, trace = simulate(tmp_path, [{"id": sid, "duration_samples": 100}
+                                       for sid in range(1, 19)], seed=5)
+        lines = trace.read_text().splitlines(keepends=True)
+        shuffled = lines[:]
+        random.Random(5).shuffle(shuffled)
+        written = []
+        for name, order in (("in_order", lines), ("shuffled", shuffled),
+                            ("reversed", lines[::-1])):
+            trace.write_text("".join(order))
+            out = tmp_path / name
+            assert main(["--out", str(out), "eval-labeler", "--trace", str(trace)]) == EXIT_OK
+            written.append((out / "labeler_accuracy.csv").read_bytes())
+        assert written[1] == written[0]
+        assert written[2] == written[0]
+
+    def test_labeler_sees_only_snr_in_seq_order(self, tmp_path, monkeypatch):
+        from jamloop import cli
+        _, trace = simulate(tmp_path, [{"id": 2, "duration_samples": 150},
+                                       {"id": 1, "duration_samples": 150}])
+        lines = trace.read_text().splitlines(keepends=True)
+        trace.write_text("".join(lines[150:] + lines[:150]))
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            return real_label_stream(*args, **kwargs)
+
+        real_label_stream = cli.label_stream
+        monkeypatch.setattr(cli, "label_stream", spy)
+        out = tmp_path / "o"
+        assert main(["--out", str(out), "eval-labeler", "--trace", str(trace)]) == EXIT_OK
+        (snr, window_size), kwargs = calls[0]
+        assert len(calls) == 1 and kwargs == {}
+        assert window_size == load_config(None).labeler.window_size
+        assert type(snr) is np.ndarray and snr.ndim == 1 and snr.dtype == np.float64
+        assert snr.tolist() == [json.loads(line)["snr_db"] for line in lines]
 
 
 def bad_trace(tmp_path, line):
@@ -447,6 +517,8 @@ class TestDeploy:
         assert entry["version"] == 1
         assert entry["deployed"] is True
         assert entry["val_accuracy"] is None
+        reloaded = ModelRegistry(out / "models")
+        assert reloaded.entries[0].train_report == {"source": "manual deploy"}
 
     def test_stale_version_rejected(self, tmp_path):
         model_path = small_model(tmp_path, version=1)

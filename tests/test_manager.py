@@ -311,7 +311,10 @@ class TestRegistryJournal:
         for edit in ({"version": "2"}, {"version": 2.0}, {"version": True}, {"version": 1},
                      {"version": 0}, {"deployed": "yes"}, {"deployed": 1},
                      {"val_accuracy": 1.5}, {"val_accuracy": -0.1}, {"val_accuracy": "0.9"},
-                     {"val_accuracy": True}, {"val_accuracy": float("nan")}):
+                     {"val_accuracy": True}, {"val_accuracy": float("nan")},
+                     {"created_at": "yesterday"}, {"created_at": True}, {"created_at": None},
+                     {"created_at": float("inf")}, {"created_at": float("nan")},
+                     {"train_report": [1]}, {"train_report": None}, {"train_report": "ok"}):
             journal.write_text(json.dumps(first) + "\n" + json.dumps({**second, **edit}) + "\n")
             with pytest.raises(ManagerError, match=r"registry\.jsonl:2: corrupt"):
                 ModelRegistry(tmp_path / "models")
@@ -325,7 +328,8 @@ class TestRegistryJournal:
         self._registry_with_two(tmp_path)
         journal = tmp_path / "models" / "registry.jsonl"
         first, second = journal.read_text().splitlines()
-        edits = [{"val_accuracy": 0, "deployed": True}, {"val_accuracy": 1.0}]
+        edits = [{"val_accuracy": 0, "deployed": True, "created_at": 0},
+                 {"val_accuracy": 1.0, "train_report": {}}]
         journal.write_text("".join(json.dumps({**json.loads(line), **edit}) + "\n"
                                    for line, edit in zip((first, second), edits)))
         registry = ModelRegistry(tmp_path / "models")
