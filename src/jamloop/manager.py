@@ -244,6 +244,8 @@ def deploy_if_better(entry: RegistryEntry, detector: DetectorXapp,
     """Swap the model in iff its holdout accuracy clears the gate."""
     if entry.deployed:
         return DeployDecision(False, entry.version, "already deployed")
+    if entry.val_accuracy is None:  # registered from outside: nothing to gate on
+        return DeployDecision(False, entry.version, "no holdout accuracy to gate")
     if entry.val_accuracy < gate:
         return DeployDecision(False, entry.version,
                               f"val accuracy {entry.val_accuracy:.3f} below gate {gate}")

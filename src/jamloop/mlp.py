@@ -6,9 +6,9 @@ affine normalization so retrained models stay comparable. Training is
 minibatch Adam on binary cross-entropy, deterministic for a given seed,
 checkpointing the epoch with the best validation accuracy.
 All weights and biases train as one flat parameter vector with per-layer
-views. Adam stacks its moments (m, v) as the rows of one (2, N_PARAMS)
-array and the gradient and its square as the rows of another, so each step
-is ten in-place ufunc calls, in the operation order that fixes the bits.
+views, and Adam keeps (m, v) and (g, g**2) as the rows of two (2, N_PARAMS)
+arrays: ten in-place ufunc calls a step, in the operation order that fixes
+the bits. Each fit builds one workspace, so a step slices and allocates nothing.
 """
 
 from __future__ import annotations
@@ -62,10 +62,14 @@ def _normalize(features: np.ndarray) -> np.ndarray:
     return np.column_stack(normalize_features(*features.T))
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # neither exp overflows: the numerator exp(min(z, 0)) is 1 for z >= 0 and
-    # exp(z) = exp(-|z|) below, the same bits as choosing between 1 and exp(-|z|)
-    return np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-np.abs(z)))
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None,
+             tmp: np.ndarray | None = None) -> np.ndarray:
+    # into out and tmp (like z) if given; neither exp overflows: exp(min(z, 0)) is 1
+    # for z >= 0 and exp(z) = exp(-|z|) below, the bits of choosing 1 or exp(-|z|)
+    out = np.exp(np.minimum(z, 0.0, out=out), out=out)
+    tmp = np.exp(np.negative(np.abs(z, out=tmp), out=tmp), out=tmp)
+    tmp += 1.0
+    return np.divide(out, tmp, out=out)
 
 
 def _unpack(flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -122,20 +126,25 @@ def init_model(seed: int, version: int = 0) -> MlpModel:
     return MlpModel(weights=weights, biases=biases, version=version)
 
 
-def _activations(model: MlpModel, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+def _activations(model: MlpModel, x: np.ndarray, h1: np.ndarray | None = None,
+                 h2: np.ndarray | None = None, z: np.ndarray | None = None
+                 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Input and hidden activations of normalized (n, 3) rows x, and the logits.
 
-    Bias and ReLU are applied in place; np.maximum(0.0, h) keeps its
-    argument order, which fixes the sign of a zero activation.
+    h1, h2 and z (n, 1), if given, receive the layers' outputs. Bias and ReLU
+    are applied in place; np.maximum(0.0, h) keeps its argument order, which
+    fixes the sign of a zero activation.
     """
-    acts = [x]
-    for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        h = acts[-1].dot(w)
-        h += b
-        acts.append(np.maximum(0.0, h, out=h))
-    z = acts[-1].dot(model.weights[-1])
-    z += model.biases[-1]
-    return acts, z.ravel()
+    (w0, w1, w2), (b0, b1, b2) = model.weights, model.biases
+    h1 = x.dot(w0, out=h1)
+    h1 += b0
+    np.maximum(0.0, h1, out=h1)
+    h2 = h1.dot(w1, out=h2)
+    h2 += b1
+    np.maximum(0.0, h2, out=h2)
+    z = h2.dot(w2, out=z)
+    z += b2
+    return [x, h1, h2], z.ravel()
 
 
 def forward(model: MlpModel, features: tuple[float, float, float]) -> float:
@@ -172,29 +181,47 @@ def _bce(z: np.ndarray, y: np.ndarray, sw: np.ndarray) -> np.ndarray:
     return sw * (np.logaddexp(0.0, z) - y * z)
 
 
+def _workspace(model: MlpModel, x: np.ndarray, z: np.ndarray,
+               bs: int) -> list[tuple[np.ndarray, ...]]:
+    """Per minibatch of bs rows of x, every view its `_backprop` step uses, all
+    into one scratch; z receives the logits."""
+    scratch = [np.empty((min(bs, len(x)), n)) for n in LAYER_DIMS[1:] * 2 + LAYER_DIMS[1:3]]
+    steps = []
+    for a in range(0, len(x), bs):
+        xb, zb = x[a:a + bs], z[a:a + bs]
+        h1, h2, d_col, dh1, dh2, tmp, m1, m2 = (s[:len(xb)] for s in scratch)
+        steps.append((xb.T, model.weights[1].T, model.weights[2].T, h1, h1.T, h2, h2.T,
+                      zb, zb[:, None], d_col.ravel(), d_col, tmp.ravel(), dh1, dh2, m1, m2))
+    return steps
+
+
 def _backprop(model: MlpModel, x: np.ndarray, y: np.ndarray, sw: np.ndarray,
-              gw: list[np.ndarray], gb: list[np.ndarray]) -> np.ndarray:
+              gw: list[np.ndarray], gb: list[np.ndarray],
+              ws: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
     """Exact gradients of the weighted BCE of normalized rows x, into gw and gb.
 
-    sw are per-row weights summing to 1, y the labels as floats. Returns the
-    logits, from which `_bce` gives the loss.
+    sw are per-row weights summing to 1, y the labels as floats, ws the step's
+    `_workspace` (None builds one for x). Returns the logits, from which `_bce`
+    gives the loss.
     """
-    # unrolled for the fixed [3, 16, 8, 1] layers; each delta is updated in place
-    (_, h1, h2), z = _activations(model, x)
-    d = _sigmoid(z)
+    # unrolled for the fixed [3, 16, 8, 1] layers; with ws, nothing is allocated. np.sign(h)
+    # masks keep h > 0's bits: ReLU never gives -0.0, and a NaN in h makes its row's deltas NaN
+    xt, w1t, w2t, h1, h1t, h2, h2t, z, z_col, d, d_col, tmp, dh1, dh2, m1, m2 = \
+        ws or _workspace(model, x, np.empty(len(x)), len(x))[0]
+    _activations(model, x, h1, h2, z_col)
+    _sigmoid(z, d, tmp)
     d -= y
     d *= sw
-    d = d[:, None]
-    h2.T.dot(d, out=gw[2])
-    np.add.reduce(d, axis=0, out=gb[2])
-    d = d.dot(model.weights[2].T)
-    d *= h2 > 0
-    h1.T.dot(d, out=gw[1])
-    np.add.reduce(d, axis=0, out=gb[1])
-    d = d.dot(model.weights[1].T)
-    d *= h1 > 0
-    x.T.dot(d, out=gw[0])
-    np.add.reduce(d, axis=0, out=gb[0])
+    h2t.dot(d_col, out=gw[2])
+    np.add.reduce(d_col, axis=0, out=gb[2])
+    d_col.dot(w2t, out=dh2)
+    dh2 *= np.sign(h2, out=m2)
+    h1t.dot(dh2, out=gw[1])
+    np.add.reduce(dh2, axis=0, out=gb[1])
+    dh2.dot(w1t, out=dh1)
+    dh1 *= np.sign(h1, out=m1)
+    xt.dot(dh1, out=gw[0])
+    np.add.reduce(dh1, axis=0, out=gb[0])
     return z
 
 
@@ -311,16 +338,19 @@ def train(dataset: list[tuple[tuple[float, float, float], int]],
     best_theta, best_acc, best_epoch = theta.copy(), -1.0, 0
     epoch_loss: list[float] = []
     epoch_val_acc: list[float] = []
+    # one workspace per fit: the epoch's rows, weights and logits, and each step's views
     n_tr, bs = len(y_tr), cfg.batch_size
-    z_tr = np.empty(n_tr)
+    xe, (ye, swe, z_tr) = np.empty((n_tr, 3)), np.empty((3, n_tr))
+    steps = [(xe[a:a + bs], ye[a:a + bs], swe[a:a + bs], ws)
+             for a, ws in zip(range(0, n_tr, bs), _workspace(model, xe, z_tr, bs))]
     for epoch in range(cfg.epochs):
         order = rng.permutation(n_tr)
-        xe, ye, we = x_tr[order], y_tr[order], weights_tr[order]
-        swe = we / np.repeat(_batch_sums(we, bs), bs)[:n_tr]  # sums to 1 per minibatch
-        for start in range(0, n_tr, bs):
-            stop = start + bs
-            z_tr[start:stop] = _backprop(model, xe[start:stop], ye[start:stop],
-                                         swe[start:stop], gw, gb)
+        np.take(x_tr, order, axis=0, out=xe)
+        np.take(y_tr, order, out=ye)
+        np.take(weights_tr, order, out=swe)
+        swe /= np.repeat(_batch_sums(swe, bs), bs)[:n_tr]  # sums to 1 per minibatch
+        for xb, yb, swb, ws in steps:
+            _backprop(model, xb, yb, swb, gw, gb, ws)
             # in place, in this operation order (it fixes the bits):
             # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g**2;
             # theta -= lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps)
@@ -369,6 +399,15 @@ def save(model: MlpModel, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, indent=1), encoding="utf-8")
 
 
+def _numbers(path: str | Path, field: str, values: object, size: int) -> np.ndarray:
+    """size JSON numbers as floats; quoted numbers, booleans and lists raise ModelError."""
+    if type(values) is not list or any(type(v) not in (int, float) for v in values):
+        raise ModelError(f"model file {path}: {field} must hold JSON numbers only")
+    if len(values) != size:
+        raise DimensionError(f"model file {path}: {field} has {len(values)} numbers, not {size}")
+    return np.array(values, dtype=float)
+
+
 def load(path: str | Path) -> MlpModel:
     """Read a model file; a file that is not a valid MODEL_FORMAT model raises ModelError."""
     try:
@@ -393,23 +432,14 @@ def load(path: str | Path) -> MlpModel:
     try:
         weights, biases = [], []
         for i, (fan_in, fan_out) in enumerate(zip(LAYER_DIMS[:-1], LAYER_DIMS[1:])):
-            flat = np.array(doc["weights"][i], dtype=float)
-            if flat.size != fan_in * fan_out:
-                raise DimensionError(
-                    f"model file {path}: layer {i} has {flat.size} weights, "
-                    f"expected {fan_in * fan_out}")
-            weights.append(flat.reshape(fan_in, fan_out))
-            b = np.array(doc["biases"][i], dtype=float)
-            if b.size != fan_out:
-                raise DimensionError(
-                    f"model file {path}: layer {i} has {b.size} biases, expected {fan_out}")
-            biases.append(b)
-        threshold = float(doc["threshold"])
+            w = _numbers(path, f"layer {i} weights", doc["weights"][i], fan_in * fan_out)
+            weights.append(w.reshape(fan_in, fan_out))
+            biases.append(_numbers(path, f"layer {i} biases", doc["biases"][i], fan_out))
+        threshold, = _numbers(path, "threshold", [doc["threshold"]], 1).tolist()
     except KeyError as exc:
         raise ModelError(f"model file {path} lacks the required {exc} field") from exc
-    except (IndexError, TypeError, ValueError) as exc:
-        raise ModelError(f"model file {path}: bad weights, biases or threshold: "
-                         f"{exc}") from exc
+    except (IndexError, TypeError) as exc:
+        raise ModelError(f"model file {path}: bad weights or biases: {exc}") from exc
     try:
         return MlpModel(weights=weights, biases=biases, threshold=threshold,
                         version=version)

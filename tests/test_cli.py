@@ -447,6 +447,11 @@ BAD_MODEL_EDITS = {
     "version_bool": lambda d: d.update(version=True),
     "version_string": lambda d: d.update(version="4"),
     "version_negative": lambda d: d.update(version=-1),
+    "threshold_quoted": lambda d: d.update(threshold="0.5"),
+    "threshold_bool": lambda d: d.update(threshold=True),
+    "weight_quoted": lambda d: d["weights"][0].__setitem__(0, "0.25"),
+    "weight_bool": lambda d: d["weights"][0].__setitem__(0, True),
+    "bias_bool": lambda d: d["biases"][0].__setitem__(0, False),
 }
 
 

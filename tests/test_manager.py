@@ -209,6 +209,22 @@ class TestDeployIfBetter:
         assert not decision.deployed
         assert "already deployed" in decision.reason
 
+    def test_entry_without_holdout_accuracy_not_deployed(self, tmp_path):
+        # `register` (and so `jamloop deploy`) records val_accuracy None
+        from jamloop import mlp
+        registry = ModelRegistry(tmp_path / "models")
+        path = tmp_path / "outside.model"
+        mlp.save(mlp.init_model(1, version=1), path)
+        entry = registry.register(path, 1, {"source": "manual deploy"})
+        journal = (tmp_path / "models" / "registry.jsonl").read_text()
+        det = DetectorXapp()
+        decision = deploy_if_better(entry, det, registry)
+        assert (decision.deployed, decision.version) == (False, 1)
+        assert decision.reason == "no holdout accuracy to gate"
+        assert det.deployed_version is None
+        assert (tmp_path / "models" / "registry.jsonl").read_text() == journal
+        assert ModelRegistry(tmp_path / "models").deployed_entry() is None
+
     def test_moved_registry_loads_its_models(self, tmp_path):
         # journal lines written before the move still find their model files
         store = TelemetryStore()

@@ -440,6 +440,42 @@ class TestGradsMatchReference:
         assert not np.any(gw[dead])
 
 
+class TestFloatMasksMatchBoolMasks:
+    """`_backprop` masks deltas with np.sign(h), the reference with h > 0; the
+    bytes must agree where activations are +inf, NaN or exactly zero."""
+
+    @staticmethod
+    def extreme_model():
+        model = init_model(35)
+        w0, w1, _ = model.weights
+        w0[:, :2] = [[1e308], [0.0], [1e308]]  # h1 units 0, 1: +inf at high snr and mcs
+        w0[:, 3] = [1e308, 1e308, 0.0]         # h1 unit 3: +inf at high snr and bler
+        model.biases[0][2] = -1e3              # h1 unit 2 is dead: exact zeros
+        w1[[0, 1]] = 0.0
+        w1[0, 0], w1[1, 0] = 1.0, -1.0         # h2 unit 0: inf - inf = NaN
+        w1[3] = -1.0
+        w1[3, 1] = 1.0                         # h2 unit 1: +inf, the rest -inf, so 0
+        return model
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("rows", [[0, 1, 2, 3, 4], [0, 2, 3, 4]],
+                             ids=["nan_row", "inf_rows_only"])
+    def test_inf_nan_and_zero_activations(self, rows):
+        model = self.extreme_model()
+        feats = np.array([[5.0, 0.2, 3.0], [50.0, 0.0, 28.0], [50.0, 1.0, 0.0],
+                          [0.0, 0.5, 10.0], [45.0, 0.9, 1.0]])[rows]
+        labels = np.array([0, 1, 0, 1, 1])[rows]
+        (_, h1, h2), _ = mlp._activations(model, mlp._normalize(feats))
+        assert np.isposinf(h1).any() and np.isposinf(h2).any()
+        assert (h1 == 0).any() and (h2 == 0).any()
+        assert np.isnan(h2).any() == (1 in rows)
+        z = _assert_grads_match_reference(model, feats, labels)
+        assert np.isinf(z).any() and np.isfinite(z).any()
+        _, gw, _ = loss_and_grad(model, feats, labels)
+        if 1 not in rows:  # no NaN row: the +inf rows' masks reach finite weight gradients
+            assert np.isfinite(gw[0]).all() and np.isfinite(gw[1]).any()
+
+
 class TestTrainMatchesReference:
     # Adam is train's only optimizer; the case ids keep its name
     @pytest.mark.parametrize("minority_frac,batch_size", [(0.5, 32), (0.15, 7)],
@@ -564,10 +600,17 @@ class TestSerialization:
         lambda d: d.update(weights=5),
         lambda d: d.update(format="jamloop-mlp-v9"),
         lambda d: d.pop("format"),
+        lambda d: d.update(threshold="0.5"),
+        lambda d: d.update(threshold=True),
+        lambda d: d["weights"][0].__setitem__(3, "0.25"),
+        lambda d: d["weights"][0].__setitem__(3, True),
+        lambda d: d["biases"][2].__setitem__(0, False),
     ], ids=["no_weights", "no_biases", "no_threshold", "threshold_text", "threshold_1.5",
             "version_text", "version_fraction", "version_float", "version_bool",
             "version_string", "version_negative", "version_null", "weight_text",
-            "missing_layer", "weights_not_list", "other_format", "no_format"])
+            "missing_layer", "weights_not_list", "other_format", "no_format",
+            "threshold_quoted", "threshold_bool", "weight_quoted", "weight_bool",
+            "bias_bool"])
     def test_bad_model_file_raises_model_error(self, tmp_path, corrupt):
         path = tmp_path / "m.model"
         mlp.save(init_model(1, version=1), path)
@@ -575,6 +618,23 @@ class TestSerialization:
         corrupt(doc)
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelError, match=re.escape(str(path))):
+            mlp.load(path)
+
+    @pytest.mark.parametrize("field,value", [
+        ("threshold", "0.5"), ("threshold", True), ("weights", "0.25"), ("weights", True),
+        ("biases", False), ("weights", [0.25]), ("biases", None)])
+    def test_non_number_names_field(self, tmp_path, field, value):
+        # only JSON numbers load: no quoted number, boolean or nested list
+        path = tmp_path / "m.model"
+        mlp.save(init_model(1, version=1), path)
+        doc = json.loads(path.read_text())
+        if field == "threshold":
+            doc["threshold"] = value
+        else:
+            doc[field][1][0] = value
+        path.write_text(json.dumps(doc))
+        name = "threshold" if field == "threshold" else f"layer 1 {field}"
+        with pytest.raises(ModelError, match=re.escape(f"{path}: {name} must hold JSON numbers")):
             mlp.load(path)
 
     @pytest.mark.parametrize("top", ["3", "[1, 2]", '"jamloop-mlp-v1"', "null"])
