@@ -107,7 +107,7 @@ def cmd_eval_labeler(args, cfg) -> int:
                                         cfg.labeler.smoothing_halfwidth)
     args.out.mkdir(parents=True, exist_ok=True)
     out_path = args.out / "labeler_accuracy.csv"
-    with out_path.open("w", newline="", encoding="utf-8") as f:
+    with atomic_writer(out_path) as f:
         w = csv.writer(f)
         w.writerow(["segment", "event", "start_seq", "end_seq", "accuracy",
                     "accuracy_transition_excluded"])

@@ -75,8 +75,7 @@ class DetectorXapp:
         latency_us = (time.perf_counter_ns() - t0) // 1000
         verdict = LABEL_INTERFERENCE if prob >= model.threshold else LABEL_CLEAN
         self._last_seq = sample.seq
-        return DetectionRecord(seq=sample.seq, prob=prob, verdict=verdict,
-                               model_version=model.version, latency_us=int(latency_us))
+        return DetectionRecord(sample.seq, prob, verdict, model.version, int(latency_us))
 
     def infer_batch(self, samples: Sequence[FeatureSample]) -> list[DetectionRecord]:
         """Detections of `samples`, in order, all from one model.
@@ -98,8 +97,7 @@ class DetectorXapp:
         latency_us = (time.perf_counter_ns() - t0) // 1000 // len(samples)
         threshold, version = model.threshold, model.version
         self._last_seq = samples[-1].seq
-        return [DetectionRecord(seq=s.seq, prob=prob,
-                                verdict=LABEL_INTERFERENCE if prob >= threshold
-                                else LABEL_CLEAN,
-                                model_version=version, latency_us=latency_us)
+        return [DetectionRecord(s.seq, prob,
+                                LABEL_INTERFERENCE if prob >= threshold else LABEL_CLEAN,
+                                version, latency_us)
                 for s, prob in zip(samples, probs.tolist())]

@@ -202,7 +202,7 @@ def label_window(samples: list[FeatureSample], baseline: BaselineState,
         flags = (assign == jam_cluster).astype(int)
         flags = _median_filter_labels(flags, cfg.smoothing_halfwidth)
 
-    out = [LabeledSample(seq=s.seq, label=LABEL_INTERFERENCE if f else LABEL_CLEAN)
+    out = [LabeledSample(s.seq, LABEL_INTERFERENCE if f else LABEL_CLEAN)
            for s, f in zip(samples, flags)]
 
     new_baseline = replace(baseline)  # shallow copy of scalars
@@ -363,5 +363,5 @@ def run_labeler(store: TelemetryStore, cfg: LabelerConfig | None = None) -> None
     if samples:
         jammed = label_stream(np.array([s.snr_db for s in samples]), cfg.window_size)
         for s, jam in zip(samples, jammed):
-            store.append("labels", LabeledSample(
-                seq=s.seq, label=LABEL_INTERFERENCE if jam else LABEL_CLEAN))
+            label = LABEL_INTERFERENCE if jam else LABEL_CLEAN
+            store.append("labels", LabeledSample(s.seq, label))

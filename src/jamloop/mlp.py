@@ -430,6 +430,10 @@ def load(path: str | Path) -> MlpModel:
     if acts != ACTIVATIONS:
         raise ActivationError(f"model file {path}: unsupported activations {acts}")
     try:
+        for field in ("weights", "biases"):  # one entry per layer, neither more nor less
+            if type(doc[field]) is not list or len(doc[field]) != len(LAYER_DIMS) - 1:
+                raise ModelError(f"model file {path}: {field} must be a JSON list "
+                                 f"of {len(LAYER_DIMS) - 1} layers")
         weights, biases = [], []
         for i, (fan_in, fan_out) in enumerate(zip(LAYER_DIMS[:-1], LAYER_DIMS[1:])):
             w = _numbers(path, f"layer {i} weights", doc["weights"][i], fan_in * fan_out)
@@ -438,8 +442,6 @@ def load(path: str | Path) -> MlpModel:
         threshold, = _numbers(path, "threshold", [doc["threshold"]], 1).tolist()
     except KeyError as exc:
         raise ModelError(f"model file {path} lacks the required {exc} field") from exc
-    except (IndexError, TypeError) as exc:
-        raise ModelError(f"model file {path}: bad weights or biases: {exc}") from exc
     try:
         return MlpModel(weights=weights, biases=biases, threshold=threshold,
                         version=version)

@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 import yaml
@@ -107,8 +107,7 @@ class ChannelParams:
             raise ValueError("snr_jitter_sigma_db must be >= 0")
 
 
-@dataclass(frozen=True, slots=True)
-class KpiSample:
+class KpiSample(NamedTuple):
     """One uplink measurement. truth_interference is evaluation-only."""
 
     seq: int
@@ -122,8 +121,7 @@ class KpiSample:
         return FeatureSample(self.seq, self.ts_ms, self.snr_db, self.mcs, self.bler)
 
 
-@dataclass(frozen=True, slots=True)
-class FeatureSample:
+class FeatureSample(NamedTuple):
     """Detector/labeler view of a KPI sample: no ground truth field exists."""
 
     seq: int

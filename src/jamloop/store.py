@@ -18,8 +18,8 @@ import math
 import operator
 import os
 import threading
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .scenarios import KpiSample
 
@@ -29,7 +29,6 @@ LABEL_INTERFERENCE = "INTERFERENCE"
 DEFAULT_MAX_RECORDS = 1_000_000
 
 KPI_COLUMNS = ["seq", "ts_ms", "snr_db", "mcs", "bler", "truth"]
-DETECTION_CSV_COLUMNS = ["seq", "prob", "verdict", "model_version", "latency_us"]
 # a trace's truth: JSON true or false, or one of these strings once stripped
 _TRUTH_STRINGS = {"1": True, "true": True, "True": True, "0": False, "false": False,
                   "False": False}
@@ -59,8 +58,7 @@ class SchemaError(StoreError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class LabeledSample:
+class LabeledSample(NamedTuple):
     seq: int
     label: str  # CLEAN | INTERFERENCE
 
@@ -69,8 +67,7 @@ class LabeledSample:
             raise RecordInvalidError(f"unknown label {self.label!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class DetectionRecord:
+class DetectionRecord(NamedTuple):
     seq: int
     prob: float
     verdict: str  # CLEAN | INTERFERENCE
@@ -86,6 +83,9 @@ class DetectionRecord:
             raise RecordInvalidError("model_version must be non-negative")
         if self.latency_us < 0:
             raise RecordInvalidError("latency_us must be non-negative")
+
+
+DETECTION_CSV_COLUMNS = list(DetectionRecord._fields)
 
 
 def _validate_kpi(s: KpiSample) -> None:
@@ -259,10 +259,11 @@ def trace_line(sample: KpiSample, with_truth: bool = True) -> str:
 def atomic_writer(path: Path):
     """A text file to write `path` through: a sibling temporary file, renamed
     over `path` when the block ends and removed if it raises, so a writer
-    that fails or dies part way leaves no partial file and an earlier `path` whole."""
+    that fails or dies part way leaves no partial file and an earlier `path` whole.
+    The file translates no newlines, as the csv module requires."""
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with tmp.open("w", encoding="utf-8") as f:
+        with tmp.open("w", encoding="utf-8", newline="") as f:
             yield f
         os.replace(tmp, path)
     except BaseException:
@@ -271,15 +272,14 @@ def atomic_writer(path: Path):
 
 
 def write_detections(path: str | Path, records) -> int:
-    """Write detection records as CSV under a header row; returns the count written."""
-    row = operator.attrgetter(*DETECTION_CSV_COLUMNS)
+    """Write detection records as CSV under a header row, atomically; returns the count."""
     n = 0
-    with Path(path).open("w", encoding="utf-8", newline="") as f:
+    with atomic_writer(Path(path)) as f:
         w = csv.writer(f)
         w.writerow(DETECTION_CSV_COLUMNS)
-        # csv.writer writes a float with repr, its shortest round-trip form
+        # a record is its own row; csv.writer writes a float with repr
         for r in records:
-            w.writerow(row(r))
+            w.writerow(r)
             n += 1
     return n
 

@@ -277,6 +277,38 @@ class TestEvalLabeler:
         assert written[1] == written[0]
         assert written[2] == written[0]
 
+    def test_failed_write_leaves_no_partial_csv(self, tmp_path, monkeypatch):
+        from jamloop import cli
+        _, trace = simulate(tmp_path, [{"id": sid, "duration_samples": 100}
+                                       for sid in (2, 1, 2, 1)])
+        out = tmp_path / "o"
+        args = ["--out", str(out), "eval-labeler", "--trace", str(trace)]
+
+        class Unreadable:
+            @property
+            def accuracy(self):
+                raise RuntimeError("row 2 failed")
+
+        def failing(*args, **kwargs):
+            rows = real_scoring(*args, **kwargs)
+            return rows[:2] + [Unreadable()] + rows[3:]
+
+        real_scoring = cli.labeler_accuracy_by_scenario
+        monkeypatch.setattr(cli, "labeler_accuracy_by_scenario", failing)
+        with pytest.raises(RuntimeError, match="row 2"):
+            main(args)
+        assert list(out.iterdir()) == []
+
+        monkeypatch.undo()
+        assert main(args) == EXIT_OK
+        before = (out / "labeler_accuracy.csv").read_bytes()
+        assert len(before.splitlines()) == 5
+        monkeypatch.setattr(cli, "labeler_accuracy_by_scenario", failing)
+        with pytest.raises(RuntimeError, match="row 2"):
+            main(args)
+        assert (out / "labeler_accuracy.csv").read_bytes() == before
+        assert [p.name for p in out.iterdir()] == ["labeler_accuracy.csv"]
+
     def test_labeler_sees_only_snr_in_seq_order(self, tmp_path, monkeypatch):
         from jamloop import cli
         _, trace = simulate(tmp_path, [{"id": 2, "duration_samples": 150},
@@ -452,6 +484,8 @@ BAD_MODEL_EDITS = {
     "weight_quoted": lambda d: d["weights"][0].__setitem__(0, "0.25"),
     "weight_bool": lambda d: d["weights"][0].__setitem__(0, True),
     "bias_bool": lambda d: d["biases"][0].__setitem__(0, False),
+    "weights_object": lambda d: d.update(weights=dict(enumerate(d["weights"]))),
+    "extra_bias_layer": lambda d: d["biases"].append(d["biases"][-1]),
 }
 
 
@@ -468,6 +502,35 @@ class TestReplay:
         assert len(rows) == 40
         assert all(r["verdict"] == "CLEAN" for r in rows)
         assert all(r["model_version"] == "1" for r in rows)
+
+    def test_failed_write_leaves_no_partial_detections(self, tmp_path, monkeypatch):
+        from jamloop.detector import DetectorXapp
+        _, trace = simulate(tmp_path, [{"id": 2, "duration_samples": 40}])
+        model_path = small_model(tmp_path)
+        out = tmp_path / "o"
+        args = ["--out", str(out), "replay", "--trace", str(trace), "--model", str(model_path)]
+
+        def failing_at(k):
+            def infer(self, sample):
+                if sample.seq == k:
+                    raise RuntimeError(f"detector failed at sample {k}")
+                return real_infer(self, sample)
+            return infer
+
+        real_infer = DetectorXapp.infer
+        monkeypatch.setattr(DetectorXapp, "infer", failing_at(25))
+        with pytest.raises(RuntimeError, match="sample 25"):
+            main(args)
+        assert list(out.iterdir()) == []
+
+        monkeypatch.undo()
+        assert main(args) == EXIT_OK
+        before = (out / "detections.csv").read_bytes()
+        monkeypatch.setattr(DetectorXapp, "infer", failing_at(0))
+        with pytest.raises(RuntimeError, match="sample 0"):
+            main(args)
+        assert (out / "detections.csv").read_bytes() == before
+        assert [p.name for p in out.iterdir()] == ["detections.csv"]
 
     def test_missing_model_exits_2(self, tmp_path):
         _, trace = simulate(tmp_path, [{"id": 2, "duration_samples": 10}])

@@ -637,6 +637,22 @@ class TestSerialization:
         with pytest.raises(ModelError, match=re.escape(f"{path}: {name} must hold JSON numbers")):
             mlp.load(path)
 
+    @pytest.mark.parametrize("field", ["weights", "biases"])
+    @pytest.mark.parametrize("edit", [
+        lambda layers: {str(i): layer for i, layer in enumerate(layers)},
+        lambda layers: layers[:-1],
+        lambda layers: layers + [layers[-1]]], ids=["object", "too_short", "too_long"])
+    def test_layer_list_shape_names_field(self, tmp_path, field, edit):
+        # one entry per layer: an object, a missing layer and an extra one all fail
+        path = tmp_path / "m.model"
+        mlp.save(init_model(1, version=1), path)
+        doc = json.loads(path.read_text())
+        doc[field] = edit(doc[field])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelError, match=re.escape(
+                f"{path}: {field} must be a JSON list of {len(mlp.LAYER_DIMS) - 1} layers")):
+            mlp.load(path)
+
     @pytest.mark.parametrize("top", ["3", "[1, 2]", '"jamloop-mlp-v1"', "null"])
     def test_non_object_top_level_raises_model_error(self, tmp_path, top):
         path = tmp_path / "m.model"

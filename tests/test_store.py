@@ -1,11 +1,10 @@
 import csv
-import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from jamloop.scenarios import KpiSample, iter_stream, schedule_from_ids
+from jamloop.scenarios import FeatureSample, KpiSample, iter_stream, schedule_from_ids
 from jamloop.store import (DetectionRecord, DuplicateSeqError, LabeledSample,
                            RecordInvalidError, SchemaError, StoreFullError,
                            TelemetryStore, UnknownStreamError, KPI_COLUMNS,
@@ -41,14 +40,24 @@ class TestRecords:
         DetectionRecord(3, 0.25, LABEL_CLEAN, 1, 40)],
         ids=["KpiSample", "FeatureSample", "LabeledSample", "DetectionRecord"])
     def test_frozen_and_slotted(self, record):
+        # a record is a NamedTuple: no __dict__, and no field can be assigned
         assert not hasattr(record, "__dict__")
-        for f in dataclasses.fields(record):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(record, f.name, getattr(record, f.name))
-        # a name that is no field is refused too; Python 3.11 raises TypeError
-        with pytest.raises((AttributeError, TypeError)):
+        assert record._fields
+        for name in record._fields:
+            before = getattr(record, name)
+            with pytest.raises(AttributeError):
+                setattr(record, name, before)
+            assert getattr(record, name) is before
+        # a name that is no field is refused too
+        with pytest.raises(AttributeError):
             record.extra = 1
         assert not hasattr(record, "extra")
+
+    def test_feature_sample_holds_no_truth(self):
+        sample = kpi(3, truth=True)
+        assert "truth_interference" not in FeatureSample._fields
+        assert len(sample.public()) == 5
+        assert tuple(sample.public()) == tuple(sample)[:5]
 
 
 class TestAppend:
@@ -85,6 +94,19 @@ class TestAppend:
                                                      f"got {type(record).__name__}"):
             store.append(stream, record)
         assert store.count(stream) == 0
+
+    @pytest.mark.parametrize("stream,record", [
+        ("kpi", kpi(0)), ("labels", label(0)),
+        ("detections", DetectionRecord(0, 0.2, LABEL_CLEAN, 1, 3))],
+        ids=["kpi", "labels", "detections"])
+    def test_plain_tuple_rejected(self, store, stream, record):
+        # a plain tuple equals the record that holds its values, but is no record
+        plain = tuple(record)
+        assert plain == record
+        with pytest.raises(RecordInvalidError, match=f"stream '{stream}' takes .* got tuple"):
+            store.append(stream, plain)
+        assert store.count(stream) == 0
+        assert store.append(stream, record) == 1
 
     def test_unknown_stream(self, store):
         with pytest.raises(UnknownStreamError):
@@ -324,6 +346,27 @@ class TestRoundTrip:
         assert [DetectionRecord(int(r["seq"]), float(r["prob"]), r["verdict"],
                                 int(r["model_version"]), int(r["latency_us"]))
                 for r in rows] == records  # prob exact: csv writes repr
+
+
+    def test_failed_export_leaves_no_partial_file(self, tmp_path):
+        path = tmp_path / "det.csv"
+
+        def failing_at(k):
+            for i in range(50):
+                if i == k:
+                    raise RuntimeError(f"detector failed at record {k}")
+                yield DetectionRecord(i, 0.5, LABEL_CLEAN, 1, 7)
+
+        with pytest.raises(RuntimeError, match="record 30"):
+            write_detections(path, failing_at(30))
+        assert list(tmp_path.iterdir()) == []
+
+        assert write_detections(path, failing_at(50)) == 50
+        before = path.read_bytes()
+        with pytest.raises(RuntimeError, match="record 10"):
+            write_detections(path, failing_at(10))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["det.csv"]
 
 
 class TestConcurrency:
