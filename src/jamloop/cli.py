@@ -34,11 +34,18 @@ INPUT_FILES = {"simulate": ("schedule",), "eval-labeler": ("trace",),
                "replay": ("model", "trace"), "deploy": ("model",)}
 
 
+def seed(text: str) -> int:
+    """A `--seed` value: numpy's generators take only whole numbers >= 0."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"seed {text} is below 0")
+    return int(text)
+
+
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="jamloop",
                                 description="Adaptive uplink jamming detection loop")
     p.add_argument("--config", type=Path, default=None, help="global YAML config file")
-    p.add_argument("--seed", type=int, default=1, help="master RNG seed")
+    p.add_argument("--seed", type=seed, default=1, help="master RNG seed")
     p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
     sub = p.add_subparsers(dest="command", required=True)
 

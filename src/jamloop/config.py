@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import math
 from pathlib import Path
 
 import yaml
@@ -11,6 +10,7 @@ import yaml
 from .labeler import LabelerConfig
 from .manager import LoopConfig
 from .mlp import TrainConfig
+from .numbers import real, whole
 from .scenarios import SCENARIO_CATALOG, ChannelParams
 
 
@@ -55,26 +55,14 @@ def _section(doc: dict, name: str) -> dict:
     return section
 
 
-def _check_type(name: str, key: str, value, default) -> None:
-    # a key takes its default's type; an int also serves for a float, a bool for neither
-    kind = type(default)
-    accepted = (int, float) if kind is float else kind
-    if isinstance(value, bool) or not isinstance(value, accepted):
-        raise ConfigError(f"config section {name!r}: {key} must be {kind.__name__}, "
-                          f"got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"config section {name!r}: {key} must be finite, got {value!r}")
-
-
 def _build(cls, section: dict, name: str):
     defaults = {f.name: f.default for f in dataclasses.fields(cls)}
     unknown = set(section) - set(defaults)
     if unknown:
         raise ConfigError(f"config section {name!r}: unknown key(s) {sorted(unknown)}")
-    for key, value in section.items():
-        _check_type(name, key, value, defaults[key])
-    obj = cls(**section)
-    try:
+    try:  # each key is read as its default's type: an int by whole, a float by real
+        obj = cls(**{key: (whole if type(defaults[key]) is int else real)(value, key)
+                     for key, value in section.items()})
         getattr(obj, "validate", lambda: None)()
     except ValueError as exc:
         raise ConfigError(f"config section {name!r}: {exc}") from exc
@@ -86,7 +74,7 @@ def load_config(path: str | Path | None) -> GlobalConfig:
     if path is not None:
         try:
             raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
         if raw is None:
             raw = {}

@@ -23,7 +23,7 @@ from .labeler import LabelerConfig, run_labeler
 from .manager import ClosedLoop, LoopConfig, ModelRegistry, labeled_dataset
 from .scenarios import (ChannelParams, KpiSample, ScenarioSchedule, Segment,
                         schedule_from_ids, synth_stream)
-from .store import LABEL_CLEAN, LABEL_INTERFERENCE, TelemetryStore
+from .store import LABEL_CLEAN, LABEL_INTERFERENCE, TelemetryStore, atomic_writer
 
 _SEQ = operator.attrgetter("seq")
 
@@ -203,11 +203,20 @@ def run_experiment(cfg: ExperimentConfig, registry_dir: Path) -> ExperimentRepor
 
 
 def write_artifacts(report: ExperimentReport, out_dir: Path) -> None:
+    """Write the six artifacts into `out_dir`. The JSON ones are rendered
+    before any file is opened, and each file goes through `atomic_writer`,
+    so a report that cannot be written leaves an earlier run's files whole."""
     out_dir = Path(out_dir)
+    transcript = "".join(json.dumps(ev) + "\n" for ev in report.transcript)
+    summary = json.dumps({
+        "n_samples": report.n_samples,
+        "stream_digest": report.stream_digest,
+        "first_deploy_seq": report.first_deploy_seq,
+        "runtime_s": report.runtime_s,
+    }, indent=1)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    with (out_dir / "accuracy_by_window.csv").open("w", newline="",
-                                                   encoding="utf-8") as f:
+    with atomic_writer(out_dir / "accuracy_by_window.csv") as f:
         w = csv.writer(f)
         w.writerow(["window", "scenario_ids", "start_seq", "end_seq",
                     "loop_acc", "baseline_acc"])
@@ -218,21 +227,19 @@ def write_artifacts(report: ExperimentReport, out_dir: Path) -> None:
                         repr(row.baseline_accuracy)])
 
     # gnuplot-friendly: index, label, loop_acc, baseline
-    with (out_dir / "accuracy_by_window.dat").open("w", encoding="utf-8") as f:
+    with atomic_writer(out_dir / "accuracy_by_window.dat") as f:
         f.write("# idx window loop_acc baseline_acc\n")
         for i, row in enumerate(report.windows):
             loop_acc = "nan" if row.loop_accuracy is None else f"{row.loop_accuracy:.6f}"
             f.write(f"{i} {row.label} {loop_acc} {row.baseline_accuracy:.6f}\n")
-    (out_dir / "plot_accuracy.gp").write_text(
-        'set datafile missing "nan"\n'
-        "set yrange [0:1.05]\n"
-        "set xlabel 'scenario window'\nset ylabel 'detection accuracy'\n"
-        "plot 'accuracy_by_window.dat' using 1:3:xtic(2) with linespoints"
-        " title 'adaptive loop', '' using 1:4 with linespoints title 'static baseline'\n",
-        encoding="utf-8")
+    with atomic_writer(out_dir / "plot_accuracy.gp") as f:
+        f.write('set datafile missing "nan"\n'
+                "set yrange [0:1.05]\n"
+                "set xlabel 'scenario window'\nset ylabel 'detection accuracy'\n"
+                "plot 'accuracy_by_window.dat' using 1:3:xtic(2) with linespoints"
+                " title 'adaptive loop', '' using 1:4 with linespoints title 'static baseline'\n")
 
-    with (out_dir / "labeler_by_scenario.csv").open("w", newline="",
-                                                    encoding="utf-8") as f:
+    with atomic_writer(out_dir / "labeler_by_scenario.csv") as f:
         w = csv.writer(f)
         w.writerow(["position", "scenario_id", "event", "accuracy",
                     "accuracy_transition_excluded"])
@@ -240,13 +247,7 @@ def write_artifacts(report: ExperimentReport, out_dir: Path) -> None:
             w.writerow([row.position, row.scenario_id, row.event,
                         repr(row.accuracy), repr(row.accuracy_transition_excluded)])
 
-    with (out_dir / "transcript.jsonl").open("w", encoding="utf-8") as f:
-        for ev in report.transcript:
-            f.write(json.dumps(ev) + "\n")
-
-    (out_dir / "report.json").write_text(json.dumps({
-        "n_samples": report.n_samples,
-        "stream_digest": report.stream_digest,
-        "first_deploy_seq": report.first_deploy_seq,
-        "runtime_s": report.runtime_s,
-    }, indent=1), encoding="utf-8")
+    with atomic_writer(out_dir / "transcript.jsonl") as f:
+        f.write(transcript)
+    with atomic_writer(out_dir / "report.json") as f:
+        f.write(summary)

@@ -11,7 +11,6 @@ cannot re-trigger.
 from __future__ import annotations
 
 import json
-import math
 import shutil
 import time
 from collections import Counter
@@ -21,6 +20,7 @@ from pathlib import Path
 from . import mlp
 from .detector import DetectorXapp, StaleVersionError
 from .labeler import BaselineState, LabelerConfig, label_window
+from .numbers import real, whole
 from .store import LABEL_INTERFERENCE, TelemetryStore, atomic_writer
 
 TRIGGER_NONE = "NONE"
@@ -78,7 +78,10 @@ class ModelRegistry:
         self.entries: list[RegistryEntry] = []
         self._journal = self.directory / "registry.jsonl"
         if self._journal.exists():
-            lines = self._journal.read_text(encoding="utf-8").splitlines()
+            try:
+                lines = self._journal.read_text(encoding="utf-8").splitlines()
+            except UnicodeDecodeError as exc:
+                raise ManagerError(f"{self._journal}: not UTF-8 text ({exc.reason})") from exc
             for lineno, line in enumerate(lines, start=1):
                 if not line.strip():
                     continue
@@ -96,16 +99,15 @@ class ModelRegistry:
         doc.pop("path", None)
         e = RegistryEntry(**doc)
         acc, previous = e.val_accuracy, self.next_version() - 1
-        if type(e.version) is not int or e.version <= previous:
-            raise ValueError(f"version {e.version!r} is not a whole number above {previous}")
+        if whole(e.version, "version") <= previous:
+            raise ValueError(f"version {e.version} is not above {previous}")
         if type(e.deployed) is not bool:
             raise ValueError(f"deployed {e.deployed!r} is not a boolean")
         if e.deployed and self.deployed_entry():
             raise ValueError(f"version {self.deployed_entry().version} is deployed already")
-        if acc is not None and (type(acc) not in (int, float) or not 0 <= acc <= 1):
-            raise ValueError(f"val_accuracy {acc!r} is neither null nor in [0, 1]")
-        if type(e.created_at) not in (int, float) or not math.isfinite(e.created_at):
-            raise ValueError(f"created_at {e.created_at!r} is not a finite number")
+        if acc is not None and not 0 <= real(acc, "val_accuracy") <= 1:
+            raise ValueError(f"val_accuracy {acc!r} is not in [0, 1]")
+        real(e.created_at, "created_at")
         if type(e.train_report) is not dict:
             raise ValueError(f"train_report {e.train_report!r} is not an object")
         return e

@@ -20,6 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .numbers import real, whole
+
 LAYER_DIMS = [3, 16, 8, 1]
 ACTIVATIONS = ["relu", "relu", "sigmoid"]
 
@@ -400,29 +402,35 @@ def save(model: MlpModel, path: str | Path) -> None:
 
 
 def _numbers(path: str | Path, field: str, values: object, size: int) -> np.ndarray:
-    """size JSON numbers as floats; quoted numbers, booleans and lists raise ModelError."""
-    if type(values) is not list or any(type(v) not in (int, float) for v in values):
+    """size numbers as floats, each read by `numbers.real`; anything else raises ModelError."""
+    if type(values) is not list:
         raise ModelError(f"model file {path}: {field} must hold JSON numbers only")
-    if len(values) != size:
-        raise DimensionError(f"model file {path}: {field} has {len(values)} numbers, not {size}")
-    return np.array(values, dtype=float)
+    try:
+        floats = [real(v, field) for v in values]
+    except ValueError as exc:
+        raise ModelError(f"model file {path}: {field} must hold JSON numbers only: {exc}") from exc
+    if len(floats) != size:
+        raise DimensionError(f"model file {path}: {field} has {len(floats)} numbers, not {size}")
+    return np.array(floats)
 
 
 def load(path: str | Path) -> MlpModel:
     """Read a model file; a file that is not a valid MODEL_FORMAT model raises ModelError."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8 text
         raise ModelError(f"cannot parse model file {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ModelError(f"model file {path}: top level is {type(doc).__name__}, not an object")
     if doc.get("format") != MODEL_FORMAT:
         raise ModelError(
             f"model file {path}: format {doc.get('format')!r}, expected {MODEL_FORMAT!r}")
-    version = doc.get("version")
-    if type(version) is not int or version < 0:  # missing, 2.5, true, "4" and -1 fail
-        raise VersionFieldError(
-            f"model file {path}: version must be a whole number >= 0, got {version!r}")
+    try:
+        version = whole(doc.get("version"), "version")
+        if version < 0:
+            raise ValueError(f"version {version} is below 0")
+    except ValueError as exc:
+        raise VersionFieldError(f"model file {path}: {exc}") from exc
     if doc.get("layer_dims") != LAYER_DIMS:
         raise DimensionError(
             f"model file {path}: layer_dims {doc.get('layer_dims')} != {LAYER_DIMS}")

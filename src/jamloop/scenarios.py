@@ -19,6 +19,8 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 import yaml
 
+from .numbers import real, whole
+
 OFF_INTERFERENCE_DB = -100.0
 SAMPLE_PERIOD_MS = 100
 DEFAULT_DURATION_SAMPLES = 300
@@ -145,28 +147,17 @@ def schedule_from_ids(ids: list[int], seed: int,
                             seed=seed)
 
 
-def _number(item: dict, key: str, kind: type, i: int, default=None):
-    """`item[key]`, or `default` if it is absent, converted by `kind`.
-
-    A missing value without a default, a boolean, a string, one that does
-    not convert, a fractional value of an int field or a non-finite value of
-    a float field is a `ScheduleError` naming entry `i`.
-    """
+def _number(item: dict, key: str, read: Callable, i: int, default=None):
+    """`item[key]`, or `default` if it is absent, read by `numbers.whole` or
+    `numbers.real`; a missing value without a default, or one `read`
+    rejects, is a `ScheduleError` naming entry `i`."""
     value = item.get(key, default)
     if value is None:
         raise ScheduleError(f"entry {i}: missing field {key!r}")
-    # a bool is an int (True would read as 1), and int("2") would read a string
-    if isinstance(value, (bool, str)):
-        raise ScheduleError(f"entry {i}: {key} must be a number, got {value!r}")
-    if kind is int and isinstance(value, float) and not value.is_integer():
-        raise ScheduleError(f"entry {i}: {key} must be a whole number, got {value!r}")
     try:
-        number = kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ScheduleError(f"entry {i}: {key} must be a number, got {value!r}") from exc
-    if kind is float and not math.isfinite(number):
-        raise ScheduleError(f"entry {i}: {key} must be finite, got {value!r}")
-    return number
+        return read(value, key)
+    except ValueError as exc:
+        raise ScheduleError(f"entry {i}: {exc}") from exc
 
 
 def load_schedule(path: str | Path, seed: int) -> ScenarioSchedule:
@@ -178,7 +169,7 @@ def load_schedule(path: str | Path, seed: int) -> ScenarioSchedule:
     path = Path(path)
     try:
         doc = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ScheduleError(f"cannot parse schedule file {path}: {exc}") from exc
     if not isinstance(doc, dict) or "entries" not in doc:
         raise ScheduleError(f"schedule file {path} must be a mapping with an 'entries' list")
@@ -195,8 +186,8 @@ def load_schedule(path: str | Path, seed: int) -> ScenarioSchedule:
             raise ScheduleError(f"entry {i}: expected id or mapping, got {type(item).__name__}")
         if "id" in item and set(item) <= {"id", "duration_samples"}:
             entries.append(_catalog_spec(
-                _number(item, "id", int, i),
-                _number(item, "duration_samples", int, i, DEFAULT_DURATION_SAMPLES),
+                _number(item, "id", whole, i),
+                _number(item, "duration_samples", whole, i, DEFAULT_DURATION_SAMPLES),
                 f"entry {i}: "))
             continue
         if "event" not in item:
@@ -205,14 +196,13 @@ def load_schedule(path: str | Path, seed: int) -> ScenarioSchedule:
         if isinstance(event, bool):  # YAML 1.1 reads bare ON/OFF as booleans
             event = "ON" if event else "OFF"
         spec = ScenarioSpec(
-            id=_number(item, "id", int, i, i + 1),
+            id=_number(item, "id", whole, i, i + 1),
             event=str(event).upper(),
-            interference_db=_number(item, "interference_db", float, i),
-            noise_amplitude=_number(item, "noise_amplitude", float, i),
-            duration_samples=_number(item, "duration_samples", int, i,
+            interference_db=_number(item, "interference_db", real, i),
+            noise_amplitude=_number(item, "noise_amplitude", real, i),
+            duration_samples=_number(item, "duration_samples", whole, i,
                                      DEFAULT_DURATION_SAMPLES),
         )
-        spec.validate()
         if not spec.in_catalog_domain():
             warnings.append(
                 f"entry {i} (scenario {spec.id}): values outside the catalog domain "

@@ -21,6 +21,7 @@ import threading
 from pathlib import Path
 from typing import NamedTuple
 
+from .numbers import real, whole
 from .scenarios import KpiSample
 
 LABEL_CLEAN = "CLEAN"
@@ -208,36 +209,15 @@ class TelemetryStore:
         return out
 
 
-def _whole(row: dict, key: str) -> int:
-    """`row[key]` as an int; a fractional float or a boolean is a ValueError."""
-    value = row[key]
-    if type(value) is int:
-        return value
-    if isinstance(value, bool):  # a bool is an int: true would read as 1
-        raise ValueError(f"{key} {value!r} is not a number")
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{key} {value!r} is not a whole number")
-    return int(value)
-
-
-def _real(row: dict, key: str) -> float:
-    """`row[key]` as a float; a boolean is a ValueError."""
-    value = row[key]
-    if type(value) is float:
-        return value
-    if isinstance(value, bool):
-        raise ValueError(f"{key} {value!r} is not a number")
-    return float(value)
-
-
 def _kpi_from_wire(row: dict) -> KpiSample:
     truth = row.get("truth", False)
     if isinstance(truth, str):
         truth = _TRUTH_STRINGS.get(truth.strip(), truth)
     if type(truth) is not bool:
         raise ValueError(f"truth {truth!r} is not true, false or one of {list(_TRUTH_STRINGS)}")
-    return KpiSample(_whole(row, "seq"), _whole(row, "ts_ms"), _real(row, "snr_db"),
-                     _whole(row, "mcs"), _real(row, "bler"), truth)
+    return KpiSample(whole(row["seq"], "seq"), whole(row["ts_ms"], "ts_ms"),
+                     real(row["snr_db"], "snr_db"), whole(row["mcs"], "mcs"),
+                     real(row["bler"], "bler"), truth)
 
 
 def trace_line(sample: KpiSample, with_truth: bool = True) -> str:
@@ -306,10 +286,11 @@ def read_trace(path: str | Path) -> tuple[list[str], list[KpiSample]]:
     Returns the first row's columns and the samples in file order. Each row
     is converted and validated as it is read. A row that is not an object,
     has a column a KPI sample lacks or other columns than the first row's
-    (say `truth` on some rows only), does not convert (say `seq` 1.7 or
-    `true`), holds an invalid sample (say `bler` 1.5 or `snr_db` NaN) or
-    repeats an earlier row's seq raises `SchemaError` naming the file and
-    line.
+    (say `truth` on some rows only), holds a field that is not a number by
+    `numbers.whole` or `numbers.real` (say `seq` 1.0, `"3"` or `true`, or
+    `snr_db` NaN), holds an invalid sample (say `bler` 1.5) or repeats an
+    earlier row's seq raises `SchemaError` naming the file and line. A file
+    that is not UTF-8 text raises `SchemaError` naming the file.
     """
     path = Path(path)
     columns: list[str] = []
@@ -317,36 +298,39 @@ def read_trace(path: str | Path) -> tuple[list[str], list[KpiSample]]:
     seqs: set[int] | None = None  # built at the first seq out of order
     keys = frozenset(KPI_COLUMNS)  # the first row's once it is read
     with path.open("r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not (line := line.strip()):
-                continue
-            try:
-                row = _parse_line(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(row, dict):
-                raise SchemaError(f"{path}:{lineno}: expected an object, "
-                                  f"got {type(row).__name__}")
-            if not samples:
-                if not row.keys() <= keys:
-                    raise SchemaError(f"{path}:{lineno}: unknown column(s) "
-                                      f"{sorted(row.keys() - keys)} for stream 'kpi'")
-                columns, keys = list(row), frozenset(row)
-            elif row.keys() != keys:
-                raise SchemaError(f"{path}:{lineno}: columns {sorted(row)} are not "
-                                  f"the first row's {sorted(keys)}")
-            try:
-                sample = _kpi_from_wire(row)
-                _validate_kpi(sample)
-            except (KeyError, TypeError, ValueError, RecordInvalidError) as exc:
-                raise SchemaError(f"{path}:{lineno}: bad row {row!r}: {exc}") from exc
-            # in seq order a seq cannot repeat; past that, every seq is tracked
-            if seqs is None and samples and sample.seq <= samples[-1].seq:
-                seqs = {s.seq for s in samples}
-            if seqs is not None:
-                if sample.seq in seqs:
-                    raise SchemaError(f"{path}:{lineno}: seq {sample.seq} "
-                                      f"repeats an earlier line")
-                seqs.add(sample.seq)
-            samples.append(sample)
+        try:
+            for lineno, line in enumerate(f, start=1):
+                if not (line := line.strip()):
+                    continue
+                try:
+                    row = _parse_line(line)
+                except json.JSONDecodeError as exc:
+                    raise SchemaError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+                if not isinstance(row, dict):
+                    raise SchemaError(f"{path}:{lineno}: expected an object, "
+                                      f"got {type(row).__name__}")
+                if not samples:
+                    if not row.keys() <= keys:
+                        raise SchemaError(f"{path}:{lineno}: unknown column(s) "
+                                          f"{sorted(row.keys() - keys)} for stream 'kpi'")
+                    columns, keys = list(row), frozenset(row)
+                elif row.keys() != keys:
+                    raise SchemaError(f"{path}:{lineno}: columns {sorted(row)} are not "
+                                      f"the first row's {sorted(keys)}")
+                try:
+                    sample = _kpi_from_wire(row)
+                    _validate_kpi(sample)
+                except (KeyError, TypeError, ValueError, RecordInvalidError) as exc:
+                    raise SchemaError(f"{path}:{lineno}: bad row {row!r}: {exc}") from exc
+                # in seq order a seq cannot repeat; past that, every seq is tracked
+                if seqs is None and samples and sample.seq <= samples[-1].seq:
+                    seqs = {s.seq for s in samples}
+                if seqs is not None:
+                    if sample.seq in seqs:
+                        raise SchemaError(f"{path}:{lineno}: seq {sample.seq} "
+                                          f"repeats an earlier line")
+                    seqs.add(sample.seq)
+                samples.append(sample)
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     return columns, samples

@@ -116,7 +116,7 @@ class TestSimulate:
                      "--schedule", str(sched)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert "entry 1: " in err
-        assert "must be a whole number" in err
+        assert "is not a whole number" in err
         assert not (tmp_path / "o" / "trace.jsonl").exists()
 
     @pytest.mark.parametrize("entry", [
@@ -149,16 +149,24 @@ class TestSimulate:
                          + ", ".join(f"{k}: {v}" for k, v in entry.items()) + "}\n")
         assert main(["--out", str(tmp_path / "o"), "simulate",
                      "--schedule", str(sched)]) == EXIT_USAGE
-        assert f"entry 1: {key} must be finite" in capsys.readouterr().err
+        nonfinite = {".nan": "nan", ".inf": "inf", "-.inf": "-inf"}[value]
+        assert f"entry 1: {key} {nonfinite} is not finite" in capsys.readouterr().err
         assert not (tmp_path / "o" / "trace.jsonl").exists()
 
-    def test_whole_float_entry_values_accepted(self, tmp_path):
-        code, trace = simulate(tmp_path, [
-            {"id": 2, "duration_samples": 20.0},
-            {"id": 4.0, "event": "OFF", "interference_db": -100.0, "noise_amplitude": 0.15,
-             "duration_samples": 30.0}])
-        assert code == EXIT_OK
-        assert len(trace.read_text().splitlines()) == 50
+    @pytest.mark.parametrize("entry", [
+        {"id": 2, "duration_samples": 20.0},
+        {"id": 4.0, "event": "OFF", "interference_db": -100.0, "noise_amplitude": 0.15,
+         "duration_samples": 30},
+        {"id": 3.0, "duration_samples": 300},
+    ], ids=["catalog_duration", "custom_id", "catalog_id"])
+    def test_whole_float_entry_value_exits_2(self, tmp_path, capsys, entry):
+        # a whole number is an integer: 20.0 is a float, as in every input file
+        sched = write_schedule(tmp_path / "bad.yaml", [2, entry])
+        assert main(["--out", str(tmp_path / "o"), "simulate",
+                     "--schedule", str(sched)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "entry 1: " in err and "is not a whole number" in err
+        assert not (tmp_path / "o" / "trace.jsonl").exists()
 
     def test_directory_schedule_exits_2(self, tmp_path, capsys):
         assert main(["simulate", "--schedule", str(tmp_path)]) == EXIT_USAGE
@@ -430,6 +438,21 @@ class TestMalformedTrace:
         assert f"{field} True is not a number" in err
         assert not (tmp_path / "o" / "detections.csv").exists()
 
+    @pytest.mark.parametrize("field,value,problem", [
+        ("seq", "1", "is not a number"), ("snr_db", "1.0", "is not a number"),
+        ("bler", "0.1", "is not a number"), ("seq", 1.0, "is not a whole number")],
+        ids=["quoted_seq", "quoted_snr_db", "quoted_bler", "whole_float_seq"])
+    def test_field_not_a_number_exits_2(self, tmp_path, capsys, command, field, value,
+                                        problem):
+        row = {"seq": 1, "ts_ms": 100, "snr_db": 1.0, "mcs": 2, "bler": 0.1, "truth": False}
+        row[field] = value
+        trace = bad_trace(tmp_path, json.dumps(row))
+        assert self.invoke(tmp_path, command, trace) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{trace}:2: bad row" in err
+        assert f"{field} {value!r} {problem}" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("truth", ["null", "[]", '"yes"', "0.5", "2"])
     def test_other_truth_value_exits_2(self, tmp_path, capsys, command, truth):
         trace = bad_trace(tmp_path, '{"seq": 1, "ts_ms": 100, "snr_db": 1.0, "mcs": 2, '
@@ -486,6 +509,7 @@ BAD_MODEL_EDITS = {
     "bias_bool": lambda d: d["biases"][0].__setitem__(0, False),
     "weights_object": lambda d: d.update(weights=dict(enumerate(d["weights"]))),
     "extra_bias_layer": lambda d: d["biases"].append(d["biases"][-1]),
+    "weight_huge_int": lambda d: d["weights"][0].__setitem__(0, 10 ** 400),
 }
 
 
@@ -675,6 +699,7 @@ class TestConfigSections:
                                          ("loop", "monitor_window: 0"),
                                          ("labeler", "window_size: abc"),
                                          ("engine", "ewma_alpha: abc"),
+                                         ("engine", "ewma_alpha: '0.1'"),
                                          ("mlp", "epochs: 0"),
                                          ("experiment", "passes: 0"),
                                          ("experiment", "samples_per_scenario: 0"),
@@ -703,7 +728,8 @@ def test_invalid_config_value_exits_2(tmp_path, capsys, section, key):
                                                ("loop", "deploy_gate", 0.0),
                                                ("loop", "deploy_gate", 1.0),
                                                ("mlp", "learning_rate", 0.0001),
-                                               ("engine", "snr_jitter_sigma_db", 0.0)])
+                                               ("engine", "snr_jitter_sigma_db", 0.0),
+                                               ("mlp", "learning_rate", 1)])
 def test_config_value_at_range_edge_loads(tmp_path, section, key, value):
     # a drift threshold above 1 refits at every monitor check (perfbench's catalog2x)
     cfg = tmp_path / "cfg.yaml"
@@ -711,6 +737,7 @@ def test_config_value_at_range_edge_loads(tmp_path, section, key, value):
     loaded = load_config(cfg)
     owner = {"loop": loaded.loop, "mlp": loaded.loop.train, "engine": loaded.engine}[section]
     assert getattr(owner, key) == value
+    assert type(getattr(owner, key)) is float  # every key here is a float, 1 included
 
 
 @pytest.mark.parametrize("section,key", [("labeler", "separation_min_db: 4.0"),
@@ -743,7 +770,42 @@ def test_readme_config_example_is_the_defaults(tmp_path):
         "experiment": {f.name for f in dataclasses.fields(defaults.experiment)}}
 
 
+@pytest.mark.parametrize("argv,code", [
+    (["eval-labeler", "--trace", "BAD"], EXIT_USAGE),
+    (["replay", "--trace", "BAD", "--model", "MODEL"], EXIT_USAGE),
+    (["replay", "--trace", "TRACE", "--model", "BAD"], EXIT_USAGE),
+    (["simulate", "--schedule", "BAD"], EXIT_USAGE),
+    (["--config", "BAD", "run-experiment"], EXIT_USAGE),
+    (["deploy", "--model", "BAD"], EXIT_USAGE),
+    (["deploy", "--model", "MODEL", "--registry", "REGISTRY"], EXIT_FAILURE),
+], ids=["eval_labeler_trace", "replay_trace", "replay_model", "simulate_schedule",
+        "config", "deploy_model", "registry_journal"])
+def test_non_utf8_input_file_exits_naming_it(tmp_path, capsys, argv, code):
+    # a malformed input exits 2, and a malformed registry journal 1, as any other
+    registry = tmp_path / "models"
+    registry.mkdir()
+    bad = registry / "registry.jsonl"
+    bad.write_bytes(b"\xff\xfe\x00\x81\xc3")  # five bytes that are not UTF-8
+    _, trace = simulate(tmp_path, [{"id": 2, "duration_samples": 5}])
+    paths = {"BAD": bad, "MODEL": small_model(tmp_path), "TRACE": trace, "REGISTRY": registry}
+    out = tmp_path / "o"
+    assert main(["--out", str(out), *(str(paths.get(a, a)) for a in argv)]) == code
+    assert f"{bad}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestArgErrors:
+    @pytest.mark.parametrize("command", ["simulate", "run-experiment"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, command):
+        argv = ["--seed", "-1", "--out", str(tmp_path / "o"), command]
+        if command == "simulate":
+            argv += ["--schedule", str(write_schedule(tmp_path / "s.yaml", [2]))]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage: jamloop")
+        assert "argument --seed: seed -1 is below 0" in err
+        assert not (tmp_path / "o").exists()
+
     def test_no_subcommand_exits_2(self):
         assert main([]) == EXIT_USAGE
 

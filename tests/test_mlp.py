@@ -622,9 +622,11 @@ class TestSerialization:
 
     @pytest.mark.parametrize("field,value", [
         ("threshold", "0.5"), ("threshold", True), ("weights", "0.25"), ("weights", True),
-        ("biases", False), ("weights", [0.25]), ("biases", None)])
+        ("biases", False), ("weights", [0.25]), ("biases", None),
+        pytest.param("weights", 10 ** 400, id="weights-huge_int"), ("biases", float("nan")), ("threshold", float("inf"))])
     def test_non_number_names_field(self, tmp_path, field, value):
-        # only JSON numbers load: no quoted number, boolean or nested list
+        # only finite JSON numbers load: no quoted number, boolean, nested list, NaN,
+        # infinity or integer past the largest float
         path = tmp_path / "m.model"
         mlp.save(init_model(1, version=1), path)
         doc = json.loads(path.read_text())

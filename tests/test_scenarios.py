@@ -129,7 +129,7 @@ class TestSchedule:
 
     def test_bare_and_mapped_ids_give_the_same_specs(self, tmp_path):
         f = tmp_path / "sched.yaml"
-        f.write_text("entries: [3, {id: 3}, {id: 3.0, duration_samples: 300}]\n")
+        f.write_text("entries: [3, {id: 3}, {id: 3, duration_samples: 300}]\n")
         entries = load_schedule(f, seed=1).entries
         assert entries == [SCENARIO_CATALOG[3]] * 3
         assert entries == schedule_from_ids([3] * 3, seed=1).entries
