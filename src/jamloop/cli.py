@@ -184,6 +184,13 @@ def main(argv: list[str] | None = None) -> int:
             problem = "is not a file" if path.exists() else "not found"
             print(f"error: {name} file {path} {problem}", file=sys.stderr)
             return EXIT_USAGE
+    # the directory the command writes into: mkdir fails at its nearest existing path
+    out_name = "registry" if getattr(args, "registry", None) else "out"
+    out_dir = getattr(args, out_name)
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        print(f"error: {out_name} path {existing} is not a directory", file=sys.stderr)
+        return EXIT_USAGE
     handlers = {
         "simulate": cmd_simulate,
         "eval-labeler": cmd_eval_labeler,

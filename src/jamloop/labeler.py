@@ -11,13 +11,15 @@ resolvably is reported CLEAN.
 
 The online path, `label_window`, must emit a label for each window as it
 arrives. Each non-overlapping window is standardized on (snr_db, bler) and
-split by 2-means with deterministic init (centroids seeded at the min- and
-max-SNR samples; exhaustive optimal partition for tiny windows). Windows
-whose centroid SNR separation falls under `SEPARATION_MIN_DB` are treated
-as homogeneous and classed as a whole against the median of a running
-clean-SNR baseline less `BASELINE_OFFSET_DB`; with no baseline yet, the
-window is trusted as clean. A short median filter smooths per-sample
-labels near cluster boundaries. The closed loop labels through this path.
+split by 2-means: a window of up to `EXHAUSTIVE_KMEANS_MAX` samples gets its
+optimal partition, every candidate scored in one array operation, and a
+larger one Lloyd iterations from centroids seeded at its min- and max-SNR
+samples. Windows whose centroid SNR separation falls under
+`SEPARATION_MIN_DB` are treated as homogeneous and classed as a whole
+against the median of a running clean-SNR baseline less
+`BASELINE_OFFSET_DB`; with no baseline yet, the window is trusted as clean.
+A short median filter smooths per-sample labels near cluster boundaries.
+The closed loop labels through this path.
 
 The offline path, `label_stream`, has the whole flushed stream, so it
 applies the assumption: it finds the SNR levels by change-point
@@ -34,7 +36,6 @@ boundary, and `label_stream` takes a float array of SNR values only.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -93,31 +94,24 @@ def _standardize(values: np.ndarray) -> np.ndarray:
     return (values - mean) / std
 
 
-def _wcss(points: np.ndarray, assign: np.ndarray) -> float:
-    total = 0.0
-    for c in (0, 1):
-        members = points[assign == c]
-        if len(members):
-            centroid = members.mean(axis=0)
-            total += float(((members - centroid) ** 2).sum())
-    return total
-
-
 def _exhaustive_two_means(points: np.ndarray) -> np.ndarray:
-    """Optimal 2-partition by enumeration; feasible for tiny windows only."""
+    """Optimal 2-partition by enumeration; feasible for tiny windows only.
+
+    The rows of `masks` are the partitions with point 0 in cluster 0, in
+    `itertools.product` order. All are scored at once, as WCSS = sum |x|^2 -
+    |S1|^2/n1 - |S0|^2/n0, and the first minimum wins.
+    """
     n = len(points)
-    best_assign = np.zeros(n, dtype=int)
-    best_assign[0] = 0
-    best = np.inf
-    for bits in itertools.product((0, 1), repeat=n - 1):
-        assign = np.array((0,) + bits)
-        if assign.max() == 0:  # need both clusters non-empty
-            continue
-        cost = _wcss(points, assign)
-        if cost < best:
-            best = cost
-            best_assign = assign
-    return best_assign
+    if n < 2:
+        return np.zeros(n, dtype=int)
+    codes = np.arange(1, 2 ** (n - 1))[:, None]
+    masks = np.zeros((len(codes), n), dtype=int)
+    masks[:, 1:] = (codes >> np.arange(n - 2, -1, -1)) & 1
+    n1 = masks.sum(axis=1)
+    s1 = masks @ points
+    s0 = points.sum(axis=0) - s1
+    cost = (points ** 2).sum() - (s1 ** 2).sum(axis=1) / n1 - (s0 ** 2).sum(axis=1) / (n - n1)
+    return masks[int(np.argmin(cost))]
 
 
 def _lloyd_two_means(points: np.ndarray, snr_col: np.ndarray) -> np.ndarray:
@@ -149,14 +143,11 @@ def two_means(points: np.ndarray, snr_col: np.ndarray) -> np.ndarray:
 def _median_filter_labels(labels: np.ndarray, halfwidth: int) -> np.ndarray:
     if halfwidth == 0 or len(labels) < 2:
         return labels
-    out = labels.copy()
     n = len(labels)
-    for i in range(n):
-        lo = max(0, i - halfwidth)
-        hi = min(n, i + halfwidth + 1)
-        window = labels[lo:hi]
-        out[i] = 1 if window.sum() * 2 > len(window) else 0
-    return out
+    cs = np.concatenate(([0], np.cumsum(labels)))
+    i = np.arange(n)
+    lo, hi = np.maximum(0, i - halfwidth), np.minimum(n, i + halfwidth + 1)
+    return ((cs[hi] - cs[lo]) * 2 > hi - lo).astype(labels.dtype)
 
 
 def label_window(samples: list[FeatureSample], baseline: BaselineState,
@@ -203,12 +194,11 @@ def label_window(samples: list[FeatureSample], baseline: BaselineState,
         flags = _median_filter_labels(flags, cfg.smoothing_halfwidth)
 
     out = [LabeledSample(s.seq, LABEL_INTERFERENCE if f else LABEL_CLEAN)
-           for s, f in zip(samples, flags)]
+           for s, f in zip(samples, flags.tolist())]
 
     new_baseline = replace(baseline)  # shallow copy of scalars
     new_baseline._recent = list(baseline._recent)
-    clean_snrs = [s.snr_db for s, f in zip(samples, flags) if not f]
-    new_baseline.update(clean_snrs)
+    new_baseline.update(snr[flags == 0].tolist())
     return out, new_baseline
 
 

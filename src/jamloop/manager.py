@@ -277,6 +277,7 @@ class LoopConfig:
             raise ValueError("drift_threshold must be >= 0")
         if not 0 <= self.deploy_gate <= 1:
             raise ValueError("deploy_gate must be in [0, 1]")
+        self.train.validate()
 
 
 class ClosedLoop:
@@ -299,6 +300,8 @@ class ClosedLoop:
         self.registry = registry
         self.labeler_cfg = labeler_cfg or LabelerConfig()
         self.cfg = loop_cfg or LoopConfig()
+        self.labeler_cfg.validate()  # fail here, not at the first window or fit
+        self.cfg.validate()
         self.baseline = BaselineState()
         self.transcript: list[dict] = []
         self._window_buf: list = []

@@ -794,6 +794,29 @@ def test_non_utf8_input_file_exits_naming_it(tmp_path, capsys, argv, code):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,name,out", [
+    (["simulate", "--schedule", "SCHEDULE"], "out", "file"),
+    (["eval-labeler", "--trace", "TRACE"], "out", "file"),
+    (["run-experiment"], "out", "file"),
+    (["run-experiment"], "out", "file/sub"),
+    (["replay", "--trace", "TRACE", "--model", "MODEL"], "out", "file"),
+    (["deploy", "--model", "MODEL"], "out", "file"),
+    (["deploy", "--model", "MODEL", "--registry", "FILE"], "registry", "o"),
+], ids=["simulate", "eval_labeler", "run_experiment", "run_experiment_under_file",
+        "replay", "deploy", "deploy_registry"])
+def test_output_path_that_is_a_file_exits_2(tmp_path, capsys, argv, name, out):
+    _, trace = simulate(tmp_path, [{"id": 2, "duration_samples": 5}])
+    file = tmp_path / "file"
+    file.write_text("kept\n")
+    paths = {"SCHEDULE": tmp_path / "schedule.yaml", "TRACE": trace,
+             "MODEL": small_model(tmp_path), "FILE": file}
+    argv = ["--out", str(tmp_path / out), *(str(paths.get(a, a)) for a in argv)]
+    assert main(argv) == EXIT_USAGE
+    assert f"error: {name} path {file} is not a directory" in capsys.readouterr().err
+    assert file.read_text() == "kept\n"
+    assert not (tmp_path / "o").exists()
+
+
 class TestArgErrors:
     @pytest.mark.parametrize("command", ["simulate", "run-experiment"])
     def test_negative_seed_exits_2(self, tmp_path, capsys, command):

@@ -3,9 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from jamloop.labeler import (BaselineState, LabelerConfig, LabelerError,
-                             label_window, run_labeler, two_means)
-from jamloop.scenarios import FeatureSample, schedule_from_ids, synth_stream
+from jamloop.labeler import (BaselineState, LabelerConfig, LabelerError, _median_filter_labels,
+                             _standardize, label_window, run_labeler, two_means)
+from jamloop.scenarios import SCENARIO_CATALOG, FeatureSample, schedule_from_ids, synth_stream
 from jamloop.store import (LABEL_CLEAN, LABEL_INTERFERENCE, TelemetryStore)
 
 
@@ -142,6 +142,80 @@ class TestTwoMeansOracle:
         assert len(set(assign[:40])) == 1
         assert len(set(assign[40:])) == 1
         assert assign[0] != assign[-1]
+
+
+def reference_two_means(points):
+    """The per-partition loop the array enumeration replaced, ties included."""
+    n = len(points)
+    best_assign = np.zeros(n, dtype=int)
+    best = np.inf
+    for bits in itertools.product((0, 1), repeat=n - 1):
+        assign = np.array((0,) + bits)
+        if assign.max() == 0:  # need both clusters non-empty
+            continue
+        cost = wcss_of(points, assign)
+        if cost < best:
+            best = cost
+            best_assign = assign
+    return best_assign
+
+
+def reference_median_filter(labels, halfwidth):
+    """The per-sample loop the cumulative-sum filter replaced."""
+    if halfwidth == 0 or len(labels) < 2:
+        return labels
+    out = labels.copy()
+    n = len(labels)
+    for i in range(n):
+        window = labels[max(0, i - halfwidth):min(n, i + halfwidth + 1)]
+        out[i] = 1 if window.sum() * 2 > len(window) else 0
+    return out
+
+
+def catalog_slices(seed, sizes):
+    """Standardized (snr_db, bler) slices of the catalog stream, one per size."""
+    sched = schedule_from_ids(range(1, len(SCENARIO_CATALOG) + 1), seed=seed,
+                              duration_samples=20)
+    rows = []
+    synth_stream(sched, sink=lambda s: rows.append((s.snr_db, s.bler)))
+    raw = np.array(rows)
+    starts = np.cumsum([0, *sizes[:-1]]) * 2  # spread the slices over the stream
+    return [_standardize(raw[a:a + n]) for a, n in zip(starts, sizes)]
+
+
+class TestMatchesReplacedLoops:
+    def test_random_windows(self):
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            pts = rng.normal(0, 1, size=(int(rng.integers(1, 13)), 2))
+            assert np.array_equal(two_means(pts, pts[:, 0]), reference_two_means(pts))
+
+    @pytest.mark.parametrize("seed", [3, 7, 11])
+    def test_catalog_slices(self, seed):
+        for pts in catalog_slices(seed, list(range(4, 13)) * 2):
+            assert np.array_equal(two_means(pts, pts[:, 0]), reference_two_means(pts))
+
+    @pytest.mark.parametrize("n", [13, 16])
+    def test_largest_exhaustive_windows(self, n):
+        pts = np.random.default_rng(n).normal(0, 1, size=(n, 2))
+        assert np.array_equal(two_means(pts, pts[:, 0]), reference_two_means(pts))
+
+    def test_exact_ties_keep_the_first_partition(self):
+        # the corners of a square split as well by x as by y, and a constant
+        # window splits every way at zero cost; integer sums tie exactly
+        square = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+        windows = [square[list(p)] for p in itertools.permutations(range(4))]
+        windows += [np.vstack([square, 2 * square]), np.zeros((5, 2))]
+        for pts in windows:
+            assert np.array_equal(two_means(pts, pts[:, 0]), reference_two_means(pts))
+
+    def test_median_filter(self):
+        rng = np.random.default_rng(6)
+        for n in range(121):
+            labels = rng.integers(0, 2, n)
+            for hw in range(6):
+                assert np.array_equal(_median_filter_labels(labels, hw),
+                                      reference_median_filter(labels, hw))
 
 
 class TestRunLabeler:

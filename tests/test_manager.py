@@ -389,6 +389,20 @@ def run_loop_over(ids, seed=3, duration=300, labeler_cfg=None, loop_cfg=None,
 
 
 class TestClosedLoop:
+    @pytest.mark.parametrize("labeler_cfg,loop_cfg,match", [
+        (LabelerConfig(), LoopConfig(monitor_window=0), "monitor_window"),
+        (LabelerConfig(), LoopConfig(deploy_gate=1.5), "deploy_gate"),
+        (LabelerConfig(), LoopConfig(drift_threshold=-1.0), "drift_threshold"),
+        (LabelerConfig(), LoopConfig(train=TrainConfig(epochs=0)), "epochs"),
+        (LabelerConfig(window_size=3), LoopConfig(), "window_size"),
+    ], ids=["monitor_window", "deploy_gate", "drift_threshold", "train_epochs",
+            "labeler_window"])
+    def test_invalid_config_rejected_when_built(self, tmp_path, labeler_cfg, loop_cfg,
+                                                 match):
+        with pytest.raises(ValueError, match=match):
+            ClosedLoop(TelemetryStore(), DetectorXapp(), ModelRegistry(tmp_path / "m"),
+                       labeler_cfg, loop_cfg)
+
     def test_cold_start_single_train_and_deploy(self, tmp_path):
         # clean bootstrap then a jammed segment: one NO_MODEL train + deploy
         store, det, registry, transcript = run_loop_over(

@@ -6,6 +6,8 @@ Runs, in a temporary directory, with the package under ../src and at seed
 N (default 7):
 
 - the default two-pass `run-experiment`;
+- a one-pass `run-experiment` at 20 samples per scenario with 16-sample
+  labeler windows, which `label_window` splits by exhaustive 2-means;
 - `simulate --with-truth` of the 18-scenario catalog twice over at 200
   samples per scenario, then `eval-labeler` and `replay` of that trace with
   the experiment's first model, `v001.model`.
@@ -44,6 +46,8 @@ from jamloop import cli  # noqa: E402
 
 SCHEDULE_IDS = list(range(1, 19)) * 2
 SAMPLES_PER_SCENARIO = 200
+SMALL_WINDOW_CONFIG = ("labeler: {window_size: 16}\n"
+                       "experiment: {samples_per_scenario: 20, passes: 1}\n")
 
 EXPERIMENT_ARTIFACTS = ("accuracy_by_window.csv", "accuracy_by_window.dat",
                         "plot_accuracy.gp", "labeler_by_scenario.csv",
@@ -56,6 +60,10 @@ def _run(*argv: str) -> None:
         code = cli.main(list(argv))
     if code != cli.EXIT_OK:
         raise SystemExit(f"jamloop {' '.join(argv)} exited {code}")
+
+
+def _digest(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _detections_digest(path: Path) -> str:
@@ -75,6 +83,9 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         exp, trace_dir = Path(tmp) / "experiment", Path(tmp) / "trace"
         _run("--seed", seed, "--out", str(exp), "run-experiment")
+        small, small_cfg = Path(tmp) / "small_window", Path(tmp) / "small_window.yaml"
+        small_cfg.write_text(SMALL_WINDOW_CONFIG, encoding="utf-8")
+        _run("--seed", seed, "--config", str(small_cfg), "--out", str(small), "run-experiment")
 
         schedule = Path(tmp) / "schedule.yaml"
         schedule.write_text("entries:\n" + "".join(
@@ -87,11 +98,10 @@ def main(argv: list[str] | None = None) -> int:
         _run(*common, "replay", "--trace", str(trace),
              "--model", str(exp / "models" / "v001.model"))
 
-        digests = {f"experiment/{n}": hashlib.sha256((exp / n).read_bytes()).hexdigest()
-                   for n in EXPERIMENT_ARTIFACTS}
-        digests.update({f"trace/{n}": hashlib.sha256((trace_dir / n).read_bytes()).hexdigest()
-                        for n in TRACE_ARTIFACTS})
+        digests = {f"experiment/{n}": _digest(exp / n) for n in EXPERIMENT_ARTIFACTS}
+        digests.update({f"trace/{n}": _digest(trace_dir / n) for n in TRACE_ARTIFACTS})
         digests["trace/detections.csv"] = _detections_digest(trace_dir / "detections.csv")
+        digests.update({f"small_window/{n}": _digest(small / n) for n in EXPERIMENT_ARTIFACTS})
     for name, digest in digests.items():
         print(f"{digest}  {name}")
     return 0
