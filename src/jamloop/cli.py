@@ -34,6 +34,11 @@ INPUT_FILES = {"simulate": ("schedule",), "eval-labeler": ("trace",),
                "replay": ("model", "trace"), "deploy": ("model",)}
 
 
+def registry_dir(args) -> Path:
+    """The model registry `run-experiment` and `deploy` write: `--registry` or <out>/models."""
+    return getattr(args, "registry", None) or args.out / "models"
+
+
 def seed(text: str) -> int:
     """A `--seed` value: numpy's generators take only whole numbers >= 0."""
     if int(text) < 0:
@@ -134,7 +139,7 @@ def cmd_run_experiment(args, cfg) -> int:
     exp.channel = cfg.engine
     exp.labeler = cfg.labeler
     exp.loop = cfg.loop
-    report = run_experiment(exp, registry_dir=args.out / "models")
+    report = run_experiment(exp, registry_dir=registry_dir(args))
     for w in report.windows:
         loop_acc = "  n/a" if w.loop_accuracy is None else f"{w.loop_accuracy:.3f}"
         print(f"window {w.label:>3} scenarios {'+'.join(map(str, w.scenario_ids)):>5}: "
@@ -158,7 +163,7 @@ def cmd_replay(args, cfg) -> int:
 
 def cmd_deploy(args, cfg) -> int:
     model = mlp.load(args.model)
-    registry = ModelRegistry(args.registry or (args.out / "models"))
+    registry = ModelRegistry(registry_dir(args))
     # register takes only the next version, which is above the deployed one
     registry.register(args.model, model.version, {"source": "manual deploy"})
     registry.mark_deployed(model.version)
@@ -184,9 +189,9 @@ def main(argv: list[str] | None = None) -> int:
             problem = "is not a file" if path.exists() else "not found"
             print(f"error: {name} file {path} {problem}", file=sys.stderr)
             return EXIT_USAGE
-    # the directory the command writes into: mkdir fails at its nearest existing path
+    # the deepest directory the command writes into: mkdir fails at its nearest existing path
     out_name = "registry" if getattr(args, "registry", None) else "out"
-    out_dir = getattr(args, out_name)
+    out_dir = registry_dir(args) if args.command in ("run-experiment", "deploy") else args.out
     existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
     if not existing.is_dir():
         print(f"error: {out_name} path {existing} is not a directory", file=sys.stderr)
@@ -200,7 +205,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args, cfg)
-    except (ScheduleError, SchemaError, ConfigError, mlp.ModelError) as exc:
+    except (ScheduleError, SchemaError, ConfigError, mlp.ModelError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ExperimentError, ManagerError, StoreError) as exc:

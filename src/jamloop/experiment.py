@@ -148,9 +148,7 @@ def run_experiment(cfg: ExperimentConfig, registry_dir: Path) -> ExperimentRepor
     # ---- Arm A: static baseline, trained once on the leading entries ----
     train_end_seq = segments[cfg.baseline_train_entries - 1].end_seq
     store_a = TelemetryStore()
-    for s in samples:
-        if s.seq <= train_end_seq:
-            store_a.append("kpi", s)
+    store_a.extend("kpi", [s for s in samples if s.seq <= train_end_seq])
     run_labeler(store_a, cfg.labeler)
     try:
         baseline_model, _ = mlp.train(labeled_dataset(store_a.join_labels()),

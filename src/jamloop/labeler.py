@@ -352,6 +352,5 @@ def run_labeler(store: TelemetryStore, cfg: LabelerConfig | None = None) -> None
     samples = [r.public() for r in store.window("kpi")]  # truth stripped here
     if samples:
         jammed = label_stream(np.array([s.snr_db for s in samples]), cfg.window_size)
-        for s, jam in zip(samples, jammed):
-            label = LABEL_INTERFERENCE if jam else LABEL_CLEAN
-            store.append("labels", LabeledSample(s.seq, label))
+        store.extend("labels", [LabeledSample(s.seq, LABEL_INTERFERENCE if jam else LABEL_CLEAN)
+                                for s, jam in zip(samples, jammed)])

@@ -288,8 +288,9 @@ class ClosedLoop:
     labels the window, and monitors/retrains every monitor_window newly
     labeled pairs. A swap happens only in that last step, so each sample
     meets the model that was deployed when it arrived; samples that arrive
-    before any model is deployed wait for the first one. All events land in
-    the transcript.
+    before any model is deployed wait for the first one. A window's
+    detections and labels go to the store in one `extend` call each. All
+    events land in the transcript.
     """
 
     def __init__(self, store: TelemetryStore, detector: DetectorXapp,
@@ -315,8 +316,7 @@ class ClosedLoop:
     def _flush_pending_detections(self) -> None:
         if self.detector.deployed_version is None:
             return
-        for rec in self.detector.infer_batch(self._pending):
-            self.store.append("detections", rec)
+        self.store.extend("detections", self.detector.infer_batch(self._pending))
         self._pending.clear()
 
     def process(self, kpi_sample) -> None:
@@ -340,8 +340,7 @@ class ClosedLoop:
         self._flush_pending_detections()
         labels, self.baseline = label_window(self._window_buf, self.baseline,
                                              self.labeler_cfg)
-        for lab in labels:
-            self.store.append("labels", lab)
+        self.store.extend("labels", labels)
         self._labeled_since_check += len(labels)
         self._window_buf = []
         if self._labeled_since_check >= self.cfg.monitor_window:

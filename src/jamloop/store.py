@@ -109,6 +109,24 @@ _RECORDS = {"kpi": (KpiSample, _validate_kpi),
 _SEQ = operator.attrgetter("seq")
 
 
+def _validate(stream: str, record) -> None:
+    """Raise `RecordInvalidError` unless `record` is a valid record of `stream`'s type."""
+    kind, check = _RECORDS[stream]
+    if not isinstance(record, kind):
+        raise RecordInvalidError(f"stream {stream!r} takes {kind.__name__} records, "
+                                 f"got {type(record).__name__}")
+    check(record)
+
+
+def _insert(stream: str, records: list, record) -> None:
+    """Bisect `record` into the seq-ordered `records`, unless its seq is there already."""
+    seq = record.seq
+    i = bisect.bisect_left(records, seq, key=_SEQ)
+    if i < len(records) and records[i].seq == seq:
+        raise DuplicateSeqError(f"stream {stream!r} already holds seq {seq}")
+    records.insert(i, record)
+
+
 def _bounds(records: list, from_seq: int, to_seq: int | None) -> tuple[int, int]:
     """Index range of the seq-ordered `records` with seq in [from_seq, to_seq]."""
     if to_seq is not None and from_seq > to_seq:
@@ -143,24 +161,41 @@ class TelemetryStore:
     def append(self, stream: str, record) -> int:
         """Append one valid record of the stream's type; returns the stream count after."""
         records = self._stream(stream)
-        kind, check = _RECORDS[stream]
-        if not isinstance(record, kind):
-            raise RecordInvalidError(f"stream {stream!r} takes {kind.__name__} records, "
-                                     f"got {type(record).__name__}")
-        check(record)
-        seq = record.seq
+        _validate(stream, record)
         with self._lock:
             if len(records) >= self.max_records:
-                raise StoreFullError(
-                    f"stream {stream!r} reached max_records={self.max_records}")
-            if not records or records[-1].seq < seq:
+                raise StoreFullError(f"stream {stream!r} reached max_records={self.max_records}")
+            if not records or records[-1].seq < record.seq:
                 records.append(record)
             else:
-                i = bisect.bisect_left(records, seq, key=_SEQ)
-                if records[i].seq == seq:
-                    raise DuplicateSeqError(f"stream {stream!r} already holds seq {seq}")
-                records.insert(i, record)
+                _insert(stream, records, record)
             return len(records)
+
+    def extend(self, stream: str, records) -> int:
+        """Append a batch of records, all or none; returns the stream count after.
+
+        Under one lock, a batch in increasing seq order past the last seq is one
+        `list.extend`, and any other is inserted in seq order. A record of another
+        type or an invalid one raises `RecordInvalidError`; past those checks, a
+        batch raises what its first failing `append` would. It then writes nothing.
+        """
+        stored, batch = self._stream(stream), list(records)
+        for record in batch:
+            _validate(stream, record)
+        seqs = [r.seq for r in batch]
+        with self._lock:
+            room = max(self.max_records - len(stored), 0)
+            if (len(batch) <= room and all(map(operator.lt, seqs, seqs[1:]))
+                    and (not stored or not seqs or stored[-1].seq < seqs[0])):
+                stored.extend(batch)
+                return len(stored)
+            merged = stored.copy()  # in batch order, so the first failing record decides
+            for record in batch[:room]:
+                _insert(stream, merged, record)
+            if len(batch) > room:
+                raise StoreFullError(f"stream {stream!r} reached max_records={self.max_records}")
+            stored[:] = merged
+            return len(stored)
 
     def window(self, stream: str, from_seq: int = 0, to_seq: int | None = None) -> list:
         """Records with seq in [from_seq, to_seq] by seq; to_seq None reads to the end."""
@@ -240,7 +275,10 @@ def atomic_writer(path: Path):
     """A text file to write `path` through: a sibling temporary file, renamed
     over `path` when the block ends and removed if it raises, so a writer
     that fails or dies part way leaves no partial file and an earlier `path` whole.
-    The file translates no newlines, as the csv module requires."""
+    The file translates no newlines, as the csv module requires, and a `path`
+    that is a directory raises `IsADirectoryError` before anything is written."""
+    if path.is_dir():
+        raise IsADirectoryError(f"{path} is a directory")
     tmp = path.with_name(path.name + ".tmp")
     try:
         with tmp.open("w", encoding="utf-8", newline="") as f:

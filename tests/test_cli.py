@@ -817,6 +817,46 @@ def test_output_path_that_is_a_file_exits_2(tmp_path, capsys, argv, name, out):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv", [["run-experiment"], ["deploy", "--model", "MODEL"]],
+                         ids=["run_experiment", "deploy"])
+def test_registry_path_that_is_a_file_exits_2(tmp_path, capsys, monkeypatch, argv):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before the registry path was checked")
+
+    monkeypatch.setattr(mlp, "train", no_training)
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "models").write_text("kept\n")
+    paths = {"MODEL": small_model(tmp_path)}
+    assert main(["--out", str(out), *(str(paths.get(a, a)) for a in argv)]) == EXIT_USAGE
+    assert f"error: out path {out / 'models'} is not a directory" in capsys.readouterr().err
+    assert (out / "models").read_text() == "kept\n"
+    assert [p.name for p in out.iterdir()] == ["models"]
+
+
+@pytest.mark.parametrize("argv,artifact", [
+    (["simulate", "--schedule", "SCHEDULE", "--with-truth"], "trace.jsonl"),
+    (["eval-labeler", "--trace", "TRACE"], "labeler_accuracy.csv"),
+    (["replay", "--trace", "TRACE", "--model", "MODEL"], "detections.csv"),
+], ids=["simulate", "eval_labeler", "replay"])
+def test_artifact_path_that_is_a_directory_exits_2(tmp_path, capsys, monkeypatch, argv,
+                                                   artifact):
+    _, trace = simulate(tmp_path, [{"id": 2, "duration_samples": 30}])
+
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("synthesized before the trace path was checked")
+
+    monkeypatch.setattr("jamloop.cli.synth_stream", no_synthesis)
+    out = tmp_path / "o"
+    (out / artifact).mkdir(parents=True)
+    paths = {"SCHEDULE": tmp_path / "schedule.yaml", "TRACE": trace,
+             "MODEL": small_model(tmp_path)}
+    assert main(["--out", str(out), *(str(paths.get(a, a)) for a in argv)]) == EXIT_USAGE
+    assert f"{out / artifact}" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == [artifact]
+    assert not any((out / artifact).iterdir())
+
+
 class TestArgErrors:
     @pytest.mark.parametrize("command", ["simulate", "run-experiment"])
     def test_negative_seed_exits_2(self, tmp_path, capsys, command):

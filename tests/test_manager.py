@@ -374,9 +374,9 @@ class TestRegistryJournal:
 
 
 def run_loop_over(ids, seed=3, duration=300, labeler_cfg=None, loop_cfg=None,
-                  registry_dir=None):
+                  registry_dir=None, store=None):
     sched = schedule_from_ids(ids, seed=seed, duration_samples=duration)
-    store = TelemetryStore()
+    store = store if store is not None else TelemetryStore()
     det = DetectorXapp()
     registry = ModelRegistry(registry_dir)
     loop = ClosedLoop(store, det, registry,
@@ -476,6 +476,30 @@ class TestClosedLoop:
             expected.append((rec.seq, rec.verdict, rec.model_version))
         got = [(d.seq, d.verdict, d.model_version) for d in store.window("detections")]
         assert got == expected
+
+    def test_batch_writes_match_per_record_appends(self, tmp_path):
+        class PerRecordStore(TelemetryStore):
+            extends = 0
+
+            def extend(self, stream, records):
+                self.extends += 1
+                for r in records:
+                    self.append(stream, r)
+                return self.count(stream)
+
+        runs = [run_loop_over([2, 1, 2, 7, 8], seed=9, registry_dir=tmp_path / name,
+                              store=store)
+                for name, store in (("batched", TelemetryStore()),
+                                    ("per_record", PerRecordStore()))]
+        (batched, _, _, transcript), (per_record, _, _, per_record_transcript) = runs
+        assert per_record.extends > 0
+        assert transcript == per_record_transcript
+        assert batched.window("kpi") == per_record.window("kpi")
+        assert batched.window("labels") == per_record.window("labels")
+        # a detection's latency_us is a measured time; every other field must agree
+        assert ([d._replace(latency_us=0) for d in batched.window("detections")]
+                == [d._replace(latency_us=0) for d in per_record.window("detections")])
+        assert batched.count("detections") == batched.count("kpi") == 1500
 
     def test_loop_never_reads_truth(self, tmp_path):
         # the loop's label/detect path operates on FeatureSample views only

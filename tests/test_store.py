@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jamloop.scenarios import FeatureSample, KpiSample, iter_stream, schedule_from_ids
 from jamloop.store import (DetectionRecord, DuplicateSeqError, LabeledSample,
@@ -134,6 +135,103 @@ class TestAppend:
         with pytest.raises(StoreFullError):
             small.append("kpi", kpi(3))
         assert small.count("kpi") == 3
+
+
+RECORD_OF = {"kpi": kpi, "labels": label,
+             "detections": lambda seq: DetectionRecord(seq, 0.5, LABEL_CLEAN, 1, 3)}
+
+
+def contents(store):
+    return {name: store.window(name) for name in RECORD_OF}
+
+
+class TestExtend:
+    @settings(max_examples=300, deadline=None)
+    @given(stream=st.sampled_from(sorted(RECORD_OF)),
+           stored=st.lists(st.integers(0, 30), unique=True, max_size=12),
+           batch=st.lists(st.integers(0, 30), max_size=12),
+           max_records=st.integers(0, 25))
+    def test_same_as_appends_or_raises_first_append_error(self, stream, stored, batch,
+                                                          max_records):
+        stores = []
+        for _ in range(2):
+            s = TelemetryStore()
+            for name, make in RECORD_OF.items():
+                for seq in stored:
+                    s.append(name, make(seq))
+            s.max_records = max_records
+            stores.append(s)
+        batched, appended = stores
+        before = contents(batched)
+        records = [RECORD_OF[stream](seq) for seq in batch]
+        error = None
+        for r in records:
+            try:
+                appended.append(stream, r)
+            except Exception as exc:
+                error = type(exc)
+                break
+        if error is None:
+            assert batched.extend(stream, records) == appended.count(stream)
+            assert contents(batched) == contents(appended)
+        else:
+            with pytest.raises(error):
+                batched.extend(stream, records)
+            assert contents(batched) == before
+
+    def test_empty_batch_returns_count(self, store):
+        assert store.extend("kpi", []) == 0
+        store.append("kpi", kpi(4))
+        assert store.extend("kpi", ()) == 1
+        assert store.window("kpi") == [kpi(4)]
+
+    def test_in_order_batch_after_last_seq(self, store):
+        store.append("kpi", kpi(0))
+        assert store.extend("kpi", (kpi(i) for i in range(1, 5))) == 5
+        assert store.window("kpi") == [kpi(i) for i in range(5)]
+
+    def test_record_of_another_type_writes_nothing(self, store):
+        with pytest.raises(RecordInvalidError, match="stream 'kpi' takes .* got LabeledSample"):
+            store.extend("kpi", [kpi(0), label(1), kpi(2)])
+        assert store.count("kpi") == 0
+
+    def test_invalid_last_record_writes_nothing(self, store):
+        with pytest.raises(RecordInvalidError, match="bler"):
+            store.extend("kpi", [kpi(0), kpi(1), kpi(2, bler=1.5)])
+        assert store.count("kpi") == 0
+
+    def test_seq_repeated_in_batch_writes_nothing(self, store):
+        with pytest.raises(DuplicateSeqError, match="seq 1"):
+            store.extend("labels", [label(1), label(2), label(1)])
+        assert store.count("labels") == 0
+
+    def test_stored_seq_writes_nothing(self, store):
+        store.extend("labels", [label(i) for i in range(5)])
+        with pytest.raises(DuplicateSeqError, match="seq 4"):
+            store.extend("labels", [label(5), label(6), label(4)])
+        assert [r.seq for r in store.window("labels")] == list(range(5))
+
+    def test_out_of_order_batch_interleaves_stored_seqs(self, store):
+        for i in (2, 5, 8):
+            store.append("kpi", kpi(i))
+        batch = [kpi(9, snr=1.0), kpi(0, snr=2.0), kpi(6, snr=3.0), kpi(3, snr=4.0)]
+        assert store.extend("kpi", batch) == 7
+        assert store.window("kpi") == sorted([kpi(2), kpi(5), kpi(8), *batch],
+                                             key=lambda r: r.seq)
+        assert store.max_seq("kpi") == 9
+
+    def test_batch_past_capacity_writes_nothing(self):
+        small = TelemetryStore(max_records=5)
+        small.extend("kpi", [kpi(i) for i in range(3)])
+        with pytest.raises(StoreFullError, match="max_records=5"):
+            small.extend("kpi", [kpi(i) for i in range(3, 6)])
+        assert small.count("kpi") == 3
+        assert small.extend("kpi", [kpi(4), kpi(3)]) == 5
+
+    def test_unknown_stream(self, store):
+        for batch in ([kpi(0)], []):
+            with pytest.raises(UnknownStreamError):
+                store.extend("nope", batch)
 
 
 class TestWindow:
@@ -368,6 +466,14 @@ class TestRoundTrip:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["det.csv"]
 
+    def test_directory_path_refused_before_writing(self, tmp_path):
+        path = tmp_path / "det.csv"
+        path.mkdir()
+        with pytest.raises(IsADirectoryError, match="det.csv"):
+            write_detections(path, [DetectionRecord(0, 0.5, LABEL_CLEAN, 1, 7)])
+        assert [p.name for p in tmp_path.iterdir()] == ["det.csv"]
+        assert path.is_dir()
+
 
 class TestConcurrency:
     def test_concurrent_appenders_distinct_streams(self, store):
@@ -388,6 +494,36 @@ class TestConcurrency:
             t.join()
         assert store.count("kpi") == 500
         assert store.count("labels") == 500
+
+    def test_interleaved_batches_one_stream(self, store):
+        # two writers' increasing batches take turns along the seq axis, so
+        # most batches are inserted between the other writer's records
+        import sys
+        import threading
+        n_batches, size = 40, 25
+        errors = []
+
+        def put(k):
+            try:
+                for b in range(n_batches):
+                    store.extend("labels", [label(2 * (b * size + i) + k)
+                                            for i in range(size)])
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            writers = [threading.Thread(target=put, args=(k,)) for k in range(2)]
+            for t in writers:
+                t.start()
+            for t in writers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in writers)
+        assert not errors
+        assert [r.seq for r in store.window("labels")] == list(range(2 * n_batches * size))
 
     def test_interleaved_out_of_order_appenders_one_stream(self, store):
         # each thread's seqs land between the others': in-order appends and
