@@ -17,7 +17,7 @@ import numpy as np
 from . import mlp
 from .config import ConfigError, load_config
 from .detector import DetectorXapp
-from .experiment import (ExperimentError, default_experiment_config,
+from .experiment import (ARTIFACTS, ExperimentError, default_experiment_config,
                          labeler_accuracy_by_scenario, run_experiment)
 from .labeler import label_stream
 from .manager import ManagerError, ModelRegistry
@@ -32,6 +32,9 @@ EXIT_USAGE = 2
 # per command, the arguments that name an input file
 INPUT_FILES = {"simulate": ("schedule",), "eval-labeler": ("trace",),
                "replay": ("model", "trace"), "deploy": ("model",)}
+# per command, the files it writes under --out
+OUTPUT_FILES = {"simulate": ("trace.jsonl",), "eval-labeler": ("labeler_accuracy.csv",),
+                "replay": ("detections.csv",), "run-experiment": ARTIFACTS}
 
 
 def registry_dir(args) -> Path:
@@ -85,8 +88,10 @@ def cmd_simulate(args, cfg) -> int:
     trace_path = args.out / "trace.jsonl"
     # a run that fails part way leaves no partial trace, and an earlier trace whole
     with atomic_writer(trace_path) as f:
-        def sink(s: KpiSample) -> None:
-            f.write(trace_line(s, args.with_truth) + "\n")
+        def sink(s: KpiSample) -> tuple[str, str]:
+            reprs = repr(s.snr_db), repr(s.bler)  # the digest reuses them
+            f.write(trace_line(s, args.with_truth, reprs) + "\n")
+            return reprs
         summary = synth_stream(schedule, cfg.engine, sink)
     print(f"wrote {summary.n_samples} samples to {trace_path} "
           f"(digest {summary.digest[:12]})")
@@ -196,6 +201,10 @@ def main(argv: list[str] | None = None) -> int:
     if not existing.is_dir():
         print(f"error: {out_name} path {existing} is not a directory", file=sys.stderr)
         return EXIT_USAGE
+    for path in (args.out / name for name in OUTPUT_FILES.get(args.command, ())):
+        if path.is_dir():
+            print(f"error: {path} is a directory", file=sys.stderr)
+            return EXIT_USAGE
     handlers = {
         "simulate": cmd_simulate,
         "eval-labeler": cmd_eval_labeler,

@@ -26,6 +26,8 @@ from .scenarios import (ChannelParams, KpiSample, ScenarioSchedule, Segment,
 from .store import LABEL_CLEAN, LABEL_INTERFERENCE, TelemetryStore, atomic_writer
 
 _SEQ = operator.attrgetter("seq")
+ARTIFACTS = ("accuracy_by_window.csv", "accuracy_by_window.dat", "plot_accuracy.gp",
+             "labeler_by_scenario.csv", "transcript.jsonl", "report.json")
 
 
 class ExperimentError(Exception):
@@ -201,7 +203,7 @@ def run_experiment(cfg: ExperimentConfig, registry_dir: Path) -> ExperimentRepor
 
 
 def write_artifacts(report: ExperimentReport, out_dir: Path) -> None:
-    """Write the six artifacts into `out_dir`. The JSON ones are rendered
+    """Write the six `ARTIFACTS` into `out_dir`. The JSON ones are rendered
     before any file is opened, and each file goes through `atomic_writer`,
     so a report that cannot be written leaves an earlier run's files whole."""
     out_dir = Path(out_dir)

@@ -10,13 +10,15 @@ a noise floor is INTERFERENCE. A jammer too weak to depress SINR
 resolvably is reported CLEAN.
 
 The online path, `label_window`, must emit a label for each window as it
-arrives. Each non-overlapping window is standardized on (snr_db, bler) and
-split by 2-means: a window of up to `EXHAUSTIVE_KMEANS_MAX` samples gets its
-optimal partition, every candidate scored in one array operation, and a
-larger one Lloyd iterations from centroids seeded at its min- and max-SNR
-samples. Windows whose centroid SNR separation falls under
-`SEPARATION_MIN_DB` are treated as homogeneous and classed as a whole
-against the median of a running clean-SNR baseline less
+arrives. A non-overlapping window whose SNR range, plus a bound on rounding,
+is under `SEPARATION_MIN_DB` is one class: no split can put two cluster mean
+SNRs further apart than the range. Any other window is standardized on
+(snr_db, bler) and split by 2-means: a window of up to `EXHAUSTIVE_KMEANS_MAX`
+samples gets its optimal partition, every candidate scored in one array
+operation, and a larger one Lloyd iterations from centroids seeded at its
+min- and max-SNR samples. A split whose centroid SNR separation falls under
+`SEPARATION_MIN_DB` is one class too. A one-class window is classed as a
+whole against the median of a running clean-SNR baseline less
 `BASELINE_OFFSET_DB`; with no baseline yet, the window is trusted as clean.
 A short median filter smooths per-sample labels near cluster boundaries.
 The closed loop labels through this path.
@@ -83,8 +85,25 @@ class BaselineState:
         if len(self._recent) > self.MAX_RECENT:
             self._recent = self._recent[-self.MAX_RECENT:]
         self.sample_count += len(clean_snrs)
-        # np.median can differ from this in the last bit
-        self.clean_snr_median_db = float(np.quantile(self._recent, 0.5))
+        self.clean_snr_median_db = _quantile_half(self._recent)
+
+
+def _quantile_half(values: list[float]) -> float:
+    """`float(np.quantile(values, 0.5))` bit for bit: numpy's partition, then its `_lerp`."""
+    v = (len(values) - 1) * 0.5
+    lo, hi = (int(v), int(v) + 1) if len(values) > 1 else (-1, -1)
+    part = np.partition(values, sorted({0, -1, lo, hi}))  # NaN sorts last
+    a, b, t = float(part[lo]), float(part[hi]), v - lo
+    return (math.nan if math.isnan(part[-1])
+            else b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+
+
+def _median(values: np.ndarray) -> float:
+    """`float(np.median(values))` bit for bit: numpy's partition, then its mean."""
+    k, odd = divmod(len(values), 2)
+    part = np.partition(values, [k, -1] if odd else [k - 1, k, -1])
+    return (math.nan if math.isnan(part[-1])
+            else float(0.0 + part[k] if odd else (0.0 + part[k - 1] + part[k]) / 2))
 
 
 def _standardize(values: np.ndarray) -> np.ndarray:
@@ -115,21 +134,20 @@ def _exhaustive_two_means(points: np.ndarray) -> np.ndarray:
 
 
 def _lloyd_two_means(points: np.ndarray, snr_col: np.ndarray) -> np.ndarray:
-    """Lloyd iterations from deterministic min/max-SNR centroid seeds."""
-    c0 = points[int(np.argmin(snr_col))].copy()
-    c1 = points[int(np.argmax(snr_col))].copy()
+    """Lloyd iterations from deterministic min/max-SNR centroid seeds. `np.bincount`
+    sums each cluster's columns in row order, as `points[mask].mean(axis=0)` does."""
+    x, y = points[:, 0], points[:, 1]
+    (x0, y0), (x1, y1) = points[int(np.argmin(snr_col))], points[int(np.argmax(snr_col))]
     assign = np.zeros(len(points), dtype=int)
     for it in range(100):
-        d0 = ((points - c0) ** 2).sum(axis=1)
-        d1 = ((points - c1) ** 2).sum(axis=1)
-        new_assign = (d1 < d0).astype(int)
+        new_assign = ((x - x1) ** 2 + (y - y1) ** 2 < (x - x0) ** 2 + (y - y0) ** 2).astype(int)
         if it > 0 and np.array_equal(new_assign, assign):
             break
         assign = new_assign
-        if assign.min() == assign.max():  # collapsed: keep seeds split
+        size = np.bincount(assign, minlength=2)
+        if not size.all():  # collapsed: keep seeds split
             break
-        c0 = points[assign == 0].mean(axis=0)
-        c1 = points[assign == 1].mean(axis=0)
+        (x0, x1), (y0, y1) = np.bincount(assign, x, 2) / size, np.bincount(assign, y, 2) / size
     return assign
 
 
@@ -161,11 +179,14 @@ def label_window(samples: list[FeatureSample], baseline: BaselineState,
         raise LabelerError("window samples must be strictly ordered by seq")
 
     snr = np.array([s.snr_db for s in samples])
-    raw = np.column_stack([snr, np.array([s.bler for s in samples])])
-    std = _standardize(raw)
-
-    single_class = len(samples) < 4
+    lo, hi = float(snr.min()), float(snr.max())
+    # no split's cluster means are further apart than hi - lo; rounding the two
+    # means and their difference adds under 2 n eps max|snr|, here doubled
+    bound = hi - lo + 4 * len(samples) * math.ulp(1.0) * max(-lo, hi)
+    single_class = len(samples) < 4 or bound < SEPARATION_MIN_DB
     if not single_class:
+        raw = np.column_stack([snr, np.array([s.bler for s in samples])])
+        std = _standardize(raw)
         assign = two_means(std, std[:, 0])
         if 0 < assign.sum() < len(assign):
             mean_snr = [snr[assign == c].mean() for c in (0, 1)]
@@ -175,7 +196,7 @@ def label_window(samples: list[FeatureSample], baseline: BaselineState,
             single_class = True
 
     if single_class:
-        window_median = float(np.median(snr))
+        window_median = _median(snr)
         if baseline.sample_count > 0:
             gap = window_median - (baseline.clean_snr_median_db - BASELINE_OFFSET_DB)
             is_interference = gap < 0

@@ -258,8 +258,9 @@ class StreamSummary:
     digest: str
 
 
-def _sample_digest_update(h, s: KpiSample) -> None:
-    h.update(f"{s.seq},{s.ts_ms},{s.snr_db!r},{s.mcs},{s.bler!r},{int(s.truth_interference)};"
+def _sample_digest_update(h, s: KpiSample, snr_db: str, bler: str) -> None:
+    """Add one sample to the stream digest; `snr_db` and `bler` are its floats' reprs."""
+    h.update(f"{s.seq},{s.ts_ms},{snr_db},{s.mcs},{bler},{int(s.truth_interference)};"
              .encode("ascii"))
 
 
@@ -292,10 +293,13 @@ def iter_stream(schedule: ScenarioSchedule,
 
 
 def synth_stream(schedule: ScenarioSchedule, params: ChannelParams | None = None,
-                 sink: Callable[[KpiSample], None] | None = None) -> StreamSummary:
+                 sink: Callable[[KpiSample], object] | None = None) -> StreamSummary:
     """Run the generator to completion, feeding each sample to the sink.
 
-    An exception the sink raises ends the stream and propagates unchanged.
+    A sink that formats the sample's floats may return the pair
+    `(repr(snr_db), repr(bler))`, which the digest then reuses; any value
+    that is not a tuple is ignored. An exception the sink raises ends the
+    stream and propagates unchanged.
     """
     ends = itertools.accumulate(spec.duration_samples for spec in schedule.entries)
     segments = [Segment(spec.id, spec.event, end - spec.duration_samples, end - 1)
@@ -303,8 +307,10 @@ def synth_stream(schedule: ScenarioSchedule, params: ChannelParams | None = None
     h = hashlib.sha256()
     n = 0
     for sample in iter_stream(schedule, params):
-        if sink is not None:
-            sink(sample)
-        _sample_digest_update(h, sample)
+        reprs = sink(sample) if sink is not None else None
+        if type(reprs) is tuple:
+            _sample_digest_update(h, sample, *reprs)
+        else:
+            _sample_digest_update(h, sample, repr(sample.snr_db), repr(sample.bler))
         n += 1
     return StreamSummary(n_samples=n, segments=segments, digest=h.hexdigest())

@@ -255,16 +255,19 @@ def _kpi_from_wire(row: dict) -> KpiSample:
                      real(row["bler"], "bler"), truth)
 
 
-def trace_line(sample: KpiSample, with_truth: bool = True) -> str:
+def trace_line(sample: KpiSample, with_truth: bool = True,
+               reprs: tuple[str, str] | None = None) -> str:
     """One KPI sample as its JSONL trace line, without the newline.
 
     The bytes are those of `json.dumps` on the object {"seq", "ts_ms",
     "snr_db", "mcs", "bler"[, "truth"]}: json writes an int with `repr` and a
     finite float with `float.__repr__`, as this f-string does. The sample's
     floats must be finite, as every stored or synthesized sample's are.
+    `reprs`, if given, is `(repr(sample.snr_db), repr(sample.bler))`.
     """
+    snr_db, bler = reprs or (repr(sample.snr_db), repr(sample.bler))
     line = (f'{{"seq": {sample.seq!r}, "ts_ms": {sample.ts_ms!r}, '
-            f'"snr_db": {sample.snr_db!r}, "mcs": {sample.mcs!r}, "bler": {sample.bler!r}')
+            f'"snr_db": {snr_db}, "mcs": {sample.mcs!r}, "bler": {bler}')
     if with_truth:
         return line + (', "truth": true}' if sample.truth_interference else ', "truth": false}')
     return line + "}"

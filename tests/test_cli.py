@@ -12,6 +12,7 @@ import yaml
 from jamloop import mlp
 from jamloop.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
 from jamloop.config import load_config
+from jamloop.experiment import ARTIFACTS
 from jamloop.manager import ModelRegistry
 from jamloop.mlp import TrainConfig
 
@@ -179,10 +180,10 @@ class TestSimulate:
         trace = out / "trace.jsonl"
 
         def failing_at(k):
-            def trace_line(sample, with_truth=True):
+            def trace_line(sample, *args):
                 if sample.seq == k:
                     raise RuntimeError(f"sink failed at sample {k}")
-                return real_trace_line(sample, with_truth)
+                return real_trace_line(sample, *args)
             return trace_line
 
         real_trace_line = cli.trace_line
@@ -649,10 +650,8 @@ class TestRunExperiment:
         code = main(["--config", str(cfg), "--seed", "11", "--out", str(out),
                      "run-experiment"])
         assert code == EXIT_OK
-        for name in ("accuracy_by_window.csv", "accuracy_by_window.dat",
-                     "plot_accuracy.gp", "labeler_by_scenario.csv",
-                     "transcript.jsonl", "report.json"):
-            assert (out / name).exists(), name
+        # cli checks these names up front, so they must be every file the run writes
+        assert sorted(p.name for p in out.iterdir()) == sorted([*ARTIFACTS, "models"])
         with (out / "accuracy_by_window.csv").open() as f:
             rows = list(csv.DictReader(f))
         assert len(rows) == 9  # 18 scenarios paired into 9 windows
@@ -838,15 +837,20 @@ def test_registry_path_that_is_a_file_exits_2(tmp_path, capsys, monkeypatch, arg
     (["simulate", "--schedule", "SCHEDULE", "--with-truth"], "trace.jsonl"),
     (["eval-labeler", "--trace", "TRACE"], "labeler_accuracy.csv"),
     (["replay", "--trace", "TRACE", "--model", "MODEL"], "detections.csv"),
-], ids=["simulate", "eval_labeler", "replay"])
+    (["run-experiment"], "report.json"),
+    (["run-experiment"], "transcript.jsonl"),
+], ids=["simulate", "eval_labeler", "replay", "run_experiment_report",
+        "run_experiment_transcript"])
 def test_artifact_path_that_is_a_directory_exits_2(tmp_path, capsys, monkeypatch, argv,
                                                    artifact):
     _, trace = simulate(tmp_path, [{"id": 2, "duration_samples": 30}])
 
-    def no_synthesis(*args, **kwargs):
-        raise AssertionError("synthesized before the trace path was checked")
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked before the artifact path was checked")
 
-    monkeypatch.setattr("jamloop.cli.synth_stream", no_synthesis)
+    monkeypatch.setattr("jamloop.cli.synth_stream", no_work)
+    monkeypatch.setattr("jamloop.experiment.synth_stream", no_work)
+    monkeypatch.setattr(mlp, "train", no_work)
     out = tmp_path / "o"
     (out / artifact).mkdir(parents=True)
     paths = {"SCHEDULE": tmp_path / "schedule.yaml", "TRACE": trace,

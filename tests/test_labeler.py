@@ -1,12 +1,20 @@
+import functools
 import itertools
+import math
+import random
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from jamloop.labeler import (BaselineState, LabelerConfig, LabelerError, _median_filter_labels,
-                             _standardize, label_window, run_labeler, two_means)
-from jamloop.scenarios import SCENARIO_CATALOG, FeatureSample, schedule_from_ids, synth_stream
-from jamloop.store import (LABEL_CLEAN, LABEL_INTERFERENCE, TelemetryStore)
+from jamloop.labeler import (BASELINE_OFFSET_DB, EXHAUSTIVE_KMEANS_MAX, SEPARATION_MIN_DB,
+                             BaselineState, LabelerConfig, LabelerError, _exhaustive_two_means,
+                             _median, _median_filter_labels, _quantile_half, _standardize,
+                             label_window, run_labeler, two_means)
+from jamloop.scenarios import (SCENARIO_CATALOG, FeatureSample, ScenarioSchedule,
+                               schedule_from_ids, synth_stream)
+from jamloop.store import LABEL_CLEAN, LABEL_INTERFERENCE, LabeledSample, TelemetryStore
 
 
 def feature(seq, snr, bler=0.1, mcs=10):
@@ -216,6 +224,262 @@ class TestMatchesReplacedLoops:
             for hw in range(6):
                 assert np.array_equal(_median_filter_labels(labels, hw),
                                       reference_median_filter(labels, hw))
+
+
+def reference_lloyd_two_means(points, snr_col):
+    """`_lloyd_two_means` before its distances went by column and its centroids by bincount."""
+    c0 = points[int(np.argmin(snr_col))].copy()
+    c1 = points[int(np.argmax(snr_col))].copy()
+    assign = np.zeros(len(points), dtype=int)
+    for it in range(100):
+        d0 = ((points - c0) ** 2).sum(axis=1)
+        d1 = ((points - c1) ** 2).sum(axis=1)
+        new_assign = (d1 < d0).astype(int)
+        if it > 0 and np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        if assign.min() == assign.max():
+            break
+        c0 = points[assign == 0].mean(axis=0)
+        c1 = points[assign == 1].mean(axis=0)
+    return assign
+
+
+def reference_label_window(samples, baseline, cfg):
+    """`label_window` before the range rule: every window of 4 or more samples is
+    standardized and split, with `np.median` for a one-class window and
+    `np.quantile` for the baseline."""
+    cfg.validate()
+    if not samples:
+        raise LabelerError("cannot label an empty window")
+    seqs = [s.seq for s in samples]
+    if any(b <= a for a, b in zip(seqs, seqs[1:])):
+        raise LabelerError("window samples must be strictly ordered by seq")
+    snr = np.array([s.snr_db for s in samples])
+    raw = np.column_stack([snr, np.array([s.bler for s in samples])])
+    std = _standardize(raw)
+    single_class = len(samples) < 4
+    if not single_class:
+        assign = (_exhaustive_two_means(std) if len(std) <= EXHAUSTIVE_KMEANS_MAX
+                  else reference_lloyd_two_means(std, std[:, 0]))
+        if 0 < assign.sum() < len(assign):
+            mean_snr = [snr[assign == c].mean() for c in (0, 1)]
+            single_class = abs(mean_snr[0] - mean_snr[1]) < SEPARATION_MIN_DB
+        else:
+            single_class = True
+    if single_class:
+        window_median = float(np.median(snr))
+        is_interference = (baseline.sample_count > 0 and window_median
+                           - (baseline.clean_snr_median_db - BASELINE_OFFSET_DB) < 0)
+        flags = np.full(len(samples), 1 if is_interference else 0)
+    else:
+        if mean_snr[0] != mean_snr[1]:
+            jam_cluster = 0 if mean_snr[0] < mean_snr[1] else 1
+        else:
+            mean_bler = [raw[assign == c, 1].mean() for c in (0, 1)]
+            jam_cluster = 0 if mean_bler[0] > mean_bler[1] else 1
+        flags = _median_filter_labels((assign == jam_cluster).astype(int),
+                                      cfg.smoothing_halfwidth)
+    out = [LabeledSample(s.seq, LABEL_INTERFERENCE if f else LABEL_CLEAN)
+           for s, f in zip(samples, flags.tolist())]
+    new = replace(baseline, _recent=list(baseline._recent))
+    clean = snr[flags == 0].tolist()
+    if clean:
+        new._recent = (new._recent + clean)[-BaselineState.MAX_RECENT:]
+        new.sample_count += len(clean)
+        new.clean_snr_median_db = float(np.quantile(new._recent, 0.5))
+    return out, new
+
+
+def hexes(baseline):
+    return (baseline.clean_snr_median_db.hex(), baseline.sample_count,
+            [float(x).hex() for x in baseline._recent])
+
+
+def assert_labels_as_reference(windows, cfg=CFG):
+    """Run both labelers over `windows` in turn, each carrying its own baseline, and
+    require the same labels, the same baseline bits, or the same exception."""
+    ours, ref = BaselineState(), BaselineState()
+    for i, window in enumerate(windows):
+        try:
+            want = reference_label_window(window, ref, cfg)
+        except Exception as exc:  # noqa: BLE001 - the reference's exception is the spec
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                label_window(window, ours, cfg)
+            continue
+        got = label_window(window, ours, cfg)
+        assert got[0] == want[0], f"window {i}"
+        assert hexes(got[1]) == hexes(want[1]), f"window {i}"
+        ours, ref = got[1], want[1]
+
+
+def duty_cycled_schedule(period, seed):
+    """600 clean samples of scenario 8; 3,000 of scenario 7 (jammed, 6.2 dB below)
+    and 8 alternating every `period` samples; then 1,200 of scenarios 2 and 1
+    alternating every 300."""
+    parts = [schedule_from_ids([8], seed, 600),
+             schedule_from_ids([7, 8] * (1500 // period), seed, period),
+             schedule_from_ids([2, 1] * 2, seed, 300)]
+    return ScenarioSchedule([e for part in parts for e in part.entries], seed)
+
+
+@functools.cache
+def pin_streams(seed):
+    """The feature samples of each stream the reference pin covers."""
+    catalog = list(range(1, len(SCENARIO_CATALOG) + 1))
+    shuffled = catalog * 2
+    random.Random(seed).shuffle(shuffled)
+    schedules = [schedule_from_ids([2, 3] * 2, seed, 1050),  # steady-like
+                 schedule_from_ids(catalog * 2, seed, 100),
+                 schedule_from_ids(catalog * 2, seed, 300),
+                 schedule_from_ids(shuffled, seed, 100),
+                 duty_cycled_schedule(20, seed)]
+    streams = []
+    for schedule in schedules:
+        samples = []
+        synth_stream(schedule, sink=lambda s: samples.append(s.public()))
+        streams.append(samples)
+    return streams
+
+
+def cut(samples, size, limit):
+    """The stream's `size`-sample windows; past `limit` of them, every window whose
+    SNR spans 2 dB or more and an even spread of the others, in stream order."""
+    windows = [samples[i:i + size] for i in range(0, len(samples), size)]
+    if len(windows) <= limit:
+        return windows
+    wide = [i for i, w in enumerate(windows)
+            if max(s.snr_db for s in w) - min(s.snr_db for s in w) >= 2.0]
+    keep = set(wide[:limit // 2])
+    keep |= set(range(0, len(windows), max(1, len(windows) // (limit - len(keep)))))
+    return [windows[i] for i in sorted(keep)]
+
+
+def built(snrs, blers=None, seq0=0):
+    blers = blers or [0.1] * len(snrs)
+    return [feature(seq0 + i, snr, bler) for i, (snr, bler) in enumerate(zip(snrs, blers))]
+
+
+def ulps(x, k):
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.inf if k > 0 else -math.inf)
+    return x
+
+
+class TestMatchesReferenceLabelWindow:
+    """The range rule, the bincount Lloyd and the partition median and quantile
+    give the earlier `label_window`'s labels and baseline bits, window by window."""
+
+    # windows per stream; the exhaustive solver takes about 10 ms for 16 samples
+    LIMITS = {4: 60, 16: 8, 17: 60, 37: 60, 100: 110}
+
+    @pytest.mark.parametrize("size", sorted(LIMITS))
+    @pytest.mark.parametrize("seed", [3, 7, 11])
+    def test_streams(self, seed, size, monkeypatch):
+        splits = []
+
+        def counted(points, snr_col):
+            splits.append(len(points))
+            return two_means(points, snr_col)
+
+        monkeypatch.setattr("jamloop.labeler.two_means", counted)
+        windows = 0
+        for samples in pin_streams(seed):
+            cut_windows = cut(samples, size, self.LIMITS[size])
+            assert_labels_as_reference(cut_windows, LabelerConfig(window_size=size))
+            windows += len(cut_windows)
+        # both paths ran: windows the range rule decided, and windows it split
+        assert 0 < len(splits) < windows
+
+    @pytest.mark.parametrize("lo,hi,n_lo,n_hi", [
+        (14.84, 18.839999999999996, 57, 39), (36.4, 40.39999999999999, 13, 30),
+        (-10.79, -6.79, 38, 8), (3.49, 7.489999999999999, 34, 56)])
+    def test_rounded_means_reach_the_separation(self, lo, hi, n_lo, n_hi):
+        # the range is under 4 dB, but the computed cluster means lie 4 dB or
+        # more apart, so the window splits: the range alone cannot decide it
+        assert hi - lo < SEPARATION_MIN_DB
+        assert np.mean([hi] * n_hi) - np.mean([lo] * n_lo) >= SEPARATION_MIN_DB
+        window = built([lo] * n_lo + [hi] * n_hi)
+        labels, _ = label_window(window, BaselineState(), CFG)
+        assert labels[0].label != labels[-1].label
+        assert_labels_as_reference([window])
+
+    def test_range_at_the_separation(self):
+        for k in range(-2, 3):
+            for n in (4, 17, 100):
+                lo = 10.0
+                hi = ulps(lo + SEPARATION_MIN_DB, k)
+                for snrs in ([lo] * (n // 2) + [hi] * (n - n // 2),
+                             [hi] * (n - 1) + [lo],
+                             [lo + (hi - lo) * i / (n - 1) for i in range(n)]):
+                    assert_labels_as_reference([built(snrs)])
+
+    def test_baseline_between_two_levels(self):
+        # the baseline's two middle values are 0.43 and 2.04, where numpy's
+        # interpolation, 2.04 - (2.04 - 0.43) * 0.5, and (0.43 + 2.04) / 2 round apart
+        assert (0.43 + 2.04) / 2 != 2.04 - (2.04 - 0.43) * 0.5
+        assert_labels_as_reference([built([0.43] * 50), built([2.04] * 50, seq0=50),
+                                    built([1.5] * 20, seq0=100)])
+
+    def test_range_near_the_separation_after_a_baseline(self):
+        baseline_window = built([20.0] * 100)
+        for k in range(-2, 3):
+            for lo in (0.0, 15.0, -30.0, 1e3):
+                hi = ulps(lo + SEPARATION_MIN_DB, k)
+                snrs = [lo, hi] * 50
+                assert_labels_as_reference([baseline_window, built(snrs, seq0=100)])
+
+    @pytest.mark.parametrize("snrs", [
+        [5.0] * 7, [0.0] * 8, [-0.0] * 8, [-0.0, 0.0] * 4, [0.0, -0.0, -0.0] * 3,
+        [-0.0] * 9, [1e15, 1e15 + 4.0, 1e15 + 2.0, 1e15 + 8.0] * 5,
+        [1e15, 1e15 + 2.0, 1e15 + 1.0, 1e15 + 3.0] * 5,
+        [1e15] * 20, [1e300, -1e300, 1e300, 0.0] * 5, [1e300] * 16, [-1e300] * 17,
+        [1.0, 2.0, math.nan, 3.0] * 5, [math.nan] * 6, [10.0, math.inf, 12.0, 11.0] * 5,
+        [-math.inf, 10.0, 12.0, 11.0] * 5, [math.inf, -math.inf] * 3, [math.inf] * 5,
+    ], ids=lambda snrs: repr(snrs[:4]))
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_built_windows(self, snrs, warm):
+        windows = [built(snrs, seq0=100)]
+        if warm:
+            windows.insert(0, built([20.0, 20.5, 19.5] * 30))
+        with np.errstate(all="ignore"):
+            assert_labels_as_reference(windows + [built([21.0] * 40, seq0=200)])
+
+    def test_random_windows_around_the_separation(self):
+        rng = np.random.default_rng(1)
+        for n in (4, 5, 16, 17, 40):
+            for spread in (0.5, 3.9, 4.0, 4.1, 9.0):
+                snrs = (10.0 + spread * rng.random(n)).tolist()
+                for blers in ([0.1] * n, rng.random(n).tolist(), [-0.0] * n):
+                    assert_labels_as_reference([built(snrs, blers)])
+
+    def test_unordered_and_empty_windows_raise_as_reference(self):
+        assert_labels_as_reference([built([1.0, 2.0]), [feature(5, 1.0), feature(4, 2.0)]])
+        assert_labels_as_reference([[]])
+
+
+def statistic_inputs():
+    rng = np.random.default_rng(2)
+    for n in range(1, 70):
+        yield rng.normal(0, 5, n).tolist()
+        yield rng.integers(-2, 3, n).astype(float).tolist()  # ties
+        yield [-0.0] * n
+        yield ([0.0, -0.0] * n)[:n]
+        yield (rng.normal(0, 5, n).tolist() + [math.nan, math.inf, -math.inf])[-n:]
+        yield [1e308] * n
+
+
+class TestMatchesNumpyStatistics:
+    def test_quantile_half(self):
+        with np.errstate(all="ignore"):
+            for values in statistic_inputs():
+                assert _quantile_half(values).hex() == float(np.quantile(values, 0.5)).hex()
+
+    def test_median(self):
+        with np.errstate(all="ignore"):
+            for values in statistic_inputs():
+                values = np.array(values)
+                assert _median(values).hex() == float(np.median(values)).hex()
 
 
 class TestRunLabeler:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from jamloop.detector import DetectorXapp
-from jamloop.labeler import LabelerConfig
+from jamloop.labeler import LabelerConfig, two_means
 from jamloop.manager import (ClosedLoop, DriftReport, LoopConfig, ModelRegistry,
                              ManagerError, TRIGGER_LOW_AGREEMENT, TRIGGER_NONE,
                              TRIGGER_NO_MODEL, deploy_if_better, monitor, retrain)
@@ -10,6 +10,8 @@ from jamloop.mlp import TrainConfig
 from jamloop.scenarios import KpiSample, iter_stream, schedule_from_ids
 from jamloop.store import (DetectionRecord, LABEL_CLEAN, LABEL_INTERFERENCE,
                            LabeledSample, TelemetryStore)
+
+from test_labeler import duty_cycled_schedule
 
 
 def kpi(seq, snr=10.0, truth=False):
@@ -500,6 +502,36 @@ class TestClosedLoop:
         assert ([d._replace(latency_us=0) for d in batched.window("detections")]
                 == [d._replace(latency_us=0) for d in per_record.window("detections")])
         assert batched.count("detections") == batched.count("kpi") == 1500
+
+    @pytest.mark.parametrize("period", [5, 20, 150])
+    def test_intermittent_jamming_detected_after_deploy(self, tmp_path, monkeypatch, period):
+        # a jammer that switches on and off every `period` samples; at periods
+        # 5 and 20 every 100-sample window of the duty cycle holds both levels
+        # and is split by 2-means, at 150 most windows hold one level
+        splits = []
+
+        def counted(points, snr_col):
+            splits.append(len(points))
+            return two_means(points, snr_col)
+
+        monkeypatch.setattr("jamloop.labeler.two_means", counted)
+        samples = list(iter_stream(duty_cycled_schedule(period, seed=7)))
+        store = TelemetryStore()
+        loop = ClosedLoop(store, DetectorXapp(), ModelRegistry(tmp_path / "models"))
+        for s in samples:
+            loop.process(s)
+        deploy_seq = next(ev["kpi_high_seq"] for ev in loop.close()
+                          if ev["event"] == "deploy" and ev["deployed"])
+        verdicts = {d.seq: d.verdict for d in store.window("detections")}
+        post = [s for s in samples if s.seq > deploy_seq]
+        accuracy = sum((verdicts[s.seq] == LABEL_INTERFERENCE) == s.truth_interference
+                       for s in post) / len(post)
+        assert accuracy >= 0.95
+        duty_windows = 3000 // 100
+        if period < 100:
+            assert len(splits) >= duty_windows
+        else:
+            assert 0 < len(splits) < duty_windows // 2
 
     def test_loop_never_reads_truth(self, tmp_path):
         # the loop's label/detect path operates on FeatureSample views only

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -267,3 +268,16 @@ class TestSynthStream:
         assert exc_info.value is failure
         assert vars(failure) == {}  # nothing attached to it
         assert [s.seq for s in seen] == list(range(43))
+
+    def test_digest_reuses_the_reprs_a_sink_returns(self):
+        # the digest of a sink that hands back its reprs, of one that returns
+        # something else and of no sink is the same, and is the sha256 of the
+        # samples' text
+        sched = schedule_from_ids([2, 1], seed=6, duration_samples=40)
+        samples = list(iter_stream(sched, P))
+        text = "".join(f"{s.seq},{s.ts_ms},{s.snr_db!r},{s.mcs},{s.bler!r},"
+                       f"{int(s.truth_interference)};" for s in samples)
+        want = hashlib.sha256(text.encode("ascii")).hexdigest()
+        sinks = [None, lambda s: (repr(s.snr_db), repr(s.bler)), lambda s: s.seq,
+                 lambda s: [repr(s.snr_db), "not a repr"]]
+        assert [synth_stream(sched, P, sink).digest for sink in sinks] == [want] * len(sinks)

@@ -341,6 +341,8 @@ class TestRoundTrip:
         assert len(samples) == 18 * 300
         for s in samples:
             assert trace_line(s, with_truth) == dumps_line(s, with_truth)
+            assert (trace_line(s, with_truth, (repr(s.snr_db), repr(s.bler)))
+                    == dumps_line(s, with_truth))
 
     @pytest.mark.parametrize("value", [5e-324, 1e300, -0.0, 0.1 + 0.2, 1.0, 1e16, 123456.5])
     def test_trace_line_is_json_dumps_on_edge_floats(self, value):

@@ -8,6 +8,9 @@ N (default 7):
 - the default two-pass `run-experiment`;
 - a one-pass `run-experiment` at 20 samples per scenario with 16-sample
   labeler windows, which `label_window` splits by exhaustive 2-means;
+- a one-pass `run-experiment` at 130 samples per scenario, whose 100-sample
+  windows straddle scenario changes, so `label_window` splits some of them
+  by Lloyd iterations;
 - `simulate --with-truth` of the 18-scenario catalog twice over at 200
   samples per scenario, then `eval-labeler` and `replay` of that trace with
   the experiment's first model, `v001.model`.
@@ -48,6 +51,7 @@ SCHEDULE_IDS = list(range(1, 19)) * 2
 SAMPLES_PER_SCENARIO = 200
 SMALL_WINDOW_CONFIG = ("labeler: {window_size: 16}\n"
                        "experiment: {samples_per_scenario: 20, passes: 1}\n")
+STRADDLE_CONFIG = "experiment: {samples_per_scenario: 130, passes: 1}\n"
 
 EXPERIMENT_ARTIFACTS = ("accuracy_by_window.csv", "accuracy_by_window.dat",
                         "plot_accuracy.gp", "labeler_by_scenario.csv",
@@ -83,9 +87,12 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         exp, trace_dir = Path(tmp) / "experiment", Path(tmp) / "trace"
         _run("--seed", seed, "--out", str(exp), "run-experiment")
-        small, small_cfg = Path(tmp) / "small_window", Path(tmp) / "small_window.yaml"
-        small_cfg.write_text(SMALL_WINDOW_CONFIG, encoding="utf-8")
-        _run("--seed", seed, "--config", str(small_cfg), "--out", str(small), "run-experiment")
+        for name, config in (("small_window", SMALL_WINDOW_CONFIG),
+                             ("straddle", STRADDLE_CONFIG)):
+            config_path = Path(tmp) / f"{name}.yaml"
+            config_path.write_text(config, encoding="utf-8")
+            _run("--seed", seed, "--config", str(config_path), "--out", str(Path(tmp) / name),
+                 "run-experiment")
 
         schedule = Path(tmp) / "schedule.yaml"
         schedule.write_text("entries:\n" + "".join(
@@ -101,7 +108,8 @@ def main(argv: list[str] | None = None) -> int:
         digests = {f"experiment/{n}": _digest(exp / n) for n in EXPERIMENT_ARTIFACTS}
         digests.update({f"trace/{n}": _digest(trace_dir / n) for n in TRACE_ARTIFACTS})
         digests["trace/detections.csv"] = _detections_digest(trace_dir / "detections.csv")
-        digests.update({f"small_window/{n}": _digest(small / n) for n in EXPERIMENT_ARTIFACTS})
+        digests.update({f"{run}/{n}": _digest(Path(tmp) / run / n)
+                        for run in ("small_window", "straddle") for n in EXPERIMENT_ARTIFACTS})
     for name, digest in digests.items():
         print(f"{digest}  {name}")
     return 0
