@@ -103,8 +103,9 @@ class ModelRegistry:
             raise ValueError(f"version {e.version} is not above {previous}")
         if type(e.deployed) is not bool:
             raise ValueError(f"deployed {e.deployed!r} is not a boolean")
-        if e.deployed and self.deployed_entry():
-            raise ValueError(f"version {self.deployed_entry().version} is deployed already")
+        # at most one line is deployed, so this scans the entries at most once
+        if e.deployed and (deployed := self.deployed_entry()):
+            raise ValueError(f"version {deployed.version} is deployed already")
         if acc is not None and not 0 <= real(acc, "val_accuracy") <= 1:
             raise ValueError(f"val_accuracy {acc!r} is not in [0, 1]")
         real(e.created_at, "created_at")
@@ -113,7 +114,8 @@ class ModelRegistry:
         return e
 
     def next_version(self) -> int:
-        return max((e.version for e in self.entries), default=0) + 1
+        # versions strictly increase along the journal, so the last is the highest
+        return self.entries[-1].version + 1 if self.entries else 1
 
     def deployed_entry(self) -> RegistryEntry | None:
         return next((e for e in self.entries if e.deployed), None)

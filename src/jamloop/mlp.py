@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .numbers import real, whole
+from .store import atomic_writer
 
 LAYER_DIMS = [3, 16, 8, 1]
 ACTIVATIONS = ["relu", "relu", "sigmoid"]
@@ -387,6 +388,7 @@ def train(dataset: list[tuple[tuple[float, float, float], int]],
 # ---- serialization ----
 
 def save(model: MlpModel, path: str | Path) -> None:
+    """Write `model` as JSON, through `store.atomic_writer` so a failure writes nothing."""
     doc = {
         "format": MODEL_FORMAT,
         "layer_dims": LAYER_DIMS,
@@ -398,7 +400,8 @@ def save(model: MlpModel, path: str | Path) -> None:
         "weights": [w.ravel().tolist() for w in model.weights],  # row-major
         "biases": [b.tolist() for b in model.biases],
     }
-    Path(path).write_text(json.dumps(doc, indent=1), encoding="utf-8")
+    with atomic_writer(Path(path)) as f:
+        json.dump(doc, f, indent=1)
 
 
 def _numbers(path: str | Path, field: str, values: object, size: int) -> np.ndarray:

@@ -4,8 +4,9 @@ atomic file writer.
 
 Three fixed streams wire the closed loop together: `kpi` (raw samples),
 `labels` (labeler verdicts), `detections` (deployed-model outputs).
-Records are immutable, keyed by seq, and never overwritten; duplicate
-seqs are rejected so replays surface loudly instead of merging silently.
+Records are immutable, keyed by seq, and never overwritten; each stream
+takes seqs in increasing order, so a replay or a swapped sample is refused
+loudly (`SeqOrderError`) instead of merging silently.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ class UnknownStreamError(StoreError):
     pass
 
 
-class DuplicateSeqError(StoreError):
-    pass
+class SeqOrderError(StoreError):
+    """A record's seq is not above its stream's last seq; a repeat is one case."""
 
 
 class RecordInvalidError(StoreError):
@@ -118,15 +119,6 @@ def _validate(stream: str, record) -> None:
     check(record)
 
 
-def _insert(stream: str, records: list, record) -> None:
-    """Bisect `record` into the seq-ordered `records`, unless its seq is there already."""
-    seq = record.seq
-    i = bisect.bisect_left(records, seq, key=_SEQ)
-    if i < len(records) and records[i].seq == seq:
-        raise DuplicateSeqError(f"stream {stream!r} already holds seq {seq}")
-    records.insert(i, record)
-
-
 def _bounds(records: list, from_seq: int, to_seq: int | None) -> tuple[int, int]:
     """Index range of the seq-ordered `records` with seq in [from_seq, to_seq]."""
     if to_seq is not None and from_seq > to_seq:
@@ -137,11 +129,11 @@ def _bounds(records: list, from_seq: int, to_seq: int | None) -> tuple[int, int]
 
 
 class TelemetryStore:
-    """In-memory append-only store; safe for concurrent appenders/readers.
+    """In-memory append-only store, one seq order per stream.
 
-    Each stream is one list kept in seq order. Seqs normally arrive in
-    order, so an append is a compare with the last seq, and a window is two
-    bisects and a slice; an out-of-order seq is bisected into place.
+    Each stream is one list in increasing seq order: an append is a compare
+    with the last seq, and a window is two bisects and a slice. Every write and
+    read holds one lock, and a write that loses a race to a higher seq is refused.
     """
 
     def __init__(self, max_records: int = DEFAULT_MAX_RECORDS) -> None:
@@ -158,43 +150,45 @@ class TelemetryStore:
     def count(self, stream: str) -> int:
         return len(self._stream(stream))
 
+    def _refuse(self, stream: str, stored: list, seqs: list) -> None:
+        """Raise what the first failing append of `seqs` onto `stored` would, if one would."""
+        last = stored[-1].seq if stored else None
+        for n, seq in enumerate(seqs, start=len(stored)):
+            if n >= self.max_records:
+                raise StoreFullError(f"stream {stream!r} reached max_records={self.max_records}")
+            if last is not None and seq <= last:
+                raise SeqOrderError(f"stream {stream!r} takes seqs in increasing order: "
+                                    f"seq {seq} is not above its last seq {last}")
+            last = seq
+
     def append(self, stream: str, record) -> int:
         """Append one valid record of the stream's type; returns the stream count after."""
         records = self._stream(stream)
         _validate(stream, record)
         with self._lock:
-            if len(records) >= self.max_records:
-                raise StoreFullError(f"stream {stream!r} reached max_records={self.max_records}")
-            if not records or records[-1].seq < record.seq:
-                records.append(record)
-            else:
-                _insert(stream, records, record)
+            if len(records) >= self.max_records or records and records[-1].seq >= record.seq:
+                self._refuse(stream, records, [record.seq])
+            records.append(record)
             return len(records)
 
     def extend(self, stream: str, records) -> int:
         """Append a batch of records, all or none; returns the stream count after.
 
-        Under one lock, a batch in increasing seq order past the last seq is one
-        `list.extend`, and any other is inserted in seq order. A record of another
-        type or an invalid one raises `RecordInvalidError`; past those checks, a
-        batch raises what its first failing `append` would. It then writes nothing.
+        A record of another type or an invalid one raises `RecordInvalidError`.
+        Past those checks, a batch that fits and runs in increasing seq order past
+        the stream's last seq is one `list.extend` under the lock; any other
+        raises what its first failing `append` would, and writes nothing.
         """
         stored, batch = self._stream(stream), list(records)
         for record in batch:
             _validate(stream, record)
         seqs = [r.seq for r in batch]
         with self._lock:
-            room = max(self.max_records - len(stored), 0)
-            if (len(batch) <= room and all(map(operator.lt, seqs, seqs[1:]))
-                    and (not stored or not seqs or stored[-1].seq < seqs[0])):
-                stored.extend(batch)
-                return len(stored)
-            merged = stored.copy()  # in batch order, so the first failing record decides
-            for record in batch[:room]:
-                _insert(stream, merged, record)
-            if len(batch) > room:
-                raise StoreFullError(f"stream {stream!r} reached max_records={self.max_records}")
-            stored[:] = merged
+            if (len(stored) + len(batch) > self.max_records
+                    or not all(map(operator.lt, seqs, seqs[1:]))
+                    or stored and seqs and stored[-1].seq >= seqs[0]):
+                self._refuse(stream, stored, seqs)
+            stored.extend(batch)
             return len(stored)
 
     def window(self, stream: str, from_seq: int = 0, to_seq: int | None = None) -> list:

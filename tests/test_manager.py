@@ -9,7 +9,7 @@ from jamloop.manager import (ClosedLoop, DriftReport, LoopConfig, ModelRegistry,
 from jamloop.mlp import TrainConfig
 from jamloop.scenarios import KpiSample, iter_stream, schedule_from_ids
 from jamloop.store import (DetectionRecord, LABEL_CLEAN, LABEL_INTERFERENCE,
-                           LabeledSample, TelemetryStore)
+                           LabeledSample, SeqOrderError, TelemetryStore)
 
 from test_labeler import duty_cycled_schedule
 
@@ -105,10 +105,6 @@ class TestMonitorMatchesFullJoin:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(0, 400))
         seqs = sorted(int(q) for q in rng.choice(3 * n + 1, size=n, replace=False))
-        # mostly in order, with some neighbours swapped: out-of-order appends
-        for i in range(len(seqs) - 1):
-            if rng.random() < 0.1:
-                seqs[i], seqs[i + 1] = seqs[i + 1], seqs[i]
         store, detections, labels = TelemetryStore(), [], []
         for seq in seqs:
             if rng.random() < 0.85:  # some labeled seqs have no detection
@@ -532,6 +528,33 @@ class TestClosedLoop:
             assert len(splits) >= duty_windows
         else:
             assert 0 < len(splits) < duty_windows // 2
+
+    @pytest.mark.parametrize("fault", ["swapped_pair", "repeated_sample"])
+    def test_out_of_order_sample_refused_and_loop_goes_on(self, tmp_path, fault):
+        # the store refuses the sample at its kpi append, before it reaches the
+        # loop's buffers, so every later window is labeled and detected
+        samples = list(iter_stream(schedule_from_ids([2, 3, 2, 3], 7, 300)))
+        assert len(samples) == 1200
+        if fault == "swapped_pair":
+            samples[150], samples[151] = samples[151], samples[150]
+        else:
+            samples.insert(151, samples[150])
+        store = TelemetryStore()
+        loop = ClosedLoop(store, DetectorXapp(), ModelRegistry(tmp_path / "models"))
+        refused = []
+        for i, s in enumerate(samples):
+            try:
+                loop.process(s)
+            except SeqOrderError:
+                refused.append(i)
+        assert refused == [151]
+        close = loop.close()[-1]
+        n = 1199 if fault == "swapped_pair" else 1200
+        assert (close["kpi_count"], close["label_count"], close["detection_count"]) == (n,) * 3
+        kept = [s.seq for s in samples[:151] + samples[152:]]
+        assert len(kept) == n
+        for stream in ("kpi", "labels", "detections"):
+            assert [r.seq for r in store.window(stream)] == kept
 
     def test_loop_never_reads_truth(self, tmp_path):
         # the loop's label/detect path operates on FeatureSample views only

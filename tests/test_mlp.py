@@ -533,6 +533,31 @@ class TestSerialization:
                                                            abs=1e-12)
         assert loaded.version == 2
 
+    def test_failed_save_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.model"
+        dump = json.dump
+
+        def failing_dump(obj, fp, **kw):  # writes half the file, then fails
+            text = json.dumps(obj, **kw)
+            fp.write(text[:len(text) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", failing_dump)
+        with pytest.raises(OSError, match="disk full"):
+            mlp.save(init_model(1, version=1), path)
+        assert list(tmp_path.iterdir()) == []
+
+        monkeypatch.setattr(json, "dump", dump)
+        mlp.save(init_model(1, version=1), path)
+        before = path.read_bytes()
+        assert before == json.dumps(json.loads(before), indent=1).encode()
+        monkeypatch.setattr(json, "dump", failing_dump)
+        with pytest.raises(OSError, match="disk full"):
+            mlp.save(init_model(2, version=2), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.model"]
+        assert mlp.load(path).version == 1
+
     def test_file_keys_and_older_trained_on_ignored(self, tmp_path):
         import json
         model = init_model(1, version=3)

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jamloop.scenarios import FeatureSample, KpiSample, iter_stream, schedule_from_ids
-from jamloop.store import (DetectionRecord, DuplicateSeqError, LabeledSample,
-                           RecordInvalidError, SchemaError, StoreFullError,
+from jamloop.store import (DetectionRecord, LabeledSample, RecordInvalidError,
+                           SchemaError, SeqOrderError, StoreFullError,
                            TelemetryStore, UnknownStreamError, KPI_COLUMNS,
                            LABEL_CLEAN, LABEL_INTERFERENCE,
                            read_trace, trace_line, write_detections)
@@ -73,7 +73,7 @@ class TestAppend:
 
     def test_duplicate_seq_rejected(self, store):
         store.append("kpi", kpi(7))
-        with pytest.raises(DuplicateSeqError):
+        with pytest.raises(SeqOrderError, match="seq 7 is not above its last seq 7"):
             store.append("kpi", kpi(7))
         assert store.count("kpi") == 1
 
@@ -113,20 +113,28 @@ class TestAppend:
         with pytest.raises(UnknownStreamError):
             store.append("nope", kpi(0))
 
-    def test_duplicate_rejected_after_out_of_order_insert(self, store):
-        for i in (5, 1, 9, 3):
-            store.append("kpi", kpi(i))
-        for dup in (1, 3, 5, 9):  # first, inserted, middle and last seq
-            with pytest.raises(DuplicateSeqError):
-                store.append("kpi", kpi(dup))
-        assert store.count("kpi") == 4
-        assert [r.seq for r in store.window("kpi")] == [1, 3, 5, 9]
+    @pytest.mark.parametrize("stream", ["kpi", "labels", "detections"])
+    def test_seq_not_above_last_refused(self, store, stream):
+        make = RECORD_OF[stream]
+        for i in (1, 3, 5, 9):
+            store.append(stream, make(i))
+        for seq in (0, 1, 3, 4, 5, 8, 9):  # below, at and between the stored seqs
+            with pytest.raises(SeqOrderError, match=f"seq {seq} is not above its last seq 9"):
+                store.append(stream, make(seq))
+        assert store.count(stream) == 4
+        assert [r.seq for r in store.window(stream)] == [1, 3, 5, 9]
+        assert store.append(stream, make(10)) == 5
 
     def test_max_seq_after_out_of_order_appends(self, store):
         assert store.max_seq("kpi") is None
         for i, expected in ((5, 5), (9, 9), (1, 9), (3, 9), (12, 12), (0, 12)):
-            store.append("kpi", kpi(i))
+            if expected == i:
+                store.append("kpi", kpi(i))
+            else:
+                with pytest.raises(SeqOrderError):
+                    store.append("kpi", kpi(i))
             assert store.max_seq("kpi") == expected
+        assert [r.seq for r in store.window("kpi")] == [5, 9, 12]
 
     def test_capacity_aborts_not_evicts(self):
         small = TelemetryStore(max_records=3)
@@ -148,7 +156,7 @@ def contents(store):
 class TestExtend:
     @settings(max_examples=300, deadline=None)
     @given(stream=st.sampled_from(sorted(RECORD_OF)),
-           stored=st.lists(st.integers(0, 30), unique=True, max_size=12),
+           stored=st.lists(st.integers(0, 30), unique=True, max_size=12).map(sorted),
            batch=st.lists(st.integers(0, 30), max_size=12),
            max_records=st.integers(0, 25))
     def test_same_as_appends_or_raises_first_append_error(self, stream, stored, batch,
@@ -201,24 +209,26 @@ class TestExtend:
         assert store.count("kpi") == 0
 
     def test_seq_repeated_in_batch_writes_nothing(self, store):
-        with pytest.raises(DuplicateSeqError, match="seq 1"):
+        with pytest.raises(SeqOrderError, match="seq 1 is not above its last seq 2"):
             store.extend("labels", [label(1), label(2), label(1)])
         assert store.count("labels") == 0
 
     def test_stored_seq_writes_nothing(self, store):
         store.extend("labels", [label(i) for i in range(5)])
-        with pytest.raises(DuplicateSeqError, match="seq 4"):
+        with pytest.raises(SeqOrderError, match="seq 4 is not above its last seq 6"):
             store.extend("labels", [label(5), label(6), label(4)])
         assert [r.seq for r in store.window("labels")] == list(range(5))
 
-    def test_out_of_order_batch_interleaves_stored_seqs(self, store):
+    @pytest.mark.parametrize("seqs,seq,last", [
+        ((9, 0, 6, 3), 0, 9), ((0, 9), 0, 8), ((8, 9), 8, 8), ((9, 10, 10), 10, 10)],
+        ids=["shuffled", "below_last", "at_last", "repeat_in_batch"])
+    def test_out_of_order_batch_writes_nothing(self, store, seqs, seq, last):
         for i in (2, 5, 8):
             store.append("kpi", kpi(i))
-        batch = [kpi(9, snr=1.0), kpi(0, snr=2.0), kpi(6, snr=3.0), kpi(3, snr=4.0)]
-        assert store.extend("kpi", batch) == 7
-        assert store.window("kpi") == sorted([kpi(2), kpi(5), kpi(8), *batch],
-                                             key=lambda r: r.seq)
-        assert store.max_seq("kpi") == 9
+        with pytest.raises(SeqOrderError, match=f"seq {seq} is not above its last seq {last}"):
+            store.extend("kpi", [kpi(i, snr=1.0) for i in seqs])
+        assert store.window("kpi") == [kpi(2), kpi(5), kpi(8)]
+        assert store.max_seq("kpi") == 8
 
     def test_batch_past_capacity_writes_nothing(self):
         small = TelemetryStore(max_records=5)
@@ -226,7 +236,12 @@ class TestExtend:
         with pytest.raises(StoreFullError, match="max_records=5"):
             small.extend("kpi", [kpi(i) for i in range(3, 6)])
         assert small.count("kpi") == 3
-        assert small.extend("kpi", [kpi(4), kpi(3)]) == 5
+        with pytest.raises(SeqOrderError):  # fits, but out of order
+            small.extend("kpi", [kpi(4), kpi(3)])
+        assert small.count("kpi") == 3
+        with pytest.raises(StoreFullError):  # capacity is checked first
+            small.extend("kpi", [kpi(3), kpi(4), kpi(1)])
+        assert small.extend("kpi", [kpi(3), kpi(4)]) == 5
 
     def test_unknown_stream(self, store):
         for batch in ([kpi(0)], []):
@@ -253,11 +268,16 @@ class TestWindow:
 
     def test_sorted_even_with_out_of_order_append(self, store):
         for i in (5, 1, 9, 3):
-            store.append("kpi", kpi(i))
-        assert [r.seq for r in store.window("kpi", 0, 10)] == [1, 3, 5, 9]
+            if i in (1, 3):
+                with pytest.raises(SeqOrderError):
+                    store.append("kpi", kpi(i))
+            else:
+                store.append("kpi", kpi(i))
+        assert [r.seq for r in store.window("kpi", 0, 10)] == [5, 9]
+        assert store.window("kpi", 0, 4) == []
 
     def test_open_end_reads_to_last_seq(self, store):
-        for i in (5, 1, 9, 3):
+        for i in (1, 3, 5, 9):
             store.append("kpi", kpi(i))
         assert [r.seq for r in store.window("kpi")] == [1, 3, 5, 9]
         assert [r.seq for r in store.window("kpi", 4)] == [5, 9]
@@ -292,7 +312,7 @@ class TestJoin:
     def test_trailing_pairs_equal_tail_of_full_join(self, seed):
         rng = np.random.default_rng(seed)
         store = TelemetryStore()
-        seqs = rng.choice(300, size=120, replace=False)  # sparse, out of order
+        seqs = np.sort(rng.choice(300, size=120, replace=False))  # sparse
         for seq in seqs:
             if rng.random() < 0.8:
                 store.append("detections", DetectionRecord(int(seq), 0.2, LABEL_CLEAN, 1, 3))
@@ -498,20 +518,25 @@ class TestConcurrency:
         assert store.count("labels") == 500
 
     def test_interleaved_batches_one_stream(self, store):
-        # two writers' increasing batches take turns along the seq axis, so
-        # most batches are inserted between the other writer's records
+        # two writers' increasing batches take turns along the seq axis, so of
+        # the two batches that span one stretch of seqs at most one can land;
+        # every batch lands whole or is refused whole
         import sys
         import threading
         n_batches, size = 40, 25
-        errors = []
+        landed, refused, errors = [], [], []
 
         def put(k):
-            try:
-                for b in range(n_batches):
-                    store.extend("labels", [label(2 * (b * size + i) + k)
-                                            for i in range(size)])
-            except Exception as exc:  # surfaced by the assert below
-                errors.append(exc)
+            for b in range(n_batches):
+                batch = [label(2 * (b * size + i) + k) for i in range(size)]
+                try:
+                    store.extend("labels", batch)
+                except SeqOrderError:
+                    refused.append(batch)
+                except Exception as exc:  # surfaced by the assert below
+                    errors.append(exc)
+                else:
+                    landed.append(batch)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -525,28 +550,42 @@ class TestConcurrency:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in writers)
         assert not errors
-        assert [r.seq for r in store.window("labels")] == list(range(2 * n_batches * size))
+        assert len(landed) + len(refused) == 2 * n_batches
+        assert len(refused) >= n_batches
+        seqs = [r.seq for r in store.window("labels")]
+        assert all(a < b for a, b in zip(seqs, seqs[1:]))
+        assert store.window("labels") == sorted((r for batch in landed for r in batch),
+                                                key=lambda r: r.seq)
 
     def test_interleaved_out_of_order_appenders_one_stream(self, store):
-        # each thread's seqs land between the others': in-order appends and
-        # bisected inserts race on one list while a reader joins
+        # each thread's seqs fall between the others', so appenders race on
+        # each stream while a reader joins: an append lands or is refused
         import sys
         import threading
         n_threads, per_thread = 6, 400
-        errors = []
+        landed = {"detections": [], "labels": []}
+        refusals, errors = [], []
 
         def put(k):
-            try:
-                for i in range(per_thread):
-                    store.append("detections", DetectionRecord(
-                        i * n_threads + k, 0.2, LABEL_CLEAN, 1, 3))
-                    store.append("labels", label(i * n_threads + k))
-            except Exception as exc:  # surfaced by the assert below
-                errors.append(exc)
+            for i in range(per_thread):
+                seq = i * n_threads + k
+                for stream, record in (
+                        ("detections", DetectionRecord(seq, 0.2, LABEL_CLEAN, 1, 3)),
+                        ("labels", label(seq))):
+                    try:
+                        store.append(stream, record)
+                    except SeqOrderError:
+                        refusals.append(seq)
+                    except Exception as exc:  # surfaced by the assert below
+                        errors.append(exc)
+                    else:
+                        landed[stream].append(record)
 
         def read():
             while any(t.is_alive() for t in writers):
                 pairs = store.join_detections(last=50)
+                if not all(d.seq == lab.seq for d, lab in pairs):
+                    errors.append(AssertionError("join paired unequal seqs"))
                 if [d.seq for d, _ in pairs] != sorted(d.seq for d, _ in pairs):
                     errors.append(AssertionError("join out of seq order"))
 
@@ -564,6 +603,10 @@ class TestConcurrency:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in writers + [reader])
         assert not errors
-        n = n_threads * per_thread
-        assert [r.seq for r in store.window("detections")] == list(range(n))
-        assert len(store.join_detections()) == n
+        assert len(refusals) + sum(map(len, landed.values())) == 2 * n_threads * per_thread
+        for stream, records in landed.items():
+            seqs = [r.seq for r in store.window(stream)]
+            assert all(a < b for a, b in zip(seqs, seqs[1:]))
+            assert store.window(stream) == sorted(records, key=lambda r: r.seq)
+        both = {r.seq for r in landed["detections"]} & {r.seq for r in landed["labels"]}
+        assert [d.seq for d, _ in store.join_detections()] == sorted(both)
