@@ -15,9 +15,11 @@ N (default 7):
   samples per scenario, then `eval-labeler` and `replay` of that trace with
   the experiment's first model, `v001.model`.
 
-Prints one `sha256  name` line per artifact. `detections.csv` is hashed
-without its `latency_us` column, which is a wall-clock measurement;
-`report.json` (it holds the runtime) and the model registry are left out.
+Prints one `sha256  name` line per artifact, then one per model file
+(`models/v*.model`) of each `run-experiment`, so a change in the bits of a
+trained model shows even where no detection moves. `detections.csv` is
+hashed without its `latency_us` column, which is a wall-clock measurement;
+`report.json` (it holds the runtime) and the registry journal are left out.
 Two trees whose outputs match behave the same on these runs.
 
 `tools/digests/seed7.txt` and `seed11.txt` hold this script's output at
@@ -110,6 +112,9 @@ def main(argv: list[str] | None = None) -> int:
         digests["trace/detections.csv"] = _detections_digest(trace_dir / "detections.csv")
         digests.update({f"{run}/{n}": _digest(Path(tmp) / run / n)
                         for run in ("small_window", "straddle") for n in EXPERIMENT_ARTIFACTS})
+        digests.update({f"{run}/models/{m.name}": _digest(m)
+                        for run in ("experiment", "small_window", "straddle")
+                        for m in sorted((Path(tmp) / run / "models").glob("v*.model"))})
     for name, digest in digests.items():
         print(f"{digest}  {name}")
     return 0
