@@ -39,7 +39,9 @@ boundary, and `label_stream` takes a float array of SNR values only.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -50,6 +52,10 @@ EXHAUSTIVE_KMEANS_MAX = 16  # tiny windows get the provably optimal 2-partition
 MAD_NORMAL = 0.6744897501960817  # median of |N(0, 1)|
 SEPARATION_MIN_DB = 4.0  # online: a narrower 2-means split is one class
 BASELINE_OFFSET_DB = 6.0  # online: a one-class window this far below the baseline is jammed
+
+_LABELS = np.array([LABEL_CLEAN, LABEL_INTERFERENCE], dtype=object)  # by 0/1 flag
+# LabeledSample._make of a (seq, label) pair, without a Python call per record
+_labeled = partial(tuple.__new__, LabeledSample)
 
 
 class LabelerError(Exception):
@@ -175,7 +181,7 @@ def label_window(samples: list[FeatureSample], baseline: BaselineState,
     if not samples:
         raise LabelerError("cannot label an empty window")
     seqs = [s.seq for s in samples]
-    if any(b <= a for a, b in zip(seqs, seqs[1:])):
+    if not all(map(operator.lt, seqs, seqs[1:])):
         raise LabelerError("window samples must be strictly ordered by seq")
 
     snr = np.array([s.snr_db for s in samples])
@@ -214,8 +220,7 @@ def label_window(samples: list[FeatureSample], baseline: BaselineState,
         flags = (assign == jam_cluster).astype(int)
         flags = _median_filter_labels(flags, cfg.smoothing_halfwidth)
 
-    out = [LabeledSample(s.seq, LABEL_INTERFERENCE if f else LABEL_CLEAN)
-           for s, f in zip(samples, flags.tolist())]
+    out = list(map(_labeled, zip(seqs, _LABELS[flags].tolist())))
 
     new_baseline = replace(baseline)  # shallow copy of scalars
     new_baseline._recent = list(baseline._recent)

@@ -5,10 +5,18 @@ sigmoid output. Inputs are (snr_db, bler, mcs) mapped through a fixed
 affine normalization so retrained models stay comparable. Training is
 minibatch Adam on binary cross-entropy, deterministic for a given seed,
 checkpointing the epoch with the best validation accuracy.
-All weights and biases train as one flat parameter vector with per-layer
-views, and Adam keeps (m, v) and (g, g**2) as the rows of two (2, N_PARAMS)
-arrays: ten in-place ufunc calls a step, in the operation order that fixes
-the bits. Each fit builds one workspace, so a step slices and allocates nothing.
+All weights and biases train as one flat parameter vector. Each layer is a
+view of it as one (fan_in + 1, fan_out) matrix [W; b], and every input and
+hidden row carries a trailing 1, so one product applies a layer with its
+bias and one product gives a layer's weight and bias gradients. Three
+places keep their own arithmetic, because the folded one would change
+bits: a one-row input takes layer 0 as x @ W0 + b0 (numpy hands it to
+gemv, which sums 3 and 4 terms in different orders); b2's gradient is a
+pairwise np.add.reduce, which overwrites the in-order BLAS sum; and the
+layout stays row-major with the 1 last. Adam keeps (m, v) and (g, g**2) as
+the rows of two (2, N_PARAMS) arrays: ten in-place ufunc calls a step, in
+the operation order that fixes the bits. Each fit builds one workspace,
+so a step slices, allocates and copies nothing.
 """
 
 from __future__ import annotations
@@ -33,6 +41,8 @@ MCS_SCALE = 28.0
 MODEL_FORMAT = "jamloop-mlp-v1"
 N_PARAMS = sum(fan_in * fan_out + fan_out
                for fan_in, fan_out in zip(LAYER_DIMS[:-1], LAYER_DIMS[1:]))
+# 0-d operands: a ufunc given one converts no Python float per call
+_ZERO, _ONE = np.array(0.0), np.array(1.0)
 
 
 class ModelError(Exception):
@@ -61,29 +71,41 @@ def normalize_features(snr_db, bler, mcs) -> np.ndarray:
 
 
 def _normalize(features: np.ndarray) -> np.ndarray:
-    """(n, 3) raw (snr_db, bler, mcs) rows mapped to the model's input scale."""
-    return np.column_stack(normalize_features(*features.T))
+    """(n, 3) raw (snr_db, bler, mcs) rows at the model's input scale, each
+    followed by the 1 that multiplies layer 0's bias row: (n, 4)."""
+    return np.column_stack([*normalize_features(*features.T), np.ones(len(features))])
 
 
 def _sigmoid(z: np.ndarray, out: np.ndarray | None = None,
              tmp: np.ndarray | None = None) -> np.ndarray:
     # into out and tmp (like z) if given; neither exp overflows: exp(min(z, 0)) is 1
     # for z >= 0 and exp(z) = exp(-|z|) below, the bits of choosing 1 or exp(-|z|)
-    out = np.exp(np.minimum(z, 0.0, out=out), out=out)
+    out = np.exp(np.minimum(z, _ZERO, out=out), out=out)
     tmp = np.exp(np.negative(np.abs(z, out=tmp), out=tmp), out=tmp)
-    tmp += 1.0
+    tmp += _ONE
     return np.divide(out, tmp, out=out)
+
+
+def _layers(flat: np.ndarray) -> list[np.ndarray]:
+    """Per-layer (fan_in + 1, fan_out) views [W; b] into one flat vector of N_PARAMS:
+    each weight matrix with its bias as one more row."""
+    layers, off = [], 0
+    for fan_in, fan_out in zip(LAYER_DIMS[:-1], LAYER_DIMS[1:]):
+        layers.append(flat[off:off + (fan_in + 1) * fan_out].reshape(fan_in + 1, fan_out))
+        off += (fan_in + 1) * fan_out
+    return layers
 
 
 def _unpack(flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per-layer weight and bias views into one flat vector of N_PARAMS."""
-    weights, biases, off = [], [], 0
-    for fan_in, fan_out in zip(LAYER_DIMS[:-1], LAYER_DIMS[1:]):
-        weights.append(flat[off:off + fan_in * fan_out].reshape(fan_in, fan_out))
-        off += fan_in * fan_out
-        biases.append(flat[off:off + fan_out])
-        off += fan_out
-    return weights, biases
+    layers = _layers(flat)
+    return [a[:-1] for a in layers], [a[-1] for a in layers]
+
+
+def _pack(model: MlpModel) -> np.ndarray:
+    """A copy of the model's parameters as one flat vector, in `_unpack`'s layout."""
+    return np.concatenate([a.ravel() for w, b in zip(model.weights, model.biases)
+                           for a in (w, b)])
 
 
 @dataclass(frozen=True)
@@ -129,34 +151,42 @@ def init_model(seed: int, version: int = 0) -> MlpModel:
     return MlpModel(weights=weights, biases=biases, version=version)
 
 
-def _activations(model: MlpModel, x: np.ndarray, h1: np.ndarray | None = None,
-                 h2: np.ndarray | None = None, z: np.ndarray | None = None
-                 ) -> tuple[list[np.ndarray], np.ndarray]:
-    """Input and hidden activations of normalized (n, 3) rows x, and the logits.
+def _scratch(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_activations`' outputs for n rows: h1 (n, 17) and h2 (n, 9), each row
+    ending in the 1 that multiplies the next layer's bias row, and z (n, 1)."""
+    return np.ones((n, LAYER_DIMS[1] + 1)), np.ones((n, LAYER_DIMS[2] + 1)), np.empty((n, 1))
 
-    h1, h2 and z (n, 1), if given, receive the layers' outputs. Bias and ReLU
-    are applied in place; np.maximum(0.0, h) keeps its argument order, which
-    fixes the sign of a zero activation.
+
+def _activations(layers: list[np.ndarray], x: np.ndarray, h1: np.ndarray, h2: np.ndarray,
+                 z: np.ndarray) -> np.ndarray:
+    """Logits of normalized (n, 4) rows x, into z (n, 1); returns them as (n,).
+
+    layers are `_layers` of the parameters, and h1 and h2 from `_scratch`
+    receive the hidden layers' outputs ahead of their trailing 1, so each
+    product adds its bias. A one-row x takes layer 0 as x @ W0 + b0: numpy
+    hands a one-row product to gemv, which orders a sum of 3 and of 4 terms
+    differently. np.maximum(0.0, h) keeps its argument order, which fixes
+    the sign of a zero activation, and leaves the trailing 1.
     """
-    (w0, w1, w2), (b0, b1, b2) = model.weights, model.biases
-    h1 = x.dot(w0, out=h1)
-    h1 += b0
-    np.maximum(0.0, h1, out=h1)
-    h2 = h1.dot(w1, out=h2)
-    h2 += b1
-    np.maximum(0.0, h2, out=h2)
-    z = h2.dot(w2, out=z)
-    z += b2
-    return [x, h1, h2], z.ravel()
+    a0, a1, a2 = layers
+    if len(x) == 1:
+        x[:, :-1].dot(a0[:-1], out=h1[:, :-1])
+        h1[:, :-1] += a0[-1]
+    else:
+        np.matmul(x, a0, out=h1[:, :-1])
+    np.maximum(_ZERO, h1, out=h1)
+    np.matmul(h1, a1, out=h2[:, :-1])
+    np.maximum(_ZERO, h2, out=h2)
+    return h2.dot(a2, out=z).ravel()
 
 
 def forward(model: MlpModel, features: tuple[float, float, float]) -> float:
     """Probability of interference for one (snr_db, bler, mcs) triple.
 
-    The per-sample hot path makes the fewest numpy calls: the layers of
-    `_activations` on one 1-D vector, then the output bias and the sigmoid
-    on Python floats. It keeps np.exp, whose bits differ from math.exp's.
-    BLAS sums the batch in another order, so `forward_batch` may differ
+    The per-sample hot path makes the fewest numpy calls: each hidden layer
+    as h.dot(W), += b and an in-place ReLU on one 1-D vector, then the output
+    bias and the sigmoid on Python floats. It keeps np.exp, whose bits differ
+    from math.exp's. BLAS sums the batch in another order, so `forward_batch` may differ
     from it in the last bits.
     """
     snr_db, bler, mcs = features
@@ -166,7 +196,7 @@ def forward(model: MlpModel, features: tuple[float, float, float]) -> float:
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
         h = h.dot(w)
         h += b
-        np.maximum(0.0, h, out=h)
+        np.maximum(_ZERO, h, out=h)
     z = float(h.dot(model.weights[-1])[0]) + float(model.biases[-1][0])
     e = float(np.exp(-abs(z)))
     return (1.0 if z >= 0 else e) / (1.0 + e)
@@ -176,7 +206,8 @@ def forward_batch(model: MlpModel, features: np.ndarray) -> np.ndarray:
     """Probabilities for an (n, 3) array of raw (snr_db, bler, mcs) rows."""
     if not np.all(np.isfinite(features)):
         raise ValueError("non-finite features in batch")
-    return _sigmoid(_activations(model, _normalize(features))[1])
+    return _sigmoid(_activations(_layers(_pack(model)), _normalize(features),
+                                 *_scratch(len(features))))
 
 
 def _bce(z: np.ndarray, y: np.ndarray, sw: np.ndarray) -> np.ndarray:
@@ -184,47 +215,49 @@ def _bce(z: np.ndarray, y: np.ndarray, sw: np.ndarray) -> np.ndarray:
     return sw * (np.logaddexp(0.0, z) - y * z)
 
 
-def _workspace(model: MlpModel, x: np.ndarray, z: np.ndarray,
-               bs: int) -> list[tuple[np.ndarray, ...]]:
-    """Per minibatch of bs rows of x, every view its `_backprop` step uses, all
-    into one scratch; z receives the logits."""
-    scratch = [np.empty((min(bs, len(x)), n)) for n in LAYER_DIMS[1:] * 2 + LAYER_DIMS[1:3]]
+def _workspace(theta: np.ndarray, g: np.ndarray, x: np.ndarray, z: np.ndarray,
+               bs: int) -> list[tuple]:
+    """Per minibatch of bs rows of x, every view its `_backprop` step uses: the
+    parameters theta, the gradient g, and one scratch; z receives the logits."""
+    layers, (g0, g1, g2) = _layers(theta), _layers(g)
+    w1t, w2t = (a[:-1].T for a in layers[1:])
+    n = min(bs, len(x))
+    scratch = [*_scratch(n)[:2], *(np.empty((n, k)) for k in (1, 1, *LAYER_DIMS[1:3] * 2))]
     steps = []
     for a in range(0, len(x), bs):
         xb, zb = x[a:a + bs], z[a:a + bs]
-        h1, h2, d_col, dh1, dh2, tmp, m1, m2 = (s[:len(xb)] for s in scratch)
-        steps.append((xb.T, model.weights[1].T, model.weights[2].T, h1, h1.T, h2, h2.T,
-                      zb, zb[:, None], d_col.ravel(), d_col, tmp.ravel(), dh1, dh2, m1, m2))
+        h1, h2, d_col, tmp, dh1, dh2, m1, m2 = (s[:len(xb)] for s in scratch)
+        steps.append((layers, g0, g1, g2, g2[-1], w1t, w2t, xb, xb.T, h1, h1[:, :-1], h1.T,
+                      h2, h2[:, :-1], h2.T, zb, zb[:, None], d_col.ravel(), d_col,
+                      tmp.ravel(), dh1, dh2, m1, m2))
     return steps
 
 
-def _backprop(model: MlpModel, x: np.ndarray, y: np.ndarray, sw: np.ndarray,
-              gw: list[np.ndarray], gb: list[np.ndarray],
-              ws: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
-    """Exact gradients of the weighted BCE of normalized rows x, into gw and gb.
+def _backprop(step: tuple, y: np.ndarray, sw: np.ndarray) -> np.ndarray:
+    """Exact gradients of the weighted BCE of a `_workspace` step's rows, into its g.
 
-    sw are per-row weights summing to 1, y the labels as floats, ws the step's
-    `_workspace` (None builds one for x). Returns the logits, from which `_bce`
-    gives the loss.
+    sw are per-row weights summing to 1, y the labels as floats. Returns the
+    logits, from which `_bce` gives the loss.
     """
-    # unrolled for the fixed [3, 16, 8, 1] layers; with ws, nothing is allocated. np.sign(h)
-    # masks keep h > 0's bits: ReLU never gives -0.0, and a NaN in h makes its row's deltas NaN
-    xt, w1t, w2t, h1, h1t, h2, h2t, z, z_col, d, d_col, tmp, dh1, dh2, m1, m2 = \
-        ws or _workspace(model, x, np.empty(len(x)), len(x))[0]
-    _activations(model, x, h1, h2, z_col)
+    # unrolled for the fixed [3, 16, 8, 1] layers; nothing is allocated. A product
+    # with the rows' trailing 1 writes layers 0 and 1's bias gradients with their
+    # weights'; b2's stays a pairwise np.add.reduce, which BLAS's in-order sum is
+    # not. np.sign(h) masks keep h > 0's bits: ReLU never gives -0.0, and a NaN in
+    # h makes its row's deltas NaN
+    (layers, g0, g1, g2, gb2, w1t, w2t, x, xt, h1a, h1, h1t, h2a, h2, h2t,
+     z, z_col, d, d_col, tmp, dh1, dh2, m1, m2) = step
+    _activations(layers, x, h1a, h2a, z_col)
     _sigmoid(z, d, tmp)
     d -= y
     d *= sw
-    h2t.dot(d_col, out=gw[2])
-    np.add.reduce(d_col, axis=0, out=gb[2])
+    h2t.dot(d_col, out=g2)
+    np.add.reduce(d_col, axis=0, out=gb2)
     d_col.dot(w2t, out=dh2)
     dh2 *= np.sign(h2, out=m2)
-    h1t.dot(dh2, out=gw[1])
-    np.add.reduce(dh2, axis=0, out=gb[1])
+    h1t.dot(dh2, out=g1)
     dh2.dot(w1t, out=dh1)
     dh1 *= np.sign(h1, out=m1)
-    xt.dot(dh1, out=gw[0])
-    np.add.reduce(dh1, axis=0, out=gb[0])
+    xt.dot(dh1, out=g0)
     return z
 
 
@@ -239,10 +272,9 @@ def loss_and_grad(model: MlpModel, features: np.ndarray, labels: np.ndarray,
         sw = np.full(n, 1.0 / n)
     else:
         sw = sample_weights / np.sum(sample_weights)
-    gw, gb = _unpack(np.empty(N_PARAMS))
-    y = labels.astype(float)
-    z = _backprop(model, _normalize(features), y, sw, gw, gb)
-    return float(_bce(z, y, sw).sum()), gw, gb
+    g, y = np.empty(N_PARAMS), labels.astype(float)
+    z = _backprop(_workspace(_pack(model), g, _normalize(features), np.empty(n), n)[0], y, sw)
+    return float(_bce(z, y, sw).sum()), *_unpack(g)
 
 
 def _batch_sums(a: np.ndarray, batch_size: int) -> np.ndarray:
@@ -314,6 +346,9 @@ def train(dataset: list[tuple[tuple[float, float, float], int]],
 
     rng = np.random.default_rng(cfg.seed)
     train_idx, val_idx = _stratified_split(labels, cfg.val_fraction, rng)
+    if len(train_idx) == 0:
+        raise TrainingError(f"val_fraction {cfg.val_fraction} leaves no training rows "
+                            f"of {len(labels)}")
     x = _normalize(features)
     x_tr, y_tr = x[train_idx], labels[train_idx].astype(float)
     x_va, y_va = x[val_idx], labels[val_idx]
@@ -329,11 +364,10 @@ def train(dataset: list[tuple[tuple[float, float, float], int]],
     # rows of N_PARAMS: theta (the model's views), gg (g, g**2), mv (Adam's m, v);
     # betas, 1 - betas and corr repeat one value per row, so no step broadcasts
     theta = _init_params(cfg.seed)
-    model = MlpModel(*_unpack(theta), version=version)
     gg, mv = np.empty((2, N_PARAMS)), np.zeros((2, N_PARAMS))
     g, g_sq = gg
-    gw, gb = _unpack(g)
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    beta1, beta2 = 0.9, 0.999
+    lr, eps = np.array(float(cfg.learning_rate)), np.array(1e-8)
     betas = np.repeat([[beta1], [beta2]], N_PARAMS, axis=1)
     one_minus_betas, corr = 1 - betas, np.empty((2, N_PARAMS))
     t = 0
@@ -341,19 +375,22 @@ def train(dataset: list[tuple[tuple[float, float, float], int]],
     best_theta, best_acc, best_epoch = theta.copy(), -1.0, 0
     epoch_loss: list[float] = []
     epoch_val_acc: list[float] = []
-    # one workspace per fit: the epoch's rows, weights and logits, and each step's views
+    # one workspace per fit: the epoch's rows, weights and logits, each step's views,
+    # and the validation rows' activations and probabilities
     n_tr, bs = len(y_tr), cfg.batch_size
-    xe, (ye, swe, z_tr) = np.empty((n_tr, 3)), np.empty((3, n_tr))
-    steps = [(xe[a:a + bs], ye[a:a + bs], swe[a:a + bs], ws)
-             for a, ws in zip(range(0, n_tr, bs), _workspace(model, xe, z_tr, bs))]
+    xe, (ye, swe, z_tr) = np.empty((n_tr, x.shape[1])), np.empty((3, n_tr))
+    steps = [(ye[a:a + bs], swe[a:a + bs], ws)
+             for a, ws in zip(range(0, n_tr, bs), _workspace(theta, g, xe, z_tr, bs))]
+    layers, va_out = _layers(theta), _scratch(len(y_va))
+    probs, va_tmp = np.empty((2, len(y_va)))
     for epoch in range(cfg.epochs):
         order = rng.permutation(n_tr)
         np.take(x_tr, order, axis=0, out=xe)
         np.take(y_tr, order, out=ye)
         np.take(weights_tr, order, out=swe)
         swe /= np.repeat(_batch_sums(swe, bs), bs)[:n_tr]  # sums to 1 per minibatch
-        for xb, yb, swb, ws in steps:
-            _backprop(model, xb, yb, swb, gw, gb, ws)
+        for yb, swb, ws in steps:
+            _backprop(ws, yb, swb)
             # in place, in this operation order (it fixes the bits):
             # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g**2;
             # theta -= lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps)
@@ -364,13 +401,13 @@ def train(dataset: list[tuple[tuple[float, float, float], int]],
             mv += gg
             corr[0], corr[1] = 1 - beta1 ** t, 1 - beta2 ** t  # Python float pow
             np.divide(mv, corr, out=gg)
-            g *= cfg.learning_rate
+            g *= lr
             np.sqrt(g_sq, out=g_sq)
             g_sq += eps
             g /= g_sq
             theta -= g
-        probs = _sigmoid(_activations(model, x_va)[1])
-        val_acc = float(np.mean((probs >= model.threshold).astype(int) == y_va))
+        _sigmoid(_activations(layers, x_va, *va_out), probs, va_tmp)
+        val_acc = float(np.mean((probs >= MlpModel.threshold).astype(int) == y_va))
         epoch_loss.append(float(np.mean(_batch_sums(_bce(z_tr, ye, swe), bs))))
         epoch_val_acc.append(val_acc)
         if val_acc > best_acc:

@@ -158,6 +158,18 @@ class TestRetrain:
         assert "single-class" in outcome.skipped_reason
         assert registry.entries == []
 
+    def test_split_without_training_rows_skipped(self, tmp_path):
+        store = TelemetryStore()
+        for i in range(10):
+            store.append("kpi", kpi(i, snr=25.0 if i % 2 else 8.0))
+            store.append("labels", LabeledSample(i, LABEL_CLEAN if i % 2 else LABEL_INTERFERENCE))
+        registry = ModelRegistry(tmp_path / "models")
+        outcome = retrain(store, TrainConfig(seed=1, val_fraction=0.95), registry)
+        assert outcome.entry is None
+        assert "leaves no training rows" in outcome.skipped_reason
+        assert outcome.history_high_seq == 9
+        assert registry.entries == []
+
     def test_repeat_retrain_same_history_identical_weights_new_version(self, tmp_path):
         from jamloop import mlp
         store = TelemetryStore()

@@ -214,6 +214,16 @@ class TestTrain:
         with pytest.raises(TrainingError):
             train(separable_dataset(n=8), TrainConfig(seed=1))
 
+    @pytest.mark.filterwarnings("error")
+    def test_split_without_training_rows_refused(self):
+        # 5 rows per class at val_fraction 0.95: the stratified split puts all 10
+        # in validation, which once returned the untrained init model
+        data = separable_dataset(n=10)
+        with pytest.raises(TrainingError, match="val_fraction 0.95 leaves no training rows of 10"):
+            train(data, TrainConfig(seed=1, val_fraction=0.95))
+        _, report = train(data, TrainConfig(seed=1, val_fraction=0.85, epochs=3))
+        assert (report.n_train, report.n_val) == (2, 8)
+
     def test_deterministic_given_seed(self):
         data = separable_dataset(n=200, seed=3)
         m1, _ = train(data, TrainConfig(seed=7, epochs=10))
@@ -252,6 +262,14 @@ def _reference_sigmoid(z):
     return out
 
 
+def _reference_predict(ws, bs, x):
+    """Probabilities of normalized rows x: `a @ w + b` per layer, then `_reference_sigmoid`."""
+    a = x
+    for w, b in zip(ws[:-1], bs[:-1]):
+        a = np.maximum(0.0, a @ w + b)
+    return _reference_sigmoid((a @ ws[-1] + bs[-1]).ravel())
+
+
 def _reference_grads(ws, bs, feats, labels, sample_w):
     """Weighted BCE and its gradients for raw feature rows, as a plain per-layer loop."""
     y = labels.astype(float)
@@ -278,14 +296,7 @@ def _reference_train(dataset, cfg, version=0):
     normalized per minibatch and the boolean-mask `_reference_sigmoid`;
     each minibatch's gradients come from `_reference_grads`.
     """
-    norm, sigmoid, grads = _reference_norm, _reference_sigmoid, _reference_grads
-
-    def predict(ws, bs, x):
-        a = x
-        for w, b in zip(ws[:-1], bs[:-1]):
-            a = np.maximum(0.0, a @ w + b)
-        return sigmoid((a @ ws[-1] + bs[-1]).ravel())
-
+    norm, predict, grads = _reference_norm, _reference_predict, _reference_grads
     features = np.array([list(f) for f, _ in dataset], dtype=float)
     labels = np.array([y for _, y in dataset], dtype=int)
     n_pos, n_neg = int(np.sum(labels == 1)), int(np.sum(labels == 0))
@@ -368,12 +379,22 @@ def _assert_grads_match_reference(model, feats, labels, sample_w=None):
     assert loss.hex() == ref_loss.hex()
     sw = np.full(len(labels), 1.0 / len(labels)) if sample_w is None \
         else sample_w / np.sum(sample_w)
-    bp_gw, bp_gb = mlp._unpack(np.empty(mlp.N_PARAMS))
-    z = mlp._backprop(model, mlp._normalize(feats), labels.astype(float), sw, bp_gw, bp_gb)
+    g = np.empty(mlp.N_PARAMS)
+    step, = mlp._workspace(mlp._pack(model), g, mlp._normalize(feats), np.empty(len(labels)),
+                           len(labels))
+    z = mlp._backprop(step, labels.astype(float), sw)
+    bp_gw, bp_gb = mlp._unpack(g)
     for want, *got in zip(ref_gw + ref_gb, gw + gb, bp_gw + bp_gb):
         for g in got:
             assert g.shape == want.shape and g.tobytes() == want.tobytes()
     return z
+
+
+def hidden(model, feats):
+    """The ReLU outputs of both hidden layers for raw feature rows."""
+    h1, h2, z = mlp._scratch(len(feats))
+    mlp._activations(mlp._layers(mlp._pack(model)), mlp._normalize(feats), h1, h2, z)
+    return h1[:, :-1], h2[:, :-1]
 
 
 def random_batch(rng, n):
@@ -392,6 +413,16 @@ class TestGradsMatchReference:
             feats, labels = random_batch(rng, int(rng.integers(2, 65)))
             sample_w = rng.uniform(0.1, 3.0, len(labels)) if weighted else None
             _assert_grads_match_reference(init_model(seed), feats, labels, sample_w)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_every_row_count(self, weighted):
+        # 1 to 65 rows: each tail size of a 32-row step, and the one-row product
+        # that numpy hands to gemv
+        rng = np.random.default_rng(36)
+        for n in range(1, 66):
+            feats, labels = random_batch(rng, n)
+            sample_w = rng.uniform(0.1, 3.0, n) if weighted else None
+            _assert_grads_match_reference(init_model(n), feats, labels, sample_w)
 
     def test_zero_logits(self):
         # zero output weights and bias put every logit at exactly +0.0; `dot`
@@ -434,10 +465,36 @@ class TestGradsMatchReference:
         model.biases[dead][...] = -1e3
         feats, labels = random_batch(np.random.default_rng(34), 20)
         _assert_grads_match_reference(model, feats, labels)
-        h = mlp._activations(model, mlp._normalize(feats))[0][dead + 1]
+        h = hidden(model, feats)[dead]
         assert not np.any(h)
         _, gw, _ = loss_and_grad(model, feats, labels)
         assert not np.any(gw[dead])
+
+
+class TestForwardBatchMatchesReference:
+    """forward_batch keeps the bits of `_reference_predict`: compared by bytes."""
+
+    @pytest.fixture(scope="class")
+    def trained(self):
+        return train(overlapping_dataset(600, 0.15, seed=8), TrainConfig(seed=2, epochs=10))[0]
+
+    @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 100, 10_800])
+    def test_init_and_trained_models(self, n, trained):
+        feats, _ = random_batch(np.random.default_rng(37 + n), n)
+        for model in (init_model(n), trained):
+            want = _reference_predict(model.weights, model.biases, _reference_norm(feats))
+            got = forward_batch(model, feats)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_one_row_batches(self):
+        # numpy hands a one-row product to gemv, which sums in another order than
+        # gemm; few one-row logits show it, so try many
+        rng = np.random.default_rng(38)
+        for seed in range(200):
+            feats, _ = random_batch(rng, 1)
+            model = init_model(seed)
+            want = _reference_predict(model.weights, model.biases, _reference_norm(feats))
+            assert forward_batch(model, feats).tobytes() == want.tobytes()
 
 
 class TestFloatMasksMatchBoolMasks:
@@ -465,7 +522,7 @@ class TestFloatMasksMatchBoolMasks:
         feats = np.array([[5.0, 0.2, 3.0], [50.0, 0.0, 28.0], [50.0, 1.0, 0.0],
                           [0.0, 0.5, 10.0], [45.0, 0.9, 1.0]])[rows]
         labels = np.array([0, 1, 0, 1, 1])[rows]
-        (_, h1, h2), _ = mlp._activations(model, mlp._normalize(feats))
+        h1, h2 = hidden(model, feats)
         assert np.isposinf(h1).any() and np.isposinf(h2).any()
         assert (h1 == 0).any() and (h2 == 0).any()
         assert np.isnan(h2).any() == (1 in rows)
