@@ -379,11 +379,11 @@ def _assert_grads_match_reference(model, feats, labels, sample_w=None):
     assert loss.hex() == ref_loss.hex()
     sw = np.full(len(labels), 1.0 / len(labels)) if sample_w is None \
         else sample_w / np.sum(sample_w)
-    g = np.empty(mlp.N_PARAMS)
-    step, = mlp._workspace(mlp._pack(model), g, mlp._normalize(feats), np.empty(len(labels)),
-                           len(labels))
+    grad = np.empty(mlp.N_PARAMS)
+    step, = mlp._workspace(mlp._pack(model), grad, mlp._normalize(feats),
+                           np.empty(len(labels)), len(labels))
     z = mlp._backprop(step, labels.astype(float), sw)
-    bp_gw, bp_gb = mlp._unpack(g)
+    bp_gw, bp_gb = mlp._unpack(grad)
     for want, *got in zip(ref_gw + ref_gb, gw + gb, bp_gw + bp_gb):
         for g in got:
             assert g.shape == want.shape and g.tobytes() == want.tobytes()
