@@ -148,6 +148,7 @@ class ModelRegistry:
             version=model.version, val_accuracy=report.val_accuracy,
             deployed=False, created_at=time.time(),
             train_report={"best_epoch": report.best_epoch,
+                          "epochs_run": len(report.epoch_loss),
                           "n_train": report.n_train,
                           "n_val": report.n_val,
                           "class_counts": report.class_counts}))

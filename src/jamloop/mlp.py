@@ -4,7 +4,10 @@ Architecture is fixed at [3, 16, 8, 1] with ReLU hidden units and a
 sigmoid output. Inputs are (snr_db, bler, mcs) mapped through a fixed
 affine normalization so retrained models stay comparable. Training is
 minibatch Adam on binary cross-entropy, deterministic for a given seed,
-checkpointing the epoch with the best validation accuracy.
+checkpointing the epoch with the best validation accuracy. Only a strictly
+higher accuracy replaces the checkpoint, so a fit stops at its first epoch
+that classifies every holdout row right: the epochs it skips could change
+only the per-epoch loss and accuracy lists, which end at that epoch.
 All weights and biases train as one flat parameter vector. Each layer is a
 view of it as one (fan_in + 1, fan_out) matrix [W; b], and every input and
 hidden row carries a trailing 1, so one product applies a layer with its
@@ -330,7 +333,15 @@ def _stratified_split(labels: np.ndarray, val_fraction: float,
 
 def train(dataset: list[tuple[tuple[float, float, float], int]],
           cfg: TrainConfig, version: int = 0) -> tuple[MlpModel, TrainReport]:
-    """Train on (features, label) pairs; returns best-validation checkpoint."""
+    """Train on (features, label) pairs; returns the best-validation checkpoint.
+
+    The checkpoint is the first epoch with the highest holdout accuracy, and
+    the fit stops there once that accuracy is 1.0, so `TrainReport`'s
+    `epoch_loss` and `epoch_val_accuracy` hold `cfg.epochs` entries only for
+    a fit that never scores 1.0. Raises `TrainingError` when the dataset is
+    too small or single-class, or when the stratified split, which keeps a
+    row of each class for validation, leaves training a class short.
+    """
     cfg.validate()
     if len(dataset) < 10:
         raise TrainingError(f"need at least 10 samples, got {len(dataset)}")
@@ -349,6 +360,11 @@ def train(dataset: list[tuple[tuple[float, float, float], int]],
     if len(train_idx) == 0:
         raise TrainingError(f"val_fraction {cfg.val_fraction} leaves no training rows "
                             f"of {len(labels)}")
+    n_tr_pos = int(labels[train_idx].sum())
+    if n_tr_pos in (0, len(train_idx)):  # the split keeps a row of each class for validation
+        name, count = ("interference", n_pos) if n_tr_pos == 0 else ("clean", n_neg)
+        raise TrainingError(f"val_fraction {cfg.val_fraction} leaves no {name} training "
+                            f"rows of {count}")
     x = _normalize(features)
     x_tr, y_tr = x[train_idx], labels[train_idx].astype(float)
     x_va, y_va = x[val_idx], labels[val_idx]
@@ -414,6 +430,8 @@ def train(dataset: list[tuple[tuple[float, float, float], int]],
             best_acc = val_acc
             best_theta = theta.copy()
             best_epoch = epoch
+            if best_acc == 1.0:  # no later epoch can score above it and replace it
+                break
 
     report = TrainReport(epoch_loss=epoch_loss, epoch_val_accuracy=epoch_val_acc,
                          best_epoch=best_epoch, val_accuracy=best_acc,

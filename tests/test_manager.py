@@ -170,6 +170,21 @@ class TestRetrain:
         assert outcome.history_high_seq == 9
         assert registry.entries == []
 
+    def test_class_without_training_rows_skipped(self, tmp_path):
+        # one INTERFERENCE row of 31: the split keeps it for validation
+        store = TelemetryStore()
+        for i in range(31):
+            store.append("kpi", kpi(i, snr=8.0 if i == 30 else 25.0))
+            label = LABEL_INTERFERENCE if i == 30 else LABEL_CLEAN
+            store.append("labels", LabeledSample(i, label))
+        registry = ModelRegistry(tmp_path / "models")
+        outcome = retrain(store, TrainConfig(seed=1), registry)
+        assert outcome.entry is None
+        assert outcome.skipped_reason == ("val_fraction 0.2 leaves no interference "
+                                          "training rows of 1")
+        assert outcome.history_high_seq == 30
+        assert registry.entries == []
+
     def test_repeat_retrain_same_history_identical_weights_new_version(self, tmp_path):
         from jamloop import mlp
         store = TelemetryStore()
@@ -376,6 +391,25 @@ class TestRegistryJournal:
                 for e in reloaded.entries] == [
             (e.version, e.val_accuracy, e.deployed, e.train_report) for e in registry.entries]
         assert reloaded.next_version() == 3
+
+    def test_train_report_records_epochs_run(self, tmp_path):
+        import json
+        store = TelemetryStore()
+        make_labeled_history(store)
+        registry = ModelRegistry(tmp_path / "models")
+        entry = retrain(store, TrainConfig(seed=1, epochs=15), registry).entry
+        report = entry.train_report
+        # separable history: the fit stops at its first perfect holdout epoch
+        assert (entry.val_accuracy, report["epochs_run"]) == (1.0, report["best_epoch"] + 1)
+        assert report["epochs_run"] < 15
+        assert ModelRegistry(tmp_path / "models").entries[0].train_report == report
+        # journals written before epochs_run was recorded still open
+        journal = tmp_path / "models" / "registry.jsonl"
+        doc = json.loads(journal.read_text())
+        del doc["train_report"]["epochs_run"]
+        journal.write_text(json.dumps(doc) + "\n")
+        older = ModelRegistry(tmp_path / "models").entries[0].train_report
+        assert older == {k: v for k, v in report.items() if k != "epochs_run"}
 
     def test_register_rejects_version_gap(self, tmp_path):
         registry = self._registry_with_two(tmp_path)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -224,18 +225,31 @@ class TestTrain:
         _, report = train(data, TrainConfig(seed=1, val_fraction=0.85, epochs=3))
         assert (report.n_train, report.n_val) == (2, 8)
 
+    @pytest.mark.parametrize("lone", [0, 1], ids=["clean", "interference"])
+    def test_class_without_training_rows_refused(self, lone):
+        # the split keeps one row of each class for validation, so a class of one
+        # row leaves training with the other class only
+        data = [((25.0, 0.1, 20.0), 1 - lone)] * 30 + [((8.0, 0.8, 10.0), lone)]
+        name = ["clean", "interference"][lone]
+        with pytest.raises(TrainingError,
+                           match=f"val_fraction 0.2 leaves no {name} training rows of 1"):
+            train(data, TrainConfig(seed=1))
+
     def test_deterministic_given_seed(self):
-        data = separable_dataset(n=200, seed=3)
-        m1, _ = train(data, TrainConfig(seed=7, epochs=10))
+        # overlapping classes: the fit never scores 1.0, so it runs every epoch
+        data = overlapping_dataset(200, 0.5, seed=3)
+        m1, r1 = train(data, TrainConfig(seed=7, epochs=10))
         m2, _ = train(data, TrainConfig(seed=7, epochs=10))
+        assert len(r1.epoch_loss) == 10
         for w1, w2 in zip(m1.weights, m2.weights):
             assert np.array_equal(w1, w2)
         for b1, b2 in zip(m1.biases, m2.biases):
             assert np.array_equal(b1, b2)
 
     def test_loss_trend_non_increasing_smoothed(self):
-        _, report = train(separable_dataset(n=600, seed=5),
+        _, report = train(overlapping_dataset(600, 0.5, seed=5),
                           TrainConfig(seed=2, epochs=30))
+        assert len(report.epoch_loss) == 30  # 26 smoothed values, not one
         smoothed = np.convolve(report.epoch_loss, np.ones(5) / 5, mode="valid")
         assert smoothed[-1] <= smoothed[0] + 1e-6
 
@@ -367,6 +381,18 @@ def overlapping_dataset(n, minority_frac, seed):
         y = int(rng.random() < minority_frac)
         data.append(((float(rng.normal(8.0 if y else 12.0, 4.0)), float(rng.uniform(0, 1)),
                       float(rng.integers(0, 29))), y))
+    return data
+
+
+def margin_dataset(n, margin_db, seed):
+    """Classes 10 dB wide on either side of a margin_db gap in SNR: separable,
+    but a fit scores every holdout row right only after a few epochs."""
+    rng = np.random.default_rng(seed)
+    data = []
+    for _ in range(n // 2):
+        for y, snr in ((0, 12.0 + margin_db / 2 + rng.uniform(0, 10)),
+                       (1, 12.0 - margin_db / 2 - rng.uniform(0, 10))):
+            data.append(((float(snr), float(rng.uniform(0, 1)), float(rng.integers(0, 29))), y))
     return data
 
 
@@ -549,6 +575,24 @@ class TestTrainMatchesReference:
             assert np.array_equal(got, want)
         assert report == ref_report
         assert model.version == 4
+        assert len(report.epoch_loss) == len(report.epoch_val_accuracy) == cfg.epochs
+
+    @pytest.mark.parametrize("data,seed,stop", [
+        (separable_dataset(n=200, seed=3), 7, 0),
+        (margin_dataset(400, 2.0, seed=1), 1, 8)], ids=["epoch_0", "epoch_8"])
+    def test_stops_at_first_perfect_epoch(self, data, seed, stop):
+        # the reference runs every epoch; no epoch after the first to score 1.0
+        # can replace its checkpoint, so the fit returns it and stops there
+        cfg = TrainConfig(seed=seed, epochs=30)
+        model, report = train(data, cfg)
+        (ref_w, ref_b), ref_report = _reference_train(data, cfg)
+        assert (ref_report.best_epoch, ref_report.val_accuracy) == (stop, 1.0)
+        assert len(ref_report.epoch_loss) == cfg.epochs
+        for got, want in zip(model.weights + model.biases, ref_w + ref_b):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert report == dataclasses.replace(
+            ref_report, epoch_loss=ref_report.epoch_loss[:stop + 1],
+            epoch_val_accuracy=ref_report.epoch_val_accuracy[:stop + 1])
 
     @pytest.mark.parametrize("batch_size,epochs",
                              [(64, 12), (1, 2), (480, 12), (4096, 12), (479, 12)],
