@@ -11,9 +11,10 @@ block the inference hot path.
 from __future__ import annotations
 
 import threading
-import time
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
+from time import perf_counter_ns
 
 import numpy as np
 
@@ -39,6 +40,16 @@ class SwapReceipt:
     old_version: int | None
     new_version: int
     seq_boundary: int
+
+
+# a DetectionRecord from one tuple of its fields, without the generated __new__'s frame
+_detection = partial(tuple.__new__, DetectionRecord)
+
+
+def _not_features(sample) -> DetectorError:
+    # a KpiSample would carry its ground truth into the xApp
+    return DetectorError(f"the detector takes FeatureSample views (KpiSample.public()), "
+                         f"got {type(sample).__name__}")
 
 
 class DetectorXapp:
@@ -67,15 +78,20 @@ class DetectorXapp:
                                new_version=new.version, seq_boundary=boundary)
 
     def infer(self, sample: FeatureSample) -> DetectionRecord:
+        """Detection of one sample; any type but FeatureSample raises `DetectorError`."""
         model = self._slot  # single read: prob and version come from one model
         if model is None:
             raise NoModelDeployedError("no model deployed; deploy an initial model first")
-        t0 = time.perf_counter_ns()
-        prob = forward(model, (sample.snr_db, sample.bler, sample.mcs))
-        latency_us = (time.perf_counter_ns() - t0) // 1000
-        verdict = LABEL_INTERFERENCE if prob >= model.threshold else LABEL_CLEAN
-        self._last_seq = sample.seq
-        return DetectionRecord(sample.seq, prob, verdict, model.version, int(latency_us))
+        if type(sample) is not FeatureSample:
+            raise _not_features(sample)
+        seq, _, snr_db, mcs, bler = sample
+        t0 = perf_counter_ns()
+        prob = forward(model, (snr_db, bler, mcs))
+        latency_us = (perf_counter_ns() - t0) // 1000
+        self._last_seq = seq
+        return _detection((seq, prob,
+                           LABEL_INTERFERENCE if prob >= model.threshold else LABEL_CLEAN,
+                           model.version, latency_us))
 
     def infer_batch(self, samples: Sequence[FeatureSample]) -> list[DetectionRecord]:
         """Detections of `samples`, in order, all from one model.
@@ -84,20 +100,24 @@ class DetectorXapp:
         `infer`'s in the last bits. So the verdicts match `infer`'s unless a
         probability lies within those last bits of the threshold. Each record's
         `latency_us` is the batch's time (feature array and forward pass)
-        divided by its size, in whole microseconds.
+        divided by its size, in whole microseconds. A sample of any type but
+        FeatureSample raises `DetectorError` before any is scored.
         """
         model = self._slot  # single read: the whole batch sees one model
         if model is None:
             raise NoModelDeployedError("no model deployed; deploy an initial model first")
         if not samples:
             return []
-        t0 = time.perf_counter_ns()
+        for s in samples:
+            if type(s) is not FeatureSample:
+                raise _not_features(s)
+        t0 = perf_counter_ns()
         probs = forward_batch(model, np.array(
             [(s.snr_db, s.bler, s.mcs) for s in samples], dtype=float))
-        latency_us = (time.perf_counter_ns() - t0) // 1000 // len(samples)
+        latency_us = (perf_counter_ns() - t0) // 1000 // len(samples)
         threshold, version = model.threshold, model.version
         self._last_seq = samples[-1].seq
-        return [DetectionRecord(s.seq, prob,
-                                LABEL_INTERFERENCE if prob >= threshold else LABEL_CLEAN,
-                                version, latency_us)
+        return [_detection((s.seq, prob,
+                            LABEL_INTERFERENCE if prob >= threshold else LABEL_CLEAN,
+                            version, latency_us))
                 for s, prob in zip(samples, probs.tolist())]

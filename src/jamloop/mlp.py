@@ -186,21 +186,27 @@ def _activations(layers: list[np.ndarray], x: np.ndarray, h1: np.ndarray, h2: np
 def forward(model: MlpModel, features: tuple[float, float, float]) -> float:
     """Probability of interference for one (snr_db, bler, mcs) triple.
 
-    The per-sample hot path makes the fewest numpy calls: each hidden layer
-    as h.dot(W), += b and an in-place ReLU on one 1-D vector, then the output
-    bias and the sigmoid on Python floats. It keeps np.exp, whose bits differ
-    from math.exp's. BLAS sums the batch in another order, so `forward_batch` may differ
-    from it in the last bits.
+    The per-sample hot path, with the fewest Python steps around the numpy
+    calls its bits need. It unpacks the model's three weight matrices and
+    three biases once, then runs each hidden layer on the one 1-D vector from
+    `normalize_features` as h.dot(W) (gemv), += b and an in-place ReLU. The
+    output layer is a third gemv; its bias is added and the sigmoid taken on
+    Python floats, with np.exp, whose bits differ from math.exp's. BLAS sums
+    a batch in another order, so `forward_batch` may differ from it in the
+    last bits.
     """
     snr_db, bler, mcs = features
     if not (math.isfinite(snr_db) and math.isfinite(bler) and math.isfinite(mcs)):
         raise ValueError(f"non-finite features {features!r}")
-    h = normalize_features(snr_db, bler, mcs)
-    for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        h = h.dot(w)
-        h += b
-        np.maximum(_ZERO, h, out=h)
-    z = float(h.dot(model.weights[-1])[0]) + float(model.biases[-1][0])
+    w0, w1, w2 = model.weights
+    b0, b1, b2 = model.biases
+    h = normalize_features(snr_db, bler, mcs).dot(w0)
+    h += b0
+    np.maximum(_ZERO, h, out=h)
+    h = h.dot(w1)
+    h += b1
+    np.maximum(_ZERO, h, out=h)
+    z = h.dot(w2).item() + b2.item()
     e = float(np.exp(-abs(z)))
     return (1.0 if z >= 0 else e) / (1.0 + e)
 

@@ -13,6 +13,7 @@ import hashlib
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
@@ -109,6 +110,20 @@ class ChannelParams:
             raise ValueError("snr_jitter_sigma_db must be >= 0")
 
 
+class FeatureSample(NamedTuple):
+    """Detector/labeler view of a KPI sample: no ground truth field exists."""
+
+    seq: int
+    ts_ms: int
+    snr_db: float
+    mcs: int
+    bler: float
+
+
+# a FeatureSample from one tuple of its fields, without the generated __new__'s frame
+_feature_sample = partial(tuple.__new__, FeatureSample)
+
+
 class KpiSample(NamedTuple):
     """One uplink measurement. truth_interference is evaluation-only."""
 
@@ -119,18 +134,9 @@ class KpiSample(NamedTuple):
     bler: float
     truth_interference: bool
 
-    def public(self) -> "FeatureSample":
-        return FeatureSample(self.seq, self.ts_ms, self.snr_db, self.mcs, self.bler)
-
-
-class FeatureSample(NamedTuple):
-    """Detector/labeler view of a KPI sample: no ground truth field exists."""
-
-    seq: int
-    ts_ms: int
-    snr_db: float
-    mcs: int
-    bler: float
+    def public(self) -> FeatureSample:
+        # FeatureSample's fields are this record's first five, in order
+        return _feature_sample(self[:5])
 
 
 def _catalog_spec(sid: int, duration_samples: int, where: str = "") -> ScenarioSpec:

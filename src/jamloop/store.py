@@ -119,6 +119,10 @@ def _validate(stream: str, record) -> None:
     check(record)
 
 
+def _unknown_stream(name: str) -> UnknownStreamError:
+    return UnknownStreamError(f"unknown stream {name!r}")
+
+
 def _bounds(records: list, from_seq: int, to_seq: int | None) -> tuple[int, int]:
     """Index range of the seq-ordered `records` with seq in [from_seq, to_seq]."""
     if to_seq is not None and from_seq > to_seq:
@@ -145,7 +149,7 @@ class TelemetryStore:
         try:
             return self._streams[name]
         except KeyError:
-            raise UnknownStreamError(f"unknown stream {name!r}") from None
+            raise _unknown_stream(name) from None
 
     def count(self, stream: str) -> int:
         return len(self._stream(stream))
@@ -163,7 +167,10 @@ class TelemetryStore:
 
     def append(self, stream: str, record) -> int:
         """Append one valid record of the stream's type; returns the stream count after."""
-        records = self._stream(stream)
+        try:  # the per-sample path: one dict lookup, no `_stream` call
+            records = self._streams[stream]
+        except KeyError:
+            raise _unknown_stream(stream) from None
         _validate(stream, record)
         with self._lock:
             if len(records) >= self.max_records or records and records[-1].seq >= record.seq:

@@ -6,9 +6,10 @@ import time
 import numpy as np
 import pytest
 
-from jamloop.detector import (DetectorXapp, NoModelDeployedError, StaleVersionError)
-from jamloop.mlp import LAYER_DIMS, MlpModel, forward_batch
-from jamloop.scenarios import FeatureSample
+from jamloop.detector import (DetectorError, DetectorXapp, NoModelDeployedError,
+                              StaleVersionError)
+from jamloop.mlp import LAYER_DIMS, MlpModel, forward, forward_batch, init_model
+from jamloop.scenarios import FeatureSample, KpiSample, iter_stream, schedule_from_ids
 from jamloop.store import LABEL_CLEAN, LABEL_INTERFERENCE, TelemetryStore
 
 
@@ -170,6 +171,58 @@ class TestRun:
 
     def test_input_view_excludes_truth(self):
         assert not hasattr(feature(0), "truth_interference")
+
+
+TRUTHFUL = KpiSample(4, 400, 20.0, 15, 0.1, True)
+# samples with a FeatureSample's values that are not FeatureSample views
+NOT_VIEWS = pytest.mark.parametrize(
+    "sample", [TRUTHFUL, tuple(TRUTHFUL.public()), tuple(TRUTHFUL)],
+    ids=["KpiSample", "tuple5", "tuple6"])
+
+
+class TestTruthStaysOut:
+    @NOT_VIEWS
+    def test_infer_refuses_other_types(self, sample):
+        det = DetectorXapp()
+        det.swap_model(bias_model(1))
+        with pytest.raises(DetectorError, match=f"got {type(sample).__name__}$"):
+            det.infer(sample)
+        assert det.swap_model(bias_model(2)).seq_boundary == -1  # nothing was scored
+
+    @NOT_VIEWS
+    def test_infer_batch_refuses_other_types(self, sample):
+        det = DetectorXapp()
+        det.swap_model(bias_model(1))
+        with pytest.raises(DetectorError, match=f"got {type(sample).__name__}$"):
+            det.infer_batch([feature(2), feature(3), sample])
+        assert det.swap_model(bias_model(2)).seq_boundary == -1  # nothing was scored
+
+    def test_public_view_is_accepted(self):
+        det = DetectorXapp()
+        det.swap_model(bias_model(1))
+        assert det.infer(TRUTHFUL.public()).seq == 4
+        assert [r.seq for r in det.infer_batch([TRUTHFUL.public()])] == [4]
+
+
+def _catalog_stream():
+    return [s.public() for s in iter_stream(schedule_from_ids(list(range(1, 19)), seed=7,
+                                                              duration_samples=100))]
+
+
+class TestOneInferencePath:
+    """`infer`'s prob is `forward` of the sample's (snr_db, bler, mcs): ==, not approx."""
+
+    @pytest.mark.parametrize("scale", [1.0, 300.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_infer_prob_is_forward(self, seed, scale):
+        model = init_model(seed, version=1)
+        model.weights[-1] *= scale  # x300: logits far out on both sides
+        det = DetectorXapp()
+        det.swap_model(model)
+        for s in _catalog_stream():
+            rec = det.infer(s)
+            assert rec.seq == s.seq
+            assert rec.prob == forward(model, (s.snr_db, s.bler, s.mcs))
 
 
 class TestSwapAtomicityRace:

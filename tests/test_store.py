@@ -59,6 +59,7 @@ class TestRecords:
         assert "truth_interference" not in FeatureSample._fields
         assert len(sample.public()) == 5
         assert tuple(sample.public()) == tuple(sample)[:5]
+        assert type(sample.public()) is FeatureSample  # a plain tuple is not a view
 
 
 class TestAppend:
@@ -110,7 +111,7 @@ class TestAppend:
         assert store.append(stream, record) == 1
 
     def test_unknown_stream(self, store):
-        with pytest.raises(UnknownStreamError):
+        with pytest.raises(UnknownStreamError, match="unknown stream .nope.$"):
             store.append("nope", kpi(0))
 
     @pytest.mark.parametrize("stream", ["kpi", "labels", "detections"])
