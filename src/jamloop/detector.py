@@ -14,7 +14,6 @@ import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
-from time import perf_counter_ns
 
 import numpy as np
 
@@ -85,23 +84,19 @@ class DetectorXapp:
         if type(sample) is not FeatureSample:
             raise _not_features(sample)
         seq, _, snr_db, mcs, bler = sample
-        t0 = perf_counter_ns()
         prob = forward(model, (snr_db, bler, mcs))
-        latency_us = (perf_counter_ns() - t0) // 1000
         self._last_seq = seq
         return _detection((seq, prob,
                            LABEL_INTERFERENCE if prob >= model.threshold else LABEL_CLEAN,
-                           model.version, latency_us))
+                           model.version))
 
     def infer_batch(self, samples: Sequence[FeatureSample]) -> list[DetectionRecord]:
         """Detections of `samples`, in order, all from one model.
 
         One `forward_batch` scores them all; its probabilities may differ from
         `infer`'s in the last bits. So the verdicts match `infer`'s unless a
-        probability lies within those last bits of the threshold. Each record's
-        `latency_us` is the batch's time (feature array and forward pass)
-        divided by its size, in whole microseconds. A sample of any type but
-        FeatureSample raises `DetectorError` before any is scored.
+        probability lies within those last bits of the threshold. A sample of
+        any type but FeatureSample raises `DetectorError` before any is scored.
         """
         model = self._slot  # single read: the whole batch sees one model
         if model is None:
@@ -111,13 +106,11 @@ class DetectorXapp:
         for s in samples:
             if type(s) is not FeatureSample:
                 raise _not_features(s)
-        t0 = perf_counter_ns()
         probs = forward_batch(model, np.array(
             [(s.snr_db, s.bler, s.mcs) for s in samples], dtype=float))
-        latency_us = (perf_counter_ns() - t0) // 1000 // len(samples)
         threshold, version = model.threshold, model.version
         self._last_seq = samples[-1].seq
         return [_detection((s.seq, prob,
                             LABEL_INTERFERENCE if prob >= threshold else LABEL_CLEAN,
-                            version, latency_us))
+                            version))
                 for s, prob in zip(samples, probs.tolist())]

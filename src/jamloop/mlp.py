@@ -345,8 +345,9 @@ def train(dataset: list[tuple[tuple[float, float, float], int]],
     the fit stops there once that accuracy is 1.0, so `TrainReport`'s
     `epoch_loss` and `epoch_val_accuracy` hold `cfg.epochs` entries only for
     a fit that never scores 1.0. Raises `TrainingError` when the dataset is
-    too small or single-class, or when the stratified split, which keeps a
-    row of each class for validation, leaves training a class short.
+    too small or single-class, when the stratified split, which keeps a row
+    of each class for validation, leaves training a class short, or when the
+    checkpoint's parameters are not finite (the fit diverged).
     """
     cfg.validate()
     if len(dataset) < 10:
@@ -438,6 +439,9 @@ def train(dataset: list[tuple[tuple[float, float, float], int]],
             best_epoch = epoch
             if best_acc == 1.0:  # no later epoch can score above it and replace it
                 break
+    if not np.all(np.isfinite(best_theta)):
+        raise TrainingError(f"fit diverged: parameters of epoch {best_epoch} are not finite "
+                            f"at learning_rate {cfg.learning_rate}")
 
     report = TrainReport(epoch_loss=epoch_loss, epoch_val_accuracy=epoch_val_acc,
                          best_epoch=best_epoch, val_accuracy=best_acc,

@@ -74,7 +74,6 @@ class DetectionRecord(NamedTuple):
     prob: float
     verdict: str  # CLEAN | INTERFERENCE
     model_version: int
-    latency_us: int
 
     def validate(self) -> None:
         if not 0.0 <= self.prob <= 1.0:
@@ -83,8 +82,6 @@ class DetectionRecord(NamedTuple):
             raise RecordInvalidError(f"unknown verdict {self.verdict!r}")
         if self.model_version < 0:
             raise RecordInvalidError("model_version must be non-negative")
-        if self.latency_us < 0:
-            raise RecordInvalidError("latency_us must be non-negative")
 
 
 DETECTION_CSV_COLUMNS = list(DetectionRecord._fields)

@@ -528,6 +528,19 @@ class TestReplay:
         assert all(r["verdict"] == "CLEAN" for r in rows)
         assert all(r["model_version"] == "1" for r in rows)
 
+    def test_repeat_replay_byte_identical(self, tmp_path):
+        _, trace = simulate(tmp_path, [{"id": 2, "duration_samples": 500},
+                                       {"id": 3, "duration_samples": 500}])
+        model_path = tmp_path / "v1.model"
+        mlp.save(mlp.init_model(3, version=1), model_path)
+        outs = [tmp_path / "r1", tmp_path / "r2"]
+        for out in outs:
+            assert main(["--out", str(out), "replay", "--trace", str(trace),
+                         "--model", str(model_path)]) == EXIT_OK
+        first, second = ((out / "detections.csv").read_bytes() for out in outs)
+        assert first.count(b"\n") == 1001
+        assert first == second
+
     def test_failed_write_leaves_no_partial_detections(self, tmp_path, monkeypatch):
         from jamloop.detector import DetectorXapp
         _, trace = simulate(tmp_path, [{"id": 2, "duration_samples": 40}])
@@ -591,8 +604,7 @@ class TestReplay:
         code = main(["--out", str(out), "replay", "--trace", str(trace),
                      "--model", str(model_path)])
         assert code == EXIT_OK
-        assert (out / "detections.csv").read_text().strip() == \
-            "seq,prob,verdict,model_version,latency_us"
+        assert (out / "detections.csv").read_text().strip() == "seq,prob,verdict,model_version"
 
 
 class TestDeploy:
@@ -657,6 +669,16 @@ class TestRunExperiment:
         assert len(rows) == 9  # 18 scenarios paired into 9 windows
         report = json.loads((out / "report.json").read_text())
         assert report["n_samples"] == 18 * 60
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow being tested
+    def test_diverging_baseline_fit_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("mlp: {learning_rate: 1.0e+300}\n"
+                       "experiment: {samples_per_scenario: 30, passes: 1}\n")
+        code = main(["--config", str(cfg), "--seed", "7", "--out", str(tmp_path / "out"),
+                     "run-experiment"])
+        assert code == EXIT_FAILURE
+        assert "static baseline training failed: fit diverged" in capsys.readouterr().err
 
     def test_unknown_config_key_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"

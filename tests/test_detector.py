@@ -43,13 +43,12 @@ class TestInfer:
         det.swap_model(bias_model(1, out_bias=-5.0))
         assert det.infer(feature(0)).verdict == LABEL_CLEAN
 
-    def test_record_carries_version_and_latency(self):
+    def test_record_carries_version_and_seq(self):
         det = DetectorXapp()
         det.swap_model(bias_model(3, out_bias=1.0))
         rec = det.infer(feature(9))
         assert rec.model_version == 3
         assert rec.seq == 9
-        assert rec.latency_us >= 0
 
 
 def random_model(version, seed, features):
@@ -89,8 +88,6 @@ class TestInferBatch:
             [(r.seq, r.verdict, r.model_version) for r in single]
         for b, r in zip(batch, single):  # equal up to the last bits
             assert b.prob == pytest.approx(r.prob, rel=1e-12, abs=1e-15)
-        assert len({r.latency_us for r in batch}) == 1
-        assert isinstance(batch[0].latency_us, int) and batch[0].latency_us >= 0
 
     def test_swap_boundary_is_last_seq_of_batch(self):
         det = DetectorXapp()

@@ -1,4 +1,4 @@
-"""`tools/artifact_digests.py` reproduces the committed seed-7 digests.
+"""`tools/artifact_digests.py` reproduces the committed seed-7 and seed-11 digests.
 
 The digest files hold the bits of one platform's floats (x86-64, numpy 2.4
 on OpenBLAS 0.3.31, as the tool's docstring says); another BLAS or libm may
@@ -41,9 +41,10 @@ OFF_PLATFORM = _off_platform()
 
 
 @pytest.mark.skipif(OFF_PLATFORM is not None, reason=OFF_PLATFORM or "")
-def test_seed7_digests_match_committed():
-    run = subprocess.run([sys.executable, str(TOOL), "--seed", "7"], capture_output=True,
+@pytest.mark.parametrize("seed", [7, 11])
+def test_digests_match_committed(seed):
+    run = subprocess.run([sys.executable, str(TOOL), "--seed", str(seed)], capture_output=True,
                          text=True, timeout=600, check=False)
     assert run.returncode == 0, run.stderr[-2000:]
-    expected = (ROOT / "tools" / "digests" / "seed7.txt").read_text(encoding="utf-8")
+    expected = (ROOT / "tools" / "digests" / f"seed{seed}.txt").read_text(encoding="utf-8")
     assert run.stdout.splitlines() == expected.splitlines()

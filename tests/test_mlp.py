@@ -235,6 +235,14 @@ class TestTrain:
                            match=f"val_fraction 0.2 leaves no {name} training rows of 1"):
             train(data, TrainConfig(seed=1))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow being tested
+    def test_diverging_fit_refused(self):
+        # at this rate the first epoch's parameters overflow; building a model from
+        # them once raised ModelError, which callers read as a bad model file
+        with pytest.raises(TrainingError,
+                           match=r"parameters of epoch 0 are not finite at learning_rate 1e\+300"):
+            train(separable_dataset(), TrainConfig(seed=1, epochs=5, learning_rate=1e300))
+
     def test_deterministic_given_seed(self):
         # overlapping classes: the fit never scores 1.0, so it runs every epoch
         data = overlapping_dataset(200, 0.5, seed=3)

@@ -38,7 +38,7 @@ def dumps_line(s, with_truth=True):
 class TestRecords:
     @pytest.mark.parametrize("record", [
         kpi(3), kpi(3).public(), label(3),
-        DetectionRecord(3, 0.25, LABEL_CLEAN, 1, 40)],
+        DetectionRecord(3, 0.25, LABEL_CLEAN, 1)],
         ids=["KpiSample", "FeatureSample", "LabeledSample", "DetectionRecord"])
     def test_frozen_and_slotted(self, record):
         # a record is a NamedTuple: no __dict__, and no field can be assigned
@@ -87,7 +87,7 @@ class TestAppend:
 
     @pytest.mark.parametrize("stream,record", [
         ("kpi", label(0)), ("kpi", kpi(0).public()),
-        ("labels", kpi(0)), ("labels", DetectionRecord(0, 0.2, LABEL_CLEAN, 1, 3)),
+        ("labels", kpi(0)), ("labels", DetectionRecord(0, 0.2, LABEL_CLEAN, 1)),
         ("detections", label(0)), ("detections", kpi(0))],
         ids=["kpi-LabeledSample", "kpi-FeatureSample", "labels-KpiSample",
              "labels-DetectionRecord", "detections-LabeledSample", "detections-KpiSample"])
@@ -99,7 +99,7 @@ class TestAppend:
 
     @pytest.mark.parametrize("stream,record", [
         ("kpi", kpi(0)), ("labels", label(0)),
-        ("detections", DetectionRecord(0, 0.2, LABEL_CLEAN, 1, 3))],
+        ("detections", DetectionRecord(0, 0.2, LABEL_CLEAN, 1))],
         ids=["kpi", "labels", "detections"])
     def test_plain_tuple_rejected(self, store, stream, record):
         # a plain tuple equals the record that holds its values, but is no record
@@ -147,7 +147,7 @@ class TestAppend:
 
 
 RECORD_OF = {"kpi": kpi, "labels": label,
-             "detections": lambda seq: DetectionRecord(seq, 0.5, LABEL_CLEAN, 1, 3)}
+             "detections": lambda seq: DetectionRecord(seq, 0.5, LABEL_CLEAN, 1)}
 
 
 def contents(store):
@@ -316,7 +316,7 @@ class TestJoin:
         seqs = np.sort(rng.choice(300, size=120, replace=False))  # sparse
         for seq in seqs:
             if rng.random() < 0.8:
-                store.append("detections", DetectionRecord(int(seq), 0.2, LABEL_CLEAN, 1, 3))
+                store.append("detections", DetectionRecord(int(seq), 0.2, LABEL_CLEAN, 1))
             if rng.random() < 0.8 and rng.random() >= 0.2:  # some seqs unlabeled
                 store.append("labels", label(int(seq)))
         for from_seq in (0, 150, 299, 400):
@@ -453,19 +453,19 @@ class TestRoundTrip:
     def test_export_empty_stream(self, tmp_path):
         path = tmp_path / "empty.csv"
         assert write_detections(path, []) == 0
-        assert path.read_text().strip() == "seq,prob,verdict,model_version,latency_us"
+        assert path.read_text().strip() == "seq,prob,verdict,model_version"
 
     def test_detections_csv_prob_exact(self, tmp_path):
         rng = np.random.default_rng(5)
         records = [DetectionRecord(i, float(rng.uniform()),
-                                   LABEL_INTERFERENCE if i % 2 else LABEL_CLEAN, 3, 12 + i)
+                                   LABEL_INTERFERENCE if i % 2 else LABEL_CLEAN, 3)
                    for i in range(200)]
         path = tmp_path / "det.csv"
         assert write_detections(path, records) == 200
         with path.open(newline="") as f:
             rows = list(csv.DictReader(f))
         assert [DetectionRecord(int(r["seq"]), float(r["prob"]), r["verdict"],
-                                int(r["model_version"]), int(r["latency_us"]))
+                                int(r["model_version"]))
                 for r in rows] == records  # prob exact: csv writes repr
 
 
@@ -476,7 +476,7 @@ class TestRoundTrip:
             for i in range(50):
                 if i == k:
                     raise RuntimeError(f"detector failed at record {k}")
-                yield DetectionRecord(i, 0.5, LABEL_CLEAN, 1, 7)
+                yield DetectionRecord(i, 0.5, LABEL_CLEAN, 1)
 
         with pytest.raises(RuntimeError, match="record 30"):
             write_detections(path, failing_at(30))
@@ -493,7 +493,7 @@ class TestRoundTrip:
         path = tmp_path / "det.csv"
         path.mkdir()
         with pytest.raises(IsADirectoryError, match="det.csv"):
-            write_detections(path, [DetectionRecord(0, 0.5, LABEL_CLEAN, 1, 7)])
+            write_detections(path, [DetectionRecord(0, 0.5, LABEL_CLEAN, 1)])
         assert [p.name for p in tmp_path.iterdir()] == ["det.csv"]
         assert path.is_dir()
 
@@ -571,7 +571,7 @@ class TestConcurrency:
             for i in range(per_thread):
                 seq = i * n_threads + k
                 for stream, record in (
-                        ("detections", DetectionRecord(seq, 0.2, LABEL_CLEAN, 1, 3)),
+                        ("detections", DetectionRecord(seq, 0.2, LABEL_CLEAN, 1)),
                         ("labels", label(seq))):
                     try:
                         store.append(stream, record)

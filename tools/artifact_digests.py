@@ -17,9 +17,8 @@ N (default 7):
 
 Prints one `sha256  name` line per artifact, then one per model file
 (`models/v*.model`) of each `run-experiment`, so a change in the bits of a
-trained model shows even where no detection moves. `detections.csv` is
-hashed without its `latency_us` column, which is a wall-clock measurement;
-`report.json` (it holds the runtime) and the registry journal are left out.
+trained model shows even where no detection moves. `report.json` (it holds
+the runtime) and the registry journal are left out.
 Two trees whose outputs match behave the same on these runs.
 
 `tools/digests/seed7.txt` and `seed11.txt` hold this script's output at
@@ -38,9 +37,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import hashlib
-import io
 import sys
 import tempfile
 from pathlib import Path
@@ -58,7 +55,7 @@ STRADDLE_CONFIG = "experiment: {samples_per_scenario: 130, passes: 1}\n"
 EXPERIMENT_ARTIFACTS = ("accuracy_by_window.csv", "accuracy_by_window.dat",
                         "plot_accuracy.gp", "labeler_by_scenario.csv",
                         "transcript.jsonl")
-TRACE_ARTIFACTS = ("trace.jsonl", "labeler_accuracy.csv")
+TRACE_ARTIFACTS = ("trace.jsonl", "labeler_accuracy.csv", "detections.csv")
 
 
 def _run(*argv: str) -> None:
@@ -70,16 +67,6 @@ def _run(*argv: str) -> None:
 
 def _digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _detections_digest(path: Path) -> str:
-    with path.open(newline="", encoding="utf-8") as f:
-        rows = [row[:-1] for row in csv.reader(f)]
-    if rows[0] != ["seq", "prob", "verdict", "model_version"]:
-        raise SystemExit(f"{path}: unexpected header {rows[0]}")
-    buf = io.StringIO(newline="")
-    csv.writer(buf).writerows(rows)
-    return hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -109,7 +96,6 @@ def main(argv: list[str] | None = None) -> int:
 
         digests = {f"experiment/{n}": _digest(exp / n) for n in EXPERIMENT_ARTIFACTS}
         digests.update({f"trace/{n}": _digest(trace_dir / n) for n in TRACE_ARTIFACTS})
-        digests["trace/detections.csv"] = _detections_digest(trace_dir / "detections.csv")
         digests.update({f"{run}/{n}": _digest(Path(tmp) / run / n)
                         for run in ("small_window", "straddle") for n in EXPERIMENT_ARTIFACTS})
         digests.update({f"{run}/models/{m.name}": _digest(m)
