@@ -14,6 +14,7 @@ import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 
 import numpy as np
 
@@ -43,6 +44,8 @@ class SwapReceipt:
 
 # a DetectionRecord from one tuple of its fields, without the generated __new__'s frame
 _detection = partial(tuple.__new__, DetectionRecord)
+# a verdict by whether its probability reaches the threshold
+_VERDICTS = (LABEL_CLEAN, LABEL_INTERFERENCE)
 
 
 def _not_features(sample) -> DetectorError:
@@ -91,12 +94,11 @@ class DetectorXapp:
                            model.version))
 
     def infer_batch(self, samples: Sequence[FeatureSample]) -> list[DetectionRecord]:
-        """Detections of `samples`, in order, all from one model.
+        """Detections of `samples`, in order, all from one model: each record
+        equal to `infer`'s, `prob` bits included.
 
-        One `forward_batch` scores them all; its probabilities may differ from
-        `infer`'s in the last bits. So the verdicts match `infer`'s unless a
-        probability lies within those last bits of the threshold. A sample of
-        any type but FeatureSample raises `DetectorError` before any is scored.
+        One `forward_batch` scores them all. A sample of any type but
+        FeatureSample raises `DetectorError` before any is scored.
         """
         model = self._slot  # single read: the whole batch sees one model
         if model is None:
@@ -106,11 +108,9 @@ class DetectorXapp:
         for s in samples:
             if type(s) is not FeatureSample:
                 raise _not_features(s)
-        probs = forward_batch(model, np.array(
-            [(s.snr_db, s.bler, s.mcs) for s in samples], dtype=float))
-        threshold, version = model.threshold, model.version
-        self._last_seq = samples[-1].seq
-        return [_detection((s.seq, prob,
-                            LABEL_INTERFERENCE if prob >= threshold else LABEL_CLEAN,
-                            version))
-                for s, prob in zip(samples, probs.tolist())]
+        seqs, _, snr_db, mcs, bler = zip(*samples)
+        probs = forward_batch(model, np.array([snr_db, bler, mcs], dtype=float).T)
+        verdicts = map(_VERDICTS.__getitem__, (probs >= model.threshold).tolist())
+        self._last_seq = seqs[-1]
+        return list(map(_detection, zip(seqs, probs.tolist(), verdicts,
+                                        repeat(model.version))))

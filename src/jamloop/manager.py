@@ -11,17 +11,18 @@ cannot re-trigger.
 from __future__ import annotations
 
 import json
+import operator
 import shutil
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import mlp
 from .detector import DetectorXapp, StaleVersionError
 from .labeler import BaselineState, LabelerConfig, label_window
 from .numbers import real, whole
-from .store import LABEL_INTERFERENCE, TelemetryStore, atomic_writer
+from .store import LABEL_CLEAN, LABEL_INTERFERENCE, TelemetryStore, atomic_writer
 
 TRIGGER_NONE = "NONE"
 TRIGGER_LOW_AGREEMENT = "LOW_AGREEMENT"
@@ -178,6 +179,9 @@ class ModelRegistry:
                 f.write(json.dumps(e.__dict__, allow_nan=False) + "\n")
 
 
+_VERDICT, _LABEL = operator.attrgetter("verdict"), operator.attrgetter("label")
+
+
 def monitor(store: TelemetryStore, window_size: int = DEFAULT_MONITOR_WINDOW,
             threshold: float = DEFAULT_DRIFT_THRESHOLD,
             from_seq: int = 0) -> DriftReport:
@@ -188,15 +192,16 @@ def monitor(store: TelemetryStore, window_size: int = DEFAULT_MONITOR_WINDOW,
         return DriftReport(window_start_seq=from_seq, window_end_seq=from_seq,
                            agreement=None, sample_count=0, drifted=False,
                            trigger_reason=TRIGGER_NONE)
-    counts = Counter((det.verdict == LABEL_INTERFERENCE, lab.label == LABEL_INTERFERENCE)
-                     for det, lab in pairs)
-    tp, tn = counts[True, True], counts[False, False]
+    detections, labels = zip(*pairs)
+    counts = Counter(zip(map(_VERDICT, detections), map(_LABEL, labels)))
+    jam, clean = LABEL_INTERFERENCE, LABEL_CLEAN
+    tp, tn = counts[jam, jam], counts[clean, clean]
     agree = (tp + tn) / len(pairs)
     drifted = agree < threshold  # strict: exactly-at-threshold is not drift
     return DriftReport(window_start_seq=pairs[0][0].seq, window_end_seq=pairs[-1][0].seq,
                        agreement=agree, sample_count=len(pairs), drifted=drifted,
                        trigger_reason=TRIGGER_LOW_AGREEMENT if drifted else TRIGGER_NONE,
-                       tp=tp, fp=counts[True, False], fn=counts[False, True], tn=tn)
+                       tp=tp, fp=counts[jam, clean], fn=counts[clean, jam], tn=tn)
 
 
 def labeled_dataset(pairs) -> list[tuple[tuple[float, float, float], int]]:
@@ -359,7 +364,7 @@ class ClosedLoop:
         else:
             report = monitor(self.store, self.cfg.monitor_window,
                              self.cfg.drift_threshold, from_seq=self._monitor_from_seq)
-        self._log("drift_report", **asdict(report))
+        self._log("drift_report", **vars(report))
         if not report.drifted:
             return
         outcome = retrain(self.store, self.cfg.train, self.registry)

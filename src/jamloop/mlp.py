@@ -19,7 +19,10 @@ pairwise np.add.reduce, which overwrites the in-order BLAS sum; and the
 layout stays row-major with the 1 last. Adam keeps (m, v) and (g, g**2) as
 the rows of two (2, N_PARAMS) arrays: ten in-place ufunc calls a step, in
 the operation order that fixes the bits. Each fit builds one workspace,
-so a step slices, allocates and copies nothing.
+so a step slices, allocates and copies nothing. That folded layout serves
+training and its holdout scoring only: `forward` and `forward_batch` take
+each layer as h @ W, += b and ReLU, one gemv per row, so a batch gives
+every row the bits of the scalar path.
 """
 
 from __future__ import annotations
@@ -191,9 +194,8 @@ def forward(model: MlpModel, features: tuple[float, float, float]) -> float:
     three biases once, then runs each hidden layer on the one 1-D vector from
     `normalize_features` as h.dot(W) (gemv), += b and an in-place ReLU. The
     output layer is a third gemv; its bias is added and the sigmoid taken on
-    Python floats, with np.exp, whose bits differ from math.exp's. BLAS sums
-    a batch in another order, so `forward_batch` may differ from it in the
-    last bits.
+    Python floats, with np.exp, whose bits differ from math.exp's.
+    `forward_batch` gives each row these same bits.
     """
     snr_db, bler, mcs = features
     if not (math.isfinite(snr_db) and math.isfinite(bler) and math.isfinite(mcs)):
@@ -212,11 +214,27 @@ def forward(model: MlpModel, features: tuple[float, float, float]) -> float:
 
 
 def forward_batch(model: MlpModel, features: np.ndarray) -> np.ndarray:
-    """Probabilities for an (n, 3) array of raw (snr_db, bler, mcs) rows."""
+    """Probabilities for an (n, 3) array of raw (snr_db, bler, mcs) rows, each
+    with `forward`'s bits.
+
+    Each layer is one stacked `@` over a C-contiguous (n, 1, k) array, which
+    numpy runs as one gemv per row: the product `forward` takes. The rows are
+    copied to C order first, because a strided one-row slice reaches another
+    BLAS kernel whose sums differ in the last bits. The sigmoid's array form
+    gives the bits of `forward`'s scalar one.
+    """
     if not np.all(np.isfinite(features)):
         raise ValueError("non-finite features in batch")
-    return _sigmoid(_activations(_layers(_pack(model)), _normalize(features),
-                                 *_scratch(len(features))))
+    w0, w1, w2 = model.weights
+    b0, b1, b2 = model.biases
+    h = normalize_features(*features.T).T.copy()[:, None, :]
+    for w, b in ((w0, b0), (w1, b1)):
+        h = h @ w
+        h += b
+        np.maximum(_ZERO, h, out=h)
+    z = (h @ w2).ravel()
+    z += b2
+    return _sigmoid(z)
 
 
 def _bce(z: np.ndarray, y: np.ndarray, sw: np.ndarray) -> np.ndarray:
@@ -406,39 +424,41 @@ def train(dataset: list[tuple[tuple[float, float, float], int]],
              for a, ws in zip(range(0, n_tr, bs), _workspace(theta, g, xe, z_tr, bs))]
     layers, va_out = _layers(theta), _scratch(len(y_va))
     probs, va_tmp = np.empty((2, len(y_va)))
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n_tr)
-        np.take(x_tr, order, axis=0, out=xe)
-        np.take(y_tr, order, out=ye)
-        np.take(weights_tr, order, out=swe)
-        swe /= np.repeat(_batch_sums(swe, bs), bs)[:n_tr]  # sums to 1 per minibatch
-        for yb, swb, ws in steps:
-            _backprop(ws, yb, swb)
-            # in place, in this operation order (it fixes the bits):
-            # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g**2;
-            # theta -= lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps)
-            t += 1
-            np.multiply(g, g, out=g_sq)
-            gg *= one_minus_betas
-            mv *= betas
-            mv += gg
-            corr[0], corr[1] = 1 - beta1 ** t, 1 - beta2 ** t  # Python float pow
-            np.divide(mv, corr, out=gg)
-            g *= lr
-            np.sqrt(g_sq, out=g_sq)
-            g_sq += eps
-            g /= g_sq
-            theta -= g
-        _sigmoid(_activations(layers, x_va, *va_out), probs, va_tmp)
-        val_acc = float(np.mean((probs >= MlpModel.threshold).astype(int) == y_va))
-        epoch_loss.append(float(np.mean(_batch_sums(_bce(z_tr, ye, swe), bs))))
-        epoch_val_acc.append(val_acc)
-        if val_acc > best_acc:
-            best_acc = val_acc
-            best_theta = theta.copy()
-            best_epoch = epoch
-            if best_acc == 1.0:  # no later epoch can score above it and replace it
-                break
+    # a diverging fit overflows to inf and NaN; the check after the loop refuses it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(n_tr)
+            np.take(x_tr, order, axis=0, out=xe)
+            np.take(y_tr, order, out=ye)
+            np.take(weights_tr, order, out=swe)
+            swe /= np.repeat(_batch_sums(swe, bs), bs)[:n_tr]  # sums to 1 per minibatch
+            for yb, swb, ws in steps:
+                _backprop(ws, yb, swb)
+                # in place, in this operation order (it fixes the bits):
+                # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g**2;
+                # theta -= lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps)
+                t += 1
+                np.multiply(g, g, out=g_sq)
+                gg *= one_minus_betas
+                mv *= betas
+                mv += gg
+                corr[0], corr[1] = 1 - beta1 ** t, 1 - beta2 ** t  # Python float pow
+                np.divide(mv, corr, out=gg)
+                g *= lr
+                np.sqrt(g_sq, out=g_sq)
+                g_sq += eps
+                g /= g_sq
+                theta -= g
+            _sigmoid(_activations(layers, x_va, *va_out), probs, va_tmp)
+            val_acc = float(np.mean((probs >= MlpModel.threshold).astype(int) == y_va))
+            epoch_loss.append(float(np.mean(_batch_sums(_bce(z_tr, ye, swe), bs))))
+            epoch_val_acc.append(val_acc)
+            if val_acc > best_acc:
+                best_acc = val_acc
+                best_theta = theta.copy()
+                best_epoch = epoch
+                if best_acc == 1.0:  # no later epoch can score above it and replace it
+                    break
     if not np.all(np.isfinite(best_theta)):
         raise TrainingError(f"fit diverged: parameters of epoch {best_epoch} are not finite "
                             f"at learning_rate {cfg.learning_rate}")

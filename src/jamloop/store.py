@@ -107,12 +107,16 @@ _RECORDS = {"kpi": (KpiSample, _validate_kpi),
 _SEQ = operator.attrgetter("seq")
 
 
+def _wrong_type(stream: str, kind: type, record) -> RecordInvalidError:
+    return RecordInvalidError(f"stream {stream!r} takes {kind.__name__} records, "
+                              f"got {type(record).__name__}")
+
+
 def _validate(stream: str, record) -> None:
     """Raise `RecordInvalidError` unless `record` is a valid record of `stream`'s type."""
     kind, check = _RECORDS[stream]
     if not isinstance(record, kind):
-        raise RecordInvalidError(f"stream {stream!r} takes {kind.__name__} records, "
-                                 f"got {type(record).__name__}")
+        raise _wrong_type(stream, kind, record)
     check(record)
 
 
@@ -184,8 +188,11 @@ class TelemetryStore:
         raises what its first failing `append` would, and writes nothing.
         """
         stored, batch = self._stream(stream), list(records)
+        kind, check = _RECORDS[stream]  # `_validate`'s checks, looked up once
         for record in batch:
-            _validate(stream, record)
+            if not isinstance(record, kind):
+                raise _wrong_type(stream, kind, record)
+            check(record)
         seqs = [r.seq for r in batch]
         with self._lock:
             if (len(stored) + len(batch) > self.max_records
@@ -219,15 +226,21 @@ class TelemetryStore:
 
     def _join(self, stream: str, from_seq: int, last: int | None = None) -> list:
         # a merge join walked back from the high end, so that the trailing
-        # `last` pairs cost O(last) steps plus the unmatched records among them
+        # `last` pairs cost O(last) steps plus the unmatched records among them.
+        # At a match on seq, when the k records of each stream that end there
+        # start at seq - k + 1, integer seqs make both runs hold seqs
+        # seq - k + 1 .. seq: one compare of their seqs confirms it, and the run
+        # is taken in one step. A seq that is no integer can fail that compare;
+        # the join then walks the rest pair by pair (`runs` false)
         if last is not None and last < 1:
             raise ValueError("last must be >= 1")
         records, label_rows = self._streams[stream], self._streams["labels"]
-        out = []
+        out, runs = [], True
         with self._lock:
             i0, i = _bounds(records, from_seq, None)
             j0, j = _bounds(label_rows, from_seq, None)
-            while i > i0 and j > j0 and len(out) != last:
+            want = last or i - i0  # no more pairs than records
+            while i > i0 and j > j0 and len(out) != want:
                 r, lab = records[i - 1], label_rows[j - 1]
                 seq, label_seq = r.seq, lab.seq
                 if seq > label_seq:
@@ -235,6 +248,16 @@ class TelemetryStore:
                 elif seq < label_seq:
                     j -= 1
                 else:
+                    k = min(i - i0, j - j0, want - len(out))
+                    if (runs and k > 1
+                            and records[i - k].seq == label_rows[j - k].seq == seq - k + 1):
+                        run, label_run = records[i - k:i], label_rows[j - k:j]
+                        runs = [*map(_SEQ, run)] == [*map(_SEQ, label_run)]
+                        if runs:
+                            out.extend(zip(reversed(run), reversed(label_run)))
+                            i -= k
+                            j -= k
+                            continue
                     i -= 1
                     j -= 1
                     out.append((r, lab))

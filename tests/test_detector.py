@@ -84,10 +84,19 @@ class TestInferBatch:
         batch = det.infer_batch(samples)
         single = [det.infer(s) for s in samples]
         assert {r.verdict for r in single} == {LABEL_CLEAN, LABEL_INTERFERENCE}
-        assert [(r.seq, r.verdict, r.model_version) for r in batch] == \
-            [(r.seq, r.verdict, r.model_version) for r in single]
-        for b, r in zip(batch, single):  # equal up to the last bits
-            assert b.prob == pytest.approx(r.prob, rel=1e-12, abs=1e-15)
+        assert batch == single  # record for record
+        assert [b.prob.hex() for b in batch] == [r.prob.hex() for r in single]
+        assert all(type(b.prob) is float for b in batch)
+
+    @pytest.mark.parametrize("out_bias, verdict", [(0.0, LABEL_INTERFERENCE),
+                                                   (-5.0, LABEL_CLEAN)])
+    def test_threshold_boundary(self, out_bias, verdict):
+        # prob exactly 0.5 at out_bias 0 reaches the threshold, as in `infer`
+        det = DetectorXapp()
+        det.swap_model(bias_model(1, out_bias))
+        records = det.infer_batch([feature(i) for i in range(3)])
+        assert [r.verdict for r in records] == [verdict] * 3
+        assert records == [det.infer(feature(i)) for i in range(3)]
 
     def test_swap_boundary_is_last_seq_of_batch(self):
         det = DetectorXapp()
@@ -207,7 +216,8 @@ def _catalog_stream():
 
 
 class TestOneInferencePath:
-    """`infer`'s prob is `forward` of the sample's (snr_db, bler, mcs): ==, not approx."""
+    """`infer`'s prob is `forward` of the sample's (snr_db, bler, mcs), and
+    `infer_batch` gives `infer`'s records: ==, not approx."""
 
     @pytest.mark.parametrize("scale", [1.0, 300.0])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -216,10 +226,15 @@ class TestOneInferencePath:
         model.weights[-1] *= scale  # x300: logits far out on both sides
         det = DetectorXapp()
         det.swap_model(model)
-        for s in _catalog_stream():
-            rec = det.infer(s)
+        stream = _catalog_stream()
+        records = [det.infer(s) for s in stream]
+        for rec, s in zip(records, stream):
             assert rec.seq == s.seq
             assert rec.prob == forward(model, (s.snr_db, s.bler, s.mcs))
+        # the whole stream in one batch, and in the loop's 100-sample windows
+        assert det.infer_batch(stream) == records
+        assert [r for a in range(0, len(stream), 100)
+                for r in det.infer_batch(stream[a:a + 100])] == records
 
 
 class TestSwapAtomicityRace:

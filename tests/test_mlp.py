@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -70,7 +71,7 @@ class TestForward:
                                  rng.integers(0, 29, 50).astype(float)])
         batch = forward_batch(model, feats)
         for row, prob in zip(feats, batch):
-            assert forward(model, tuple(row)) == pytest.approx(float(prob), rel=1e-12)
+            assert forward(model, tuple(row)) == float(prob)
 
 
 def _reference_forward(model, features):
@@ -242,6 +243,14 @@ class TestTrain:
         with pytest.raises(TrainingError,
                            match=r"parameters of epoch 0 are not finite at learning_rate 1e\+300"):
             train(separable_dataset(), TrainConfig(seed=1, epochs=5, learning_rate=1e300))
+
+    def test_diverging_fit_warns_nothing(self):
+        # the overflow to inf and NaN is numpy's to ignore, as the TrainingError
+        # reports it: a RuntimeWarning here would raise in place of it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingError, match="fit diverged"):
+                train(separable_dataset(), TrainConfig(seed=1, epochs=5, learning_rate=1e300))
 
     def test_deterministic_given_seed(self):
         # overlapping classes: the fit never scores 1.0, so it runs every epoch
@@ -506,7 +515,13 @@ class TestGradsMatchReference:
 
 
 class TestForwardBatchMatchesReference:
-    """forward_batch keeps the bits of `_reference_predict`: compared by bytes."""
+    """forward_batch gives each row `forward`'s bits: compared by bytes."""
+
+    @staticmethod
+    def assert_rows_match_forward(model, feats):
+        want = np.array([forward(model, tuple(row)) for row in feats])
+        got = forward_batch(model, feats)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @pytest.fixture(scope="class")
     def trained(self):
@@ -516,19 +531,30 @@ class TestForwardBatchMatchesReference:
     def test_init_and_trained_models(self, n, trained):
         feats, _ = random_batch(np.random.default_rng(37 + n), n)
         for model in (init_model(n), trained):
-            want = _reference_predict(model.weights, model.biases, _reference_norm(feats))
-            got = forward_batch(model, feats)
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            self.assert_rows_match_forward(model, feats)
+
+    def test_non_contiguous_input(self, trained):
+        # every other row and column of a wider array: no row is C-contiguous
+        feats, _ = random_batch(np.random.default_rng(39), 200)
+        wide = np.zeros((400, 6))
+        wide[::2, ::2] = feats
+        strided = wide[::2, ::2]
+        assert not strided.flags.c_contiguous and not strided.flags.f_contiguous
+        for model in (init_model(39), trained):
+            self.assert_rows_match_forward(model, strided)
+            assert forward_batch(model, strided).tobytes() == \
+                forward_batch(model, feats).tobytes()
 
     def test_one_row_batches(self):
-        # numpy hands a one-row product to gemv, which sums in another order than
-        # gemm; few one-row logits show it, so try many
+        # a one-row batch keeps the bits of `_reference_predict` as well; few
+        # one-row logits show a change of summation order, so try many
         rng = np.random.default_rng(38)
         for seed in range(200):
             feats, _ = random_batch(rng, 1)
             model = init_model(seed)
             want = _reference_predict(model.weights, model.biases, _reference_norm(feats))
             assert forward_batch(model, feats).tobytes() == want.tobytes()
+            self.assert_rows_match_forward(model, feats)
 
 
 class TestFloatMasksMatchBoolMasks:

@@ -329,6 +329,50 @@ class TestJoin:
         with pytest.raises(ValueError):
             store.join_detections(last=0)
 
+    @staticmethod
+    def run_seqs(start, runs, halved=()):
+        """Increasing seqs from `start`: per (gap, length), skip gap seqs, take length;
+        a seq in `halved` becomes seq - 0.5, which keeps the order."""
+        seqs, seq = [], start
+        for gap, length in runs:
+            seqs.extend(range(seq + gap, seq + gap + length))
+            seq += gap + length
+        return [q - 0.5 if q in halved else q for q in seqs]
+
+    @staticmethod
+    def reference_join(records, labels, from_seq, last):
+        """Inner join on seq through a dict, from `from_seq` on, the trailing `last` pairs."""
+        by_seq = {lab.seq: lab for lab in labels}
+        pairs = [(r, by_seq[r.seq]) for r in records if r.seq >= from_seq and r.seq in by_seq]
+        return pairs if last is None else pairs[-last:]
+
+    seq_runs = st.lists(st.tuples(st.integers(0, 3), st.integers(1, 12)), max_size=8)
+
+    @settings(max_examples=300, deadline=None)
+    @given(starts=st.tuples(*[st.integers(0, 4)] * 3), kpi_runs=seq_runs,
+           label_runs=seq_runs, detection_runs=seq_runs, inside=st.integers(0, 120),
+           halved=st.tuples(*[st.sets(st.integers(1, 120), max_size=3)] * 3))
+    def test_matches_dict_join(self, starts, kpi_runs, label_runs, detection_runs, inside,
+                               halved):
+        # runs with gaps in each stream: a run of pairs is taken whole where both
+        # streams hold it, and stepped through where either has a gap part way. A
+        # seq halved in one stream only leaves a run's integer ends in place, yet
+        # pairs with nothing
+        store = TelemetryStore()
+        names = ("kpi", "labels", "detections")
+        for stream, start, runs, halves in zip(names, starts, (kpi_runs, label_runs,
+                                                               detection_runs), halved):
+            store.extend(stream, map(RECORD_OF[stream], self.run_seqs(start, runs, halves)))
+        kpis, labels, detections = (store.window(name) for name in names)
+        assert store.join_labels() == self.reference_join(kpis, labels, 0, None)
+        past = max([r.seq for r in kpis + labels + detections], default=0) + 1
+        for from_seq in (0, inside, past):
+            for last in (None, 1, 7, 200):
+                assert store.join_detections(from_seq, last) == \
+                    self.reference_join(detections, labels, from_seq, last)
+                assert store._join("kpi", from_seq, last) == \
+                    self.reference_join(kpis, labels, from_seq, last)
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("fmt", ["JSONL"])
