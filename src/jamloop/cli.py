@@ -29,6 +29,9 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
+_SNR_DB = operator.attrgetter("snr_db")
+_TRUTH = operator.attrgetter("truth_interference")
+
 # per command, the arguments that name an input file
 INPUT_FILES = {"simulate": ("schedule",), "eval-labeler": ("trace",),
                "replay": ("model", "trace"), "deploy": ("model",)}
@@ -110,13 +113,14 @@ def cmd_eval_labeler(args, cfg) -> int:
 
     samples.sort(key=operator.attrgetter("seq"))  # read_trace keeps file order
     # the labeler sees the SNR column only, so it cannot read truth
-    jammed = label_stream(np.array([s.snr_db for s in samples]), cfg.labeler.window_size)
+    jammed = label_stream(np.fromiter(map(_SNR_DB, samples), float, len(samples)),
+                          cfg.labeler.window_size)
     labels = {s.seq: LABEL_INTERFERENCE if jam else LABEL_CLEAN
               for s, jam in zip(samples, jammed.tolist())}
 
     # the trace names no scenarios: a segment is a run of constant truth in seq order
     segments: list[Segment] = []
-    for truth, run in itertools.groupby(samples, key=lambda s: s.truth_interference):
+    for truth, run in itertools.groupby(samples, key=_TRUTH):
         run = list(run)
         segments.append(Segment(scenario_id=len(segments) + 1, event="ON" if truth else "OFF",
                                 start_seq=run[0].seq, end_seq=run[-1].seq))
@@ -161,7 +165,8 @@ def cmd_replay(args, cfg) -> int:
     detector.swap_model(model)
     args.out.mkdir(parents=True, exist_ok=True)
     out_path = args.out / "detections.csv"
-    n = write_detections(out_path, (detector.infer(s.public()) for s in samples))
+    # `infer` is looked up here, once per run, and still called once per sample
+    n = write_detections(out_path, map(detector.infer, map(KpiSample.public, samples)))
     print(f"wrote {n} detections to {out_path}")
     return EXIT_OK
 

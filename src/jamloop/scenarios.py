@@ -139,6 +139,10 @@ class KpiSample(NamedTuple):
         return _feature_sample(self[:5])
 
 
+# a KpiSample from one tuple of its fields, as `_feature_sample` builds a FeatureSample
+_kpi_sample = partial(tuple.__new__, KpiSample)
+
+
 def _catalog_spec(sid: int, duration_samples: int, where: str = "") -> ScenarioSpec:
     """Catalog scenario `sid` lasting `duration_samples`; `where` prefixes an error."""
     if isinstance(sid, bool) or sid not in SCENARIO_CATALOG:  # True would be id 1
@@ -228,7 +232,8 @@ def sinr_db(spec: ScenarioSpec, params: ChannelParams) -> float:
 def mcs_for_snr(snr_smoothed_db: float, params: ChannelParams) -> int:
     """Link adaptation: map margin-backed smoothed SNR onto MCS 0..28."""
     x = (snr_smoothed_db - params.la_margin_db + 6.0) * 28.0 / 36.0
-    return int(min(28, max(0, math.floor(x + 0.5))))
+    mcs = math.floor(x + 0.5)
+    return 0 if mcs < 0 else 28 if mcs > 28 else mcs
 
 
 def mcs_snr_threshold_db(mcs: int) -> float:
@@ -236,11 +241,15 @@ def mcs_snr_threshold_db(mcs: int) -> float:
     return -6.0 + 36.0 * mcs / 28.0
 
 
+# each MCS's decoding threshold, so that `bler_for` makes no call for it
+_MCS_THRESHOLD_DB = tuple(mcs_snr_threshold_db(mcs) for mcs in range(29))
+
+
 def bler_for(snr_inst_db: float, mcs_used: int, params: ChannelParams) -> float:
     """Logistic BLER response around the MCS decoding threshold."""
     if not 0 <= mcs_used <= 28:
         raise ValueError(f"mcs must be in 0..28, got {mcs_used}")
-    x = params.bler_slope_k * (snr_inst_db - mcs_snr_threshold_db(mcs_used))
+    x = params.bler_slope_k * (snr_inst_db - _MCS_THRESHOLD_DB[mcs_used])
     # guard exp overflow for extreme arguments; limit is exact 0/1 anyway
     if x > 500:
         return 1.0 / (1.0 + math.exp(500))
@@ -264,10 +273,8 @@ class StreamSummary:
     digest: str
 
 
-def _sample_digest_update(h, s: KpiSample, snr_db: str, bler: str) -> None:
-    """Add one sample to the stream digest; `snr_db` and `bler` are its floats' reprs."""
-    h.update(f"{s.seq},{s.ts_ms},{snr_db},{s.mcs},{bler},{int(s.truth_interference)};"
-             .encode("ascii"))
+# samples whose digest text is hashed in one `sha256.update`
+_DIGEST_CHUNK = 1024
 
 
 def iter_stream(schedule: ScenarioSchedule,
@@ -281,20 +288,22 @@ def iter_stream(schedule: ScenarioSchedule,
     params = params or ChannelParams()
     params.validate()
     rng = np.random.default_rng(schedule.seed)
-    alpha = params.ewma_alpha
+    alpha, sigma = params.ewma_alpha, params.snr_jitter_sigma_db
+    keep = 1.0 - alpha
+    mcs_of, bler_of, sample, period = mcs_for_snr, bler_for, _kpi_sample, SAMPLE_PERIOD_MS
     seq = 0
     ewma: float | None = None
     for spec in schedule.entries:
         mean = sinr_db(spec, params)
         truth = spec.event == "ON"
-        jitter = rng.standard_normal(spec.duration_samples)
-        for snr_inst in (mean + params.snr_jitter_sigma_db * jitter).tolist():
-            if ewma is None:
-                ewma = snr_inst
-            mcs = mcs_for_snr(ewma, params)
-            yield KpiSample(seq, seq * SAMPLE_PERIOD_MS, snr_inst, mcs,
-                            bler_for(snr_inst, mcs, params), truth)
-            ewma = alpha * snr_inst + (1.0 - alpha) * ewma
+        snrs = (mean + sigma * rng.standard_normal(spec.duration_samples)).tolist()
+        if ewma is None and snrs:
+            ewma = snrs[0]
+        for snr_inst in snrs:
+            mcs = mcs_of(ewma, params)
+            yield sample((seq, seq * period, snr_inst, mcs, bler_of(snr_inst, mcs, params),
+                          truth))
+            ewma = alpha * snr_inst + keep * ewma
             seq += 1
 
 
@@ -311,12 +320,16 @@ def synth_stream(schedule: ScenarioSchedule, params: ChannelParams | None = None
     segments = [Segment(spec.id, spec.event, end - spec.duration_samples, end - 1)
                 for spec, end in zip(schedule.entries, ends)]
     h = hashlib.sha256()
+    text: list[str] = []  # digest text not yet hashed, one string per sample
+    add = text.append
     n = 0
-    for sample in iter_stream(schedule, params):
+    for n, sample in enumerate(iter_stream(schedule, params), start=1):
         reprs = sink(sample) if sink is not None else None
-        if type(reprs) is tuple:
-            _sample_digest_update(h, sample, *reprs)
-        else:
-            _sample_digest_update(h, sample, repr(sample.snr_db), repr(sample.bler))
-        n += 1
+        seq, ts_ms, snr_db, mcs, bler, truth = sample
+        snr_db, bler = reprs if type(reprs) is tuple else (repr(snr_db), repr(bler))
+        add(f"{seq},{ts_ms},{snr_db},{mcs},{bler},{'01'[truth]};")  # truth as 0 or 1
+        if len(text) == _DIGEST_CHUNK:
+            h.update("".join(text).encode("ascii"))
+            text.clear()
+    h.update("".join(text).encode("ascii"))
     return StreamSummary(n_samples=n, segments=segments, digest=h.hexdigest())

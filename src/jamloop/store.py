@@ -14,11 +14,13 @@ from __future__ import annotations
 import bisect
 import contextlib
 import csv
+import itertools
 import json
 import math
 import operator
 import os
 import threading
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -34,6 +36,7 @@ KPI_COLUMNS = ["seq", "ts_ms", "snr_db", "mcs", "bler", "truth"]
 # a trace's truth: JSON true or false, or one of these strings once stripped
 _TRUTH_STRINGS = {"1": True, "true": True, "True": True, "0": False, "false": False,
                   "False": False}
+_KPI_KEYS = frozenset(KPI_COLUMNS)
 
 
 class StoreError(Exception):
@@ -105,6 +108,7 @@ _RECORDS = {"kpi": (KpiSample, _validate_kpi),
 
 
 _SEQ = operator.attrgetter("seq")
+_FIRST = operator.itemgetter(0)
 
 
 def _wrong_type(stream: str, kind: type, record) -> RecordInvalidError:
@@ -315,31 +319,51 @@ def atomic_writer(path: Path):
 
 def write_detections(path: str | Path, records) -> int:
     """Write detection records as CSV under a header row, atomically; returns the count."""
-    n = 0
+    counter = itertools.count()  # zip draws from it once per record it passes on
     with atomic_writer(Path(path)) as f:
         w = csv.writer(f)
         w.writerow(DETECTION_CSV_COLUMNS)
         # a record is its own row; csv.writer writes a float with repr
-        for r in records:
-            w.writerow(r)
-            n += 1
-    return n
+        w.writerows(map(_FIRST, zip(records, counter)))
+    return next(counter)
 
 
-_raw_decode = json.JSONDecoder().raw_decode
+# the C scanner `json.loads` runs, called without `raw_decode`'s Python frame
+_scan_once = json.JSONDecoder().scan_once
+# a KpiSample from one tuple of its fields, without the generated __new__'s frame
+_kpi_sample = partial(tuple.__new__, KpiSample)
 
 
-def _parse_line(line: str):
-    """`json.loads(line)` for a stripped line, by one `raw_decode` when it parses.
+def _not_object(path: Path, lineno: int, row) -> SchemaError:
+    return SchemaError(f"{path}:{lineno}: expected an object, got {type(row).__name__}")
 
-    A line that does not parse, or holds more than one value, goes through
-    `json.loads` so that the error and its message are the ones it raises.
-    """
+
+def _first_row_keys(path: Path, lineno: int, row) -> frozenset:
+    """The columns of a trace's first row, which every later row must have."""
+    if not isinstance(row, dict):
+        raise _not_object(path, lineno, row)
+    if not row.keys() <= _KPI_KEYS:
+        raise SchemaError(f"{path}:{lineno}: unknown column(s) "
+                          f"{sorted(row.keys() - _KPI_KEYS)} for stream 'kpi'")
+    if missing := [c for c in KPI_COLUMNS[:5] if c not in row]:
+        raise SchemaError(f"{path}:{lineno}: missing column(s) {missing} for stream 'kpi'")
+    return frozenset(row)
+
+
+def _row_sample(path: Path, lineno: int, row, keys: frozenset) -> KpiSample:
+    """The sample of a parsed row by the general path, which converts and
+    validates each field and raises `SchemaError` naming the line."""
+    if not isinstance(row, dict):
+        raise _not_object(path, lineno, row)
+    if row.keys() != keys:
+        raise SchemaError(f"{path}:{lineno}: columns {sorted(row)} are not "
+                          f"the first row's {sorted(keys)}")
     try:
-        value, end = _raw_decode(line)
-    except json.JSONDecodeError:
-        end = -1
-    return value if end == len(line) else json.loads(line)
+        sample = _kpi_from_wire(row)
+        _validate_kpi(sample)
+    except (TypeError, ValueError, RecordInvalidError) as exc:
+        raise SchemaError(f"{path}:{lineno}: bad row {row!r}: {exc}") from exc
+    return sample
 
 
 def read_trace(path: str | Path) -> tuple[list[str], list[KpiSample]]:
@@ -347,52 +371,74 @@ def read_trace(path: str | Path) -> tuple[list[str], list[KpiSample]]:
 
     Returns the first row's columns and the samples in file order. Each row
     is converted and validated as it is read. A row that is not an object,
-    has a column a KPI sample lacks or other columns than the first row's
-    (say `truth` on some rows only), holds a field that is not a number by
-    `numbers.whole` or `numbers.real` (say `seq` 1.0, `"3"` or `true`, or
-    `snr_db` NaN), holds an invalid sample (say `bler` 1.5) or repeats an
-    earlier row's seq raises `SchemaError` naming the file and line. A file
-    that is not UTF-8 text raises `SchemaError` naming the file.
+    a first row that lacks a column of `seq`, `ts_ms`, `snr_db`, `mcs` and
+    `bler` or has a column a KPI sample lacks, a row with other columns than
+    the first row's (say `truth` on some rows only), a field that is not a
+    number by `numbers.whole` or `numbers.real` (say `seq` 1.0, `"3"` or
+    `true`, or `snr_db` NaN), an invalid sample (say `bler` 1.5) or a seq
+    that repeats an earlier row's raises `SchemaError` naming the file and
+    line. A file that is not UTF-8 text raises `SchemaError` naming the file.
+
+    A row whose fields already have their sample's types (`seq`, `ts_ms` and
+    `mcs` ints, `snr_db` and `bler` floats, `truth` a bool or absent) and
+    pass `_validate_kpi`'s checks is taken as it is; every other row goes
+    through `_kpi_from_wire` and `_validate_kpi`. Both give a row the same
+    sample, and an error its message and line.
     """
     path = Path(path)
     columns: list[str] = []
     samples: list[KpiSample] = []
+    append = samples.append
+    scan, low, high = _scan_once, -math.inf, math.inf  # low < x < high: x is finite
+    keys = frozenset()  # the first row's once it is read
+    last = -1  # the last row's seq; every seq is at least 0
     seqs: set[int] | None = None  # built at the first seq out of order
-    keys = frozenset(KPI_COLUMNS)  # the first row's once it is read
     with path.open("r", encoding="utf-8") as f:
         try:
             for lineno, line in enumerate(f, start=1):
                 if not (line := line.strip()):
                     continue
                 try:
-                    row = _parse_line(line)
-                except json.JSONDecodeError as exc:
-                    raise SchemaError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-                if not isinstance(row, dict):
-                    raise SchemaError(f"{path}:{lineno}: expected an object, "
-                                      f"got {type(row).__name__}")
-                if not samples:
-                    if not row.keys() <= keys:
-                        raise SchemaError(f"{path}:{lineno}: unknown column(s) "
-                                          f"{sorted(row.keys() - keys)} for stream 'kpi'")
-                    columns, keys = list(row), frozenset(row)
-                elif row.keys() != keys:
-                    raise SchemaError(f"{path}:{lineno}: columns {sorted(row)} are not "
-                                      f"the first row's {sorted(keys)}")
-                try:
-                    sample = _kpi_from_wire(row)
-                    _validate_kpi(sample)
-                except (KeyError, TypeError, ValueError, RecordInvalidError) as exc:
-                    raise SchemaError(f"{path}:{lineno}: bad row {row!r}: {exc}") from exc
+                    row, end = scan(line, 0)
+                except (StopIteration, json.JSONDecodeError):
+                    end = -1
+                if end != len(line):  # json.loads raises the error and message
+                    try:
+                        row = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise SchemaError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+                if not keys:
+                    keys = _first_row_keys(path, lineno, row)
+                    columns, width = list(row), len(keys)
+                    # a row's fields in sample order; a trace without truth reads False
+                    fields = operator.itemgetter(*(c for c in KPI_COLUMNS if c in keys))
+                    pad = () if "truth" in keys else (False,)
+                sample = None
+                if type(row) is dict and len(row) == width:
+                    try:
+                        values = fields(row) + pad
+                    except KeyError:  # other columns than the first row's
+                        pass
+                    else:  # a row of typed fields that `_validate_kpi` would pass
+                        seq, ts_ms, snr_db, mcs, bler, truth = values
+                        if (type(seq) is int and type(ts_ms) is int and type(mcs) is int
+                                and type(snr_db) is float and type(bler) is float
+                                and type(truth) is bool and low < snr_db < high
+                                and 0.0 <= bler <= 1.0 and 0 <= mcs <= 28 and seq >= 0):
+                            sample = _kpi_sample(values)
+                if sample is None:
+                    sample = _row_sample(path, lineno, row, keys)
+                    seq = sample.seq
                 # in seq order a seq cannot repeat; past that, every seq is tracked
-                if seqs is None and samples and sample.seq <= samples[-1].seq:
+                if seqs is None and seq <= last:
                     seqs = {s.seq for s in samples}
                 if seqs is not None:
-                    if sample.seq in seqs:
-                        raise SchemaError(f"{path}:{lineno}: seq {sample.seq} "
+                    if seq in seqs:
+                        raise SchemaError(f"{path}:{lineno}: seq {seq} "
                                           f"repeats an earlier line")
-                    seqs.add(sample.seq)
-                samples.append(sample)
+                    seqs.add(seq)
+                last = seq
+                append(sample)
         except UnicodeDecodeError as exc:
             raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     return columns, samples

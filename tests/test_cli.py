@@ -368,6 +368,14 @@ class TestMalformedTrace:
         assert self.invoke(tmp_path, command, trace) == EXIT_USAGE
         assert "rsrp" in capsys.readouterr().err
 
+    def test_missing_column_exits_2(self, tmp_path, capsys, command):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text('{"seq": 0, "ts_ms": 0, "snr_db": 1.0, "mcs": 2}\n')
+        assert self.invoke(tmp_path, command, trace) == EXIT_USAGE
+        assert (f"{trace}:1: missing column(s) ['bler'] for stream 'kpi'"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
     def test_repeated_seq_exits_2(self, tmp_path, capsys, command):
         _, trace = simulate(tmp_path, [{"id": 2, "duration_samples": 50}])
         lines = trace.read_text().splitlines(keepends=True)

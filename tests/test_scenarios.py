@@ -183,10 +183,14 @@ def short_entry_schedule(seed):
 
 class TestSynthStream:
     @pytest.mark.parametrize("seed", [3, 7, 11])
+    # at +600 dB a stream sits at MCS 28 past the high BLER clamp (x > 500),
+    # at -600 dB at MCS 0 past the low one (x < -500)
     @pytest.mark.parametrize("params", [P, ChannelParams(signal_power_db=2.5,
                                                          snr_jitter_sigma_db=1.7,
-                                                         ewma_alpha=0.3)],
-                             ids=["default", "custom"])
+                                                         ewma_alpha=0.3),
+                                        ChannelParams(signal_power_db=600.0),
+                                        ChannelParams(signal_power_db=-600.0)],
+                             ids=["default", "custom", "high_clamp", "low_clamp"])
     @pytest.mark.parametrize("schedule", [
         lambda seed: schedule_from_ids(list(range(1, 19)), seed), short_entry_schedule],
         ids=["catalog", "short_entries"])

@@ -1,15 +1,18 @@
 import csv
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from jamloop.numbers import real, whole
 from jamloop.scenarios import FeatureSample, KpiSample, iter_stream, schedule_from_ids
 from jamloop.store import (DetectionRecord, LabeledSample, RecordInvalidError,
                            SchemaError, SeqOrderError, StoreFullError,
                            TelemetryStore, UnknownStreamError, KPI_COLUMNS,
-                           LABEL_CLEAN, LABEL_INTERFERENCE,
+                           LABEL_CLEAN, LABEL_INTERFERENCE, _TRUTH_STRINGS, _validate_kpi,
                            read_trace, trace_line, write_detections)
 
 
@@ -446,6 +449,25 @@ class TestRoundTrip:
         with pytest.raises(SchemaError, match="bogus_col"):
             read_trace(path)
 
+    def test_missing_column_named_in_error(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('\n{"seq": 0, "ts_ms": 0, "snr_db": 1.0, "mcs": 2}\n')
+        with pytest.raises(SchemaError, match=r"bad\.jsonl:2: missing column\(s\) "
+                                              r"\['bler'\] for stream 'kpi'$"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("with_truth", [True, False])
+    def test_integer_reals_read_as_floats(self, tmp_path, with_truth):
+        rows = [json.loads(trace_line(kpi(i), with_truth)) for i in range(3)]
+        rows[1].update(snr_db=5, bler=0)
+        rows[2].update(snr_db=-3, bler=1)
+        path = tmp_path / "ints.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        samples = read_trace(path)[1]
+        assert [(s.snr_db, s.bler) for s in samples] == [(10.0, 0.1), (5.0, 0.0), (-3.0, 1.0)]
+        assert all(type(s.snr_db) is float and type(s.bler) is float for s in samples)
+        assert samples[1] == kpi(1, snr=5.0, bler=0.0)
+
     @pytest.mark.parametrize("truth", [(True, False), (False, True)],
                              ids=["dropped", "added"])
     def test_columns_unlike_first_row_name_line(self, tmp_path, truth):
@@ -540,6 +562,160 @@ class TestRoundTrip:
             write_detections(path, [DetectionRecord(0, 0.5, LABEL_CLEAN, 1)])
         assert [p.name for p in tmp_path.iterdir()] == ["det.csv"]
         assert path.is_dir()
+
+
+def _reference_kpi_from_wire(row: dict) -> KpiSample:
+    truth = row.get("truth", False)
+    if isinstance(truth, str):
+        truth = _TRUTH_STRINGS.get(truth.strip(), truth)
+    if type(truth) is not bool:
+        raise ValueError(f"truth {truth!r} is not true, false or one of {list(_TRUTH_STRINGS)}")
+    return KpiSample(whole(row["seq"], "seq"), whole(row["ts_ms"], "ts_ms"),
+                     real(row["snr_db"], "snr_db"), whole(row["mcs"], "mcs"),
+                     real(row["bler"], "bler"), truth)
+
+
+def _reference_read_trace(path):
+    """`read_trace` as it was before its typed path, whose samples and error
+    messages `read_trace` must keep; `json.loads` stands for its one-`raw_decode`
+    parse, which gave the same values and errors."""
+    path = Path(path)
+    columns, samples = [], []
+    seqs = None
+    keys = frozenset(KPI_COLUMNS)
+    with path.open("r", encoding="utf-8") as f:
+        try:
+            for lineno, line in enumerate(f, start=1):
+                if not (line := line.strip()):
+                    continue
+                try:
+                    row = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise SchemaError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+                if not isinstance(row, dict):
+                    raise SchemaError(f"{path}:{lineno}: expected an object, "
+                                      f"got {type(row).__name__}")
+                if not samples:
+                    if not row.keys() <= keys:
+                        raise SchemaError(f"{path}:{lineno}: unknown column(s) "
+                                          f"{sorted(row.keys() - keys)} for stream 'kpi'")
+                    columns, keys = list(row), frozenset(row)
+                elif row.keys() != keys:
+                    raise SchemaError(f"{path}:{lineno}: columns {sorted(row)} are not "
+                                      f"the first row's {sorted(keys)}")
+                try:
+                    sample = _reference_kpi_from_wire(row)
+                    _validate_kpi(sample)
+                except (KeyError, TypeError, ValueError, RecordInvalidError) as exc:
+                    raise SchemaError(f"{path}:{lineno}: bad row {row!r}: {exc}") from exc
+                if seqs is None and samples and sample.seq <= samples[-1].seq:
+                    seqs = {s.seq for s in samples}
+                if seqs is not None:
+                    if sample.seq in seqs:
+                        raise SchemaError(f"{path}:{lineno}: seq {sample.seq} "
+                                          f"repeats an earlier line")
+                    seqs.add(sample.seq)
+                samples.append(sample)
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    return columns, samples
+
+
+TRACE_FAULTS = ["bool", "float_seq", "nan", "infinity", "bler_1_5", "mcs_29", "negative_seq",
+                "repeated_seq", "extra_column", "bad_json", "missing_column"]
+
+
+@st.composite
+def trace_files(draw):
+    """A trace file's lines, and the index and kind of its one faulty line, if any.
+
+    Rows mix canonical `trace_line`s, integer-valued `snr_db` and `bler`,
+    string truths and blank lines, with seqs in any order.
+    """
+    with_truth = draw(st.booleans())
+    seqs = draw(st.lists(st.integers(0, 60), max_size=8, unique=True))
+
+    def row(seq):
+        s = KpiSample(seq, draw(st.integers(0, 10**7)),
+                      draw(st.floats(-60, 60, allow_subnormal=False)), draw(st.integers(0, 28)),
+                      draw(st.floats(0, 1)), draw(st.booleans()))
+        return s, json.loads(trace_line(s, with_truth))
+
+    lines = []
+    for seq in seqs:
+        s, r = row(seq)
+        style = draw(st.sampled_from(["canonical", "integer_reals", "string_truth"]))
+        if style == "canonical":
+            lines.append(trace_line(s, with_truth))
+            continue
+        if style == "integer_reals":
+            r.update(snr_db=draw(st.integers(-60, 60)), bler=draw(st.integers(0, 1)))
+        elif with_truth:
+            r["truth"] = draw(st.sampled_from(["1", "0", "true", " False", "True\t"]))
+        lines.append(json.dumps(r))
+    fault = draw(st.sampled_from([None] + TRACE_FAULTS))
+    at = None
+    if fault is not None:
+        _, r = row(100)
+        if fault == "bool":
+            r[draw(st.sampled_from(KPI_COLUMNS[:5]))] = draw(st.booleans())
+        elif fault == "float_seq":
+            r["seq"] = 100.0
+        elif fault in ("nan", "infinity"):
+            r[draw(st.sampled_from(["snr_db", "bler"]))] = (
+                math.nan if fault == "nan" else draw(st.sampled_from([math.inf, -math.inf])))
+        elif fault == "bler_1_5":
+            r["bler"] = 1.5
+        elif fault == "mcs_29":
+            r["mcs"] = 29
+        elif fault == "negative_seq":
+            r["seq"] = -3
+        elif fault == "repeated_seq":
+            r["seq"] = draw(st.sampled_from(seqs)) if seqs else 0
+        elif fault == "extra_column":
+            r["rsrp"] = -90
+        elif fault == "missing_column":
+            del r[draw(st.sampled_from(KPI_COLUMNS[:5]))]
+        line = json.dumps(r)
+        at = draw(st.integers(0, len(lines)))
+        lines.insert(at, line[:-1] if fault == "bad_json" else line)
+    for i in reversed(range(len(lines) + 1)):
+        if draw(st.integers(0, 4)) == 0:
+            lines.insert(i, draw(st.sampled_from(["", "  ", "\t"])))
+            if at is not None and i <= at:
+                at += 1
+    return lines, fault, at
+
+
+class TestReadTraceMatchesReference:
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(trace_files())
+    def test_same_samples_or_same_error(self, tmp_path, trace):
+        lines, fault, at = trace
+        path = tmp_path / "trace.jsonl"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        try:
+            want = _reference_read_trace(path)
+        except SchemaError as exc:
+            want = exc
+        try:
+            got = read_trace(path)
+        except SchemaError as exc:
+            got = exc
+        if fault == "missing_column" and not any(line.strip() for line in lines[:at]):
+            # a first row without a column names it, on purpose; the reference
+            # reported the KeyError
+            assert isinstance(want, SchemaError) and isinstance(got, SchemaError)
+            assert str(want).startswith(f"{path}:{at + 1}: bad row ")
+            assert str(got).startswith(f"{path}:{at + 1}: missing column(s) [")
+        elif isinstance(want, SchemaError):
+            assert isinstance(got, SchemaError) and str(got) == str(want)
+        else:
+            columns, samples = got
+            assert columns == want[0]
+            assert [repr(s) for s in samples] == [repr(s) for s in want[1]]
+            assert all(type(s) is KpiSample for s in samples)
 
 
 class TestConcurrency:
