@@ -16,19 +16,24 @@ places keep their own arithmetic, because the folded one would change
 bits: a one-row input takes layer 0 as x @ W0 + b0 (numpy hands it to
 gemv, which sums 3 and 4 terms in different orders); b2's gradient is a
 pairwise np.add.reduce, which overwrites the in-order BLAS sum; and the
-layout stays row-major with the 1 last. Adam keeps (m, v) and (g, g**2) as
-the rows of two (2, N_PARAMS) arrays: ten in-place ufunc calls a step, in
-the operation order that fixes the bits. Each fit builds one workspace,
-so a step slices, allocates and copies nothing. That folded layout serves
-training and its holdout scoring only: `forward` and `forward_batch` take
-each layer as h @ W, += b and ReLU, one gemv per row, so a batch gives
-every row the bits of the scalar path.
+layout stays row-major with the 1 last. A minibatch step makes 30 numpy
+calls: 21 in `_backprop` (with `_sigmoid`'s one exp) and Adam's 9. Both
+hidden layers' activations lie in one flat buffer, so one np.sign writes
+both layers' float masks. Adam's m, v, g and g**2 are the rows of one
+array, scaled in one multiply, and each epoch fills a table of its steps'
+bias corrections 1 - b**t, in the operation order that fixes the bits.
+Each fit builds one workspace, so a step slices, allocates, copies and
+makes no view. That folded layout serves training and its holdout scoring
+only: `forward` and `forward_batch` take each layer as h @ W, += b and
+ReLU, one gemv per row, so a batch gives every row the bits of the scalar
+path.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,7 +53,7 @@ MODEL_FORMAT = "jamloop-mlp-v1"
 N_PARAMS = sum(fan_in * fan_out + fan_out
                for fan_in, fan_out in zip(LAYER_DIMS[:-1], LAYER_DIMS[1:]))
 # 0-d operands: a ufunc given one converts no Python float per call
-_ZERO, _ONE = np.array(0.0), np.array(1.0)
+_ZERO, _ONE, _NEG_ONE = np.array(0.0), np.array(1.0), np.array(-1.0)
 
 
 class ModelError(Exception):
@@ -82,14 +87,19 @@ def _normalize(features: np.ndarray) -> np.ndarray:
     return np.column_stack([*normalize_features(*features.T), np.ones(len(features))])
 
 
-def _sigmoid(z: np.ndarray, out: np.ndarray | None = None,
-             tmp: np.ndarray | None = None) -> np.ndarray:
-    # into out and tmp (like z) if given; neither exp overflows: exp(min(z, 0)) is 1
-    # for z >= 0 and exp(z) = exp(-|z|) below, the bits of choosing 1 or exp(-|z|)
-    out = np.exp(np.minimum(z, _ZERO, out=out), out=out)
-    tmp = np.exp(np.negative(np.abs(z, out=tmp), out=tmp), out=tmp)
-    tmp += _ONE
-    return np.divide(out, tmp, out=out)
+def _sigmoid(z: np.ndarray, s: tuple | None = None) -> np.ndarray:
+    """The logistic of 1-D z into row 0 of s, a (2, len(z)) scratch given as (both
+    rows, row 0, row 1), or a new one. One exp of min(z, 0) and copysign(z, -1), the
+    bits of -|z|, overflows nowhere: the bits of 1 or exp(-|z|), over 1 + exp(-|z|)."""
+    if s is None:
+        both = np.empty((2, len(z)))
+        s = (both, both[0], both[1])
+    both, lo, nabs = s
+    np.minimum(z, _ZERO, out=lo)
+    np.copysign(z, _NEG_ONE, out=nabs)
+    np.exp(both, out=both)
+    nabs += _ONE
+    return np.divide(lo, nabs, out=lo)
 
 
 def _layers(flat: np.ndarray) -> list[np.ndarray]:
@@ -157,35 +167,6 @@ def init_model(seed: int, version: int = 0) -> MlpModel:
     return MlpModel(weights=weights, biases=biases, version=version)
 
 
-def _scratch(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`_activations`' outputs for n rows: h1 (n, 17) and h2 (n, 9), each row
-    ending in the 1 that multiplies the next layer's bias row, and z (n, 1)."""
-    return np.ones((n, LAYER_DIMS[1] + 1)), np.ones((n, LAYER_DIMS[2] + 1)), np.empty((n, 1))
-
-
-def _activations(layers: list[np.ndarray], x: np.ndarray, h1: np.ndarray, h2: np.ndarray,
-                 z: np.ndarray) -> np.ndarray:
-    """Logits of normalized (n, 4) rows x, into z (n, 1); returns them as (n,).
-
-    layers are `_layers` of the parameters, and h1 and h2 from `_scratch`
-    receive the hidden layers' outputs ahead of their trailing 1, so each
-    product adds its bias. A one-row x takes layer 0 as x @ W0 + b0: numpy
-    hands a one-row product to gemv, which orders a sum of 3 and of 4 terms
-    differently. np.maximum(0.0, h) keeps its argument order, which fixes
-    the sign of a zero activation, and leaves the trailing 1.
-    """
-    a0, a1, a2 = layers
-    if len(x) == 1:
-        x[:, :-1].dot(a0[:-1], out=h1[:, :-1])
-        h1[:, :-1] += a0[-1]
-    else:
-        np.matmul(x, a0, out=h1[:, :-1])
-    np.maximum(_ZERO, h1, out=h1)
-    np.matmul(h1, a1, out=h2[:, :-1])
-    np.maximum(_ZERO, h2, out=h2)
-    return h2.dot(a2, out=z).ravel()
-
-
 def forward(model: MlpModel, features: tuple[float, float, float]) -> float:
     """Probability of interference for one (snr_db, bler, mcs) triple.
 
@@ -242,48 +223,83 @@ def _bce(z: np.ndarray, y: np.ndarray, sw: np.ndarray) -> np.ndarray:
     return sw * (np.logaddexp(0.0, z) - y * z)
 
 
+# a `_backprop` step's views: parameter and gradient layers, rows, logits, the
+# hidden and mask buffers with each layer's part, the sigmoid's scratch and deltas
+_Step = namedtuple("_Step", "a0 a1 a2 w1t w2t g0 g1 g2 gb2 x xt z z_col hm h1 h1o h1t h2 "
+                            "h2o h2t mm m1 m2 sig d d_col dh1 dh2")
+
+
 def _workspace(theta: np.ndarray, g: np.ndarray, x: np.ndarray, z: np.ndarray,
-               bs: int) -> list[tuple]:
-    """Per minibatch of bs rows of x, every view its `_backprop` step uses: the
-    parameters theta, the gradient g, and one scratch; z receives the logits."""
-    layers, (g0, g1, g2) = _layers(theta), _layers(g)
-    w1t, w2t = (a[:-1].T for a in layers[1:])
-    n = min(bs, len(x))
-    scratch = [*_scratch(n)[:2], *(np.empty((n, k)) for k in (1, 1, *LAYER_DIMS[1:3] * 2))]
-    steps = []
+               bs: int) -> list[_Step]:
+    """Per minibatch of bs rows of x, every view its `_backprop` step reads: the
+    parameters theta, the gradient g, and one scratch; z receives the logits.
+
+    A step's h1 (k, 17) and h2 (k, 9) rows, each ending in the 1 that multiplies
+    the next layer's bias row, lie in one flat buffer, h2 at the fixed offset
+    n * 17 of a full minibatch of n rows, so a short one's h2 keeps its 1s; one
+    np.sign of the buffer's used part writes both layers' masks.
+    """
+    (a0, a1, a2), (g0, g1, g2) = _layers(theta), _layers(g)
+    params = (a0, a1, a2, a1[:-1].T, a2[:-1].T, g0, g1, g2, g2[-1])
+    n, (c1, c2) = min(bs, len(x)), (k + 1 for k in LAYER_DIMS[1:3])
+    hm, mm, sig = np.ones(n * (c1 + c2)), np.empty(n * (c1 + c2)), np.empty(2 * n)
+    dh1, dh2 = np.empty((n, c1 - 1)), np.empty((n, c2 - 1))
+
+    def scratch(k: int) -> tuple:
+        used = slice(0, n * c1 + k * c2)
+        h1, h2, m1, m2 = (buf[o:o + k * c].reshape(k, c) for buf in (hm, mm)
+                          for o, c in ((0, c1), (n * c1, c2)))
+        s2 = sig[:2 * k].reshape(2, k)
+        return (hm[used], h1, h1[:, :-1], h1.T, h2, h2[:, :-1], h2.T, mm[used], m1[:, :-1],
+                m2[:, :-1], (s2, *s2), s2[0], s2[0, :, None], dh1[:k], dh2[:k])
+
+    full, steps = scratch(n), []  # every full minibatch shares one set of scratch views
     for a in range(0, len(x), bs):
         xb, zb = x[a:a + bs], z[a:a + bs]
-        h1, h2, d_col, tmp, dh1, dh2, m1, m2 = (s[:len(xb)] for s in scratch)
-        steps.append((layers, g0, g1, g2, g2[-1], w1t, w2t, xb, xb.T, h1, h1[:, :-1], h1.T,
-                      h2, h2[:, :-1], h2.T, zb, zb[:, None], d_col.ravel(), d_col,
-                      tmp.ravel(), dh1, dh2, m1, m2))
+        part = full if len(xb) == n else scratch(len(xb))
+        steps.append(_Step(*params, xb, xb.T, zb, zb[:, None], *part))
     return steps
 
 
-def _backprop(step: tuple, y: np.ndarray, sw: np.ndarray) -> np.ndarray:
+def _backprop(step: _Step, y: np.ndarray | None, sw: np.ndarray | None) -> np.ndarray:
     """Exact gradients of the weighted BCE of a `_workspace` step's rows, into its g.
 
     sw are per-row weights summing to 1, y the labels as floats. Returns the
-    logits, from which `_bce` gives the loss.
+    logits, from which `_bce` gives the loss; with y None it runs the forward
+    pass only and returns the rows' probabilities.
     """
-    # unrolled for the fixed [3, 16, 8, 1] layers; nothing is allocated. A product
-    # with the rows' trailing 1 writes layers 0 and 1's bias gradients with their
-    # weights'; b2's stays a pairwise np.add.reduce, which BLAS's in-order sum is
-    # not. np.sign(h) masks keep h > 0's bits: ReLU never gives -0.0, and a NaN in
-    # h makes its row's deltas NaN
-    (layers, g0, g1, g2, gb2, w1t, w2t, x, xt, h1a, h1, h1t, h2a, h2, h2t,
-     z, z_col, d, d_col, tmp, dh1, dh2, m1, m2) = step
-    _activations(layers, x, h1a, h2a, z_col)
-    _sigmoid(z, d, tmp)
+    # unrolled for the fixed [3, 16, 8, 1] layers; nothing is allocated. A one-row
+    # x takes layer 0 as x @ W0 + b0: numpy hands a one-row product to gemv, which
+    # orders a sum of 3 and of 4 terms differently. np.maximum(0.0, h) keeps its
+    # argument order, which fixes the sign of a zero activation, and leaves the
+    # trailing 1. A product with the rows' trailing 1 writes layers 0 and 1's bias
+    # gradients with their weights'; b2's stays a pairwise np.add.reduce, which
+    # BLAS's in-order sum is not. np.sign(h) masks keep h > 0's bits: ReLU never
+    # gives -0.0, and a NaN in h makes its row's deltas NaN
+    (a0, a1, a2, w1t, w2t, g0, g1, g2, gb2, x, xt, z, z_col, hm, h1, h1o, h1t, h2, h2o, h2t,
+     mm, m1, m2, sig, d, d_col, dh1, dh2) = step
+    if len(x) == 1:
+        x[:, :-1].dot(a0[:-1], out=h1o)
+        h1o += a0[-1]
+    else:
+        np.matmul(x, a0, out=h1o)
+    np.maximum(_ZERO, h1, out=h1)
+    np.matmul(h1, a1, out=h2o)
+    np.maximum(_ZERO, h2, out=h2)
+    h2.dot(a2, out=z_col)
+    _sigmoid(z, sig)
+    if y is None:
+        return d
     d -= y
     d *= sw
     h2t.dot(d_col, out=g2)
     np.add.reduce(d_col, axis=0, out=gb2)
     d_col.dot(w2t, out=dh2)
-    dh2 *= np.sign(h2, out=m2)
+    np.sign(hm, out=mm)
+    dh2 *= m2
     h1t.dot(dh2, out=g1)
     dh2.dot(w1t, out=dh1)
-    dh1 *= np.sign(h1, out=m1)
+    dh1 *= m1
     xt.dot(dh1, out=g0)
     return z
 
@@ -330,6 +346,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be > 0")
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} is below 0")
 
 
 @dataclass
@@ -402,28 +420,27 @@ def train(dataset: list[tuple[tuple[float, float, float], int]],
     else:
         weights_tr = np.ones(len(y_tr))
 
-    # rows of N_PARAMS: theta (the model's views), gg (g, g**2), mv (Adam's m, v);
-    # betas, 1 - betas and corr repeat one value per row, so no step broadcasts
-    theta = _init_params(cfg.seed)
-    gg, mv = np.empty((2, N_PARAMS)), np.zeros((2, N_PARAMS))
-    g, g_sq = gg
+    # rows of N_PARAMS: theta (the model's views); adam holds Adam's m and v, then
+    # g and g**2, which one multiply by scale's rows (b1, b2, 1 - b1, 1 - b2) updates;
+    # corr holds each step of an epoch's (1 - b1**t, 1 - b2**t), one value per row,
+    # so no step broadcasts
+    theta, adam = _init_params(cfg.seed), np.zeros((4, N_PARAMS))
+    mv, gg, (g, g_sq) = adam[:2], adam[2:], adam[2:]
     beta1, beta2 = 0.9, 0.999
     lr, eps = np.array(float(cfg.learning_rate)), np.array(1e-8)
-    betas = np.repeat([[beta1], [beta2]], N_PARAMS, axis=1)
-    one_minus_betas, corr = 1 - betas, np.empty((2, N_PARAMS))
-    t = 0
+    scale = np.repeat([[beta1], [beta2], [1 - beta1], [1 - beta2]], N_PARAMS, axis=1)
 
     best_theta, best_acc, best_epoch = theta.copy(), -1.0, 0
     epoch_loss: list[float] = []
     epoch_val_acc: list[float] = []
-    # one workspace per fit: the epoch's rows, weights and logits, each step's views,
-    # and the validation rows' activations and probabilities
+    # one workspace per fit: the epoch's rows, weights and logits, each step's views
+    # and bias corrections, and the validation rows' one step
     n_tr, bs = len(y_tr), cfg.batch_size
     xe, (ye, swe, z_tr) = np.empty((n_tr, x.shape[1])), np.empty((3, n_tr))
-    steps = [(ye[a:a + bs], swe[a:a + bs], ws)
-             for a, ws in zip(range(0, n_tr, bs), _workspace(theta, g, xe, z_tr, bs))]
-    layers, va_out = _layers(theta), _scratch(len(y_va))
-    probs, va_tmp = np.empty((2, len(y_va)))
+    corr = np.empty((-(-n_tr // bs), 2, N_PARAMS))
+    steps = list(zip(((ye[a:a + bs], swe[a:a + bs]) for a in range(0, n_tr, bs)),
+                     _workspace(theta, g, xe, z_tr, bs), corr))
+    val, = _workspace(theta, np.empty(N_PARAMS), x_va, np.empty(len(y_va)), len(y_va))
     # a diverging fit overflows to inf and NaN; the check after the loop refuses it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for epoch in range(cfg.epochs):
@@ -432,24 +449,24 @@ def train(dataset: list[tuple[tuple[float, float, float], int]],
             np.take(y_tr, order, out=ye)
             np.take(weights_tr, order, out=swe)
             swe /= np.repeat(_batch_sums(swe, bs), bs)[:n_tr]  # sums to 1 per minibatch
-            for yb, swb, ws in steps:
+            ts = range(epoch * len(corr) + 1, (epoch + 1) * len(corr) + 1)
+            corr.swapaxes(0, 1)[...] = np.array(  # Python float pow
+                [[1 - b ** t for t in ts] for b in (beta1, beta2)])[..., None]
+            for (yb, swb), ws, c in steps:
                 _backprop(ws, yb, swb)
                 # in place, in this operation order (it fixes the bits):
                 # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g**2;
                 # theta -= lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps)
-                t += 1
                 np.multiply(g, g, out=g_sq)
-                gg *= one_minus_betas
-                mv *= betas
+                adam *= scale
                 mv += gg
-                corr[0], corr[1] = 1 - beta1 ** t, 1 - beta2 ** t  # Python float pow
-                np.divide(mv, corr, out=gg)
+                np.divide(mv, c, out=gg)
                 g *= lr
                 np.sqrt(g_sq, out=g_sq)
                 g_sq += eps
                 g /= g_sq
                 theta -= g
-            _sigmoid(_activations(layers, x_va, *va_out), probs, va_tmp)
+            probs = _backprop(val, None, None)
             val_acc = float(np.mean((probs >= MlpModel.threshold).astype(int) == y_va))
             epoch_loss.append(float(np.mean(_batch_sums(_bce(z_tr, ye, swe), bs))))
             epoch_val_acc.append(val_acc)

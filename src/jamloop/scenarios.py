@@ -293,10 +293,15 @@ def iter_stream(schedule: ScenarioSchedule,
     mcs_of, bler_of, sample, period = mcs_for_snr, bler_for, _kpi_sample, SAMPLE_PERIOD_MS
     seq = 0
     ewma: float | None = None
-    for spec in schedule.entries:
+    for i, spec in enumerate(schedule.entries):
         mean = sinr_db(spec, params)
         truth = spec.event == "ON"
-        snrs = (mean + sigma * rng.standard_normal(spec.duration_samples)).tolist()
+        with np.errstate(over="ignore"):  # an overflow is refused just below
+            snrs = mean + sigma * rng.standard_normal(spec.duration_samples)
+        if not np.isfinite(snrs).all():  # one test per segment, none per sample
+            raise ScheduleError(f"entry {i} (scenario {spec.id}): a synthesized SNR is not "
+                                f"finite (snr_jitter_sigma_db {sigma!r})")
+        snrs = snrs.tolist()
         if ewma is None and snrs:
             ewma = snrs[0]
         for snr_inst in snrs:

@@ -710,6 +710,26 @@ class TestRunExperiment:
         assert main(["--config", str(cfg), "run-experiment"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("command", ["simulate", "run-experiment"])
+def test_non_finite_synthesized_snr_exits_2(tmp_path, capsys, command):
+    # a jitter of 1e308 dB draws SNRs that overflow to +-inf in the first segment
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("engine: {snr_jitter_sigma_db: 1.0e+308}\n"
+                   "experiment: {samples_per_scenario: 30, passes: 1}\n")
+    out = tmp_path / "out"
+    argv = ["--config", str(cfg), "--out", str(out), command]
+    if command == "simulate":
+        argv += ["--schedule", str(write_schedule(tmp_path / "s.yaml", [2, 1]))]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: entry 0 (scenario {2 if command == 'simulate' else 1}): a synthesized "
+        f"SNR is not finite (snr_jitter_sigma_db 1e+308)\n")
+    if command == "simulate":  # it makes its out directory before the stream starts
+        assert list(out.iterdir()) == []
+    else:
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("section", ["engine", "labeler", "mlp", "loop", "experiment"])
 class TestConfigSections:
     def test_empty_section_reads_as_defaults(self, tmp_path, section):
@@ -741,6 +761,7 @@ class TestConfigSections:
                                          ("engine", "ewma_alpha: -.inf"),
                                          ("mlp", "learning_rate: 0.0"),
                                          ("mlp", "learning_rate: -0.01"),
+                                         ("mlp", "seed: -1"),
                                          ("loop", "deploy_gate: -0.1"),
                                          ("loop", "deploy_gate: 1.5"),
                                          ("loop", "drift_threshold: -2"),

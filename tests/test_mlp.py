@@ -236,6 +236,14 @@ class TestTrain:
                            match=f"val_fraction 0.2 leaves no {name} training rows of 1"):
             train(data, TrainConfig(seed=1))
 
+    def test_negative_seed_refused(self):
+        # numpy's generator would refuse it at the first fit, with its own ValueError
+        with pytest.raises(ValueError, match="seed -1 is below 0"):
+            TrainConfig(seed=-1).validate()
+        with pytest.raises(ValueError, match="seed -1 is below 0"):
+            train(separable_dataset(), TrainConfig(seed=-1))
+        TrainConfig(seed=0).validate()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow being tested
     def test_diverging_fit_refused(self):
         # at this rate the first epoch's parameters overflow; building a model from
@@ -435,9 +443,10 @@ def _assert_grads_match_reference(model, feats, labels, sample_w=None):
 
 def hidden(model, feats):
     """The ReLU outputs of both hidden layers for raw feature rows."""
-    h1, h2, z = mlp._scratch(len(feats))
-    mlp._activations(mlp._layers(mlp._pack(model)), mlp._normalize(feats), h1, h2, z)
-    return h1[:, :-1], h2[:, :-1]
+    step, = mlp._workspace(mlp._pack(model), np.empty(mlp.N_PARAMS), mlp._normalize(feats),
+                           np.empty(len(feats)), len(feats))
+    mlp._backprop(step, None, None)
+    return step.h1o, step.h2o
 
 
 def random_batch(rng, n):
@@ -651,6 +660,24 @@ class TestTrainMatchesReference:
         for i, a in enumerate(arrays):
             for b in arrays[i + 1:]:
                 assert not np.shares_memory(a, b)
+
+
+class TestShortTailMatchesReference:
+    """A short last minibatch at the default batch size keeps `_reference_train`'s bits."""
+
+    @pytest.mark.parametrize("n,n_train", [(209, 167), (202, 161)], ids=["tail_7", "tail_1"])
+    def test_short_tail_at_default_batch_size(self, n, n_train):
+        # 167 = 5 * 32 + 7 training rows is the shape of small_window's v001 fit; a
+        # short minibatch's h2 rows sit after a full one's h1 rows, so their trailing
+        # 1s must survive the full minibatches around them. 161 ends on one row
+        data = overlapping_dataset(n, 0.15, seed=23)
+        cfg = TrainConfig(seed=6, epochs=12)
+        model, report = train(data, cfg)
+        assert (cfg.batch_size, report.n_train) == (32, n_train)
+        (ref_w, ref_b), ref_report = _reference_train(data, cfg)
+        for got, want in zip(model.weights + model.biases, ref_w + ref_b):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert report == ref_report
 
 
 class TestSerialization:
