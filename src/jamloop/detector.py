@@ -93,9 +93,11 @@ class DetectorXapp:
                            LABEL_INTERFERENCE if prob >= model.threshold else LABEL_CLEAN,
                            model.version))
 
-    def infer_batch(self, samples: Sequence[FeatureSample]) -> list[DetectionRecord]:
-        """Detections of `samples`, in order, all from one model: each record
-        equal to `infer`'s, `prob` bits included.
+    def score_batch(self, samples: Sequence[FeatureSample]
+                    ) -> tuple[Sequence[int], list[float], list[str], int]:
+        """Detections of `samples`, in order, all from one model, as columns:
+        their seqs, probs, verdicts and the model's version. Each row equals
+        `infer`'s record, `prob` bits included.
 
         One `forward_batch` scores them all. A sample of any type but
         FeatureSample raises `DetectorError` before any is scored.
@@ -104,13 +106,17 @@ class DetectorXapp:
         if model is None:
             raise NoModelDeployedError("no model deployed; deploy an initial model first")
         if not samples:
-            return []
+            return (), [], [], model.version
         for s in samples:
             if type(s) is not FeatureSample:
                 raise _not_features(s)
         seqs, _, snr_db, mcs, bler = zip(*samples)
         probs = forward_batch(model, np.array([snr_db, bler, mcs], dtype=float).T)
-        verdicts = map(_VERDICTS.__getitem__, (probs >= model.threshold).tolist())
+        verdicts = list(map(_VERDICTS.__getitem__, (probs >= model.threshold).tolist()))
         self._last_seq = seqs[-1]
-        return list(map(_detection, zip(seqs, probs.tolist(), verdicts,
-                                        repeat(model.version))))
+        return seqs, probs.tolist(), verdicts, model.version
+
+    def infer_batch(self, samples: Sequence[FeatureSample]) -> list[DetectionRecord]:
+        """`score_batch`'s detections as records."""
+        seqs, probs, verdicts, version = self.score_batch(samples)
+        return list(map(_detection, zip(seqs, probs, verdicts, repeat(version))))

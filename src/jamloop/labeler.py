@@ -80,21 +80,26 @@ class BaselineState:
 
     clean_snr_median_db: float = 0.0
     sample_count: int = 0
-    _recent: list = field(default_factory=list, repr=False)
+    # float64; an update replaces it and never mutates it, so copies may share it
+    _recent: np.ndarray = field(default_factory=lambda: np.empty(0), repr=False)
 
     MAX_RECENT = 600  # ~ a few windows of clean memory; tracks regime changes
 
-    def update(self, clean_snrs: list[float]) -> None:
-        if not clean_snrs:
+    def __eq__(self, other) -> bool:  # the generated one would compare arrays with ==
+        return (type(other) is BaselineState
+                and (self.clean_snr_median_db, self.sample_count)
+                == (other.clean_snr_median_db, other.sample_count)
+                and np.array_equal(self._recent, other._recent))
+
+    def update(self, clean_snrs) -> None:
+        if not len(clean_snrs):
             return
-        self._recent.extend(clean_snrs)
-        if len(self._recent) > self.MAX_RECENT:
-            self._recent = self._recent[-self.MAX_RECENT:]
+        self._recent = np.concatenate((self._recent, clean_snrs))[-self.MAX_RECENT:]
         self.sample_count += len(clean_snrs)
         self.clean_snr_median_db = _quantile_half(self._recent)
 
 
-def _quantile_half(values: list[float]) -> float:
+def _quantile_half(values: np.ndarray) -> float:
     """`float(np.quantile(values, 0.5))` bit for bit: numpy's partition, then its `_lerp`."""
     v = (len(values) - 1) * 0.5
     lo, hi = (int(v), int(v) + 1) if len(values) > 1 else (-1, -1)
@@ -222,9 +227,8 @@ def label_window(samples: list[FeatureSample], baseline: BaselineState,
 
     out = list(map(_labeled, zip(seqs, _LABELS[flags].tolist())))
 
-    new_baseline = replace(baseline)  # shallow copy of scalars
-    new_baseline._recent = list(baseline._recent)
-    new_baseline.update(snr[flags == 0].tolist())
+    new_baseline = replace(baseline)  # shares `_recent`, which `update` replaces
+    new_baseline.update(snr[flags == 0])
     return out, new_baseline
 
 

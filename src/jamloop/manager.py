@@ -14,7 +14,6 @@ import json
 import operator
 import shutil
 import time
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -179,29 +178,30 @@ class ModelRegistry:
                 f.write(json.dumps(e.__dict__, allow_nan=False) + "\n")
 
 
-_VERDICT, _LABEL = operator.attrgetter("verdict"), operator.attrgetter("label")
-
-
 def monitor(store: TelemetryStore, window_size: int = DEFAULT_MONITOR_WINDOW,
             threshold: float = DEFAULT_DRIFT_THRESHOLD,
             from_seq: int = 0) -> DriftReport:
     """Agreement over the last `window_size` joined (detection, label) pairs
-    from `from_seq` on; reads only those pairs, however long the history."""
-    pairs = store.join_detections(from_seq=from_seq, last=window_size)
-    if not pairs:
+    from `from_seq` on; reads only those pairs' verdict and label columns,
+    however long the history."""
+    seqs, verdicts, labels = store.join_verdicts(from_seq=from_seq, last=window_size)
+    if not seqs:
         return DriftReport(window_start_seq=from_seq, window_end_seq=from_seq,
                            agreement=None, sample_count=0, drifted=False,
                            trigger_reason=TRIGGER_NONE)
-    detections, labels = zip(*pairs)
-    counts = Counter(zip(map(_VERDICT, detections), map(_LABEL, labels)))
-    jam, clean = LABEL_INTERFERENCE, LABEL_CLEAN
-    tp, tn = counts[jam, jam], counts[clean, clean]
-    agree = (tp + tn) / len(pairs)
-    drifted = agree < threshold  # strict: exactly-at-threshold is not drift
-    return DriftReport(window_start_seq=pairs[0][0].seq, window_end_seq=pairs[-1][0].seq,
-                       agreement=agree, sample_count=len(pairs), drifted=drifted,
+    # every verdict and label is INTERFERENCE or CLEAN, so the agreeing pairs
+    # (tp + tn), the jammed verdicts (tp + fp) and the jammed labels (tp + fn)
+    # fix the 2x2 counts: their sum is n + 2 tp
+    n, agree = len(seqs), sum(map(operator.eq, verdicts, labels))
+    jam_verdicts = verdicts.count(LABEL_INTERFERENCE)
+    jam_labels = labels.count(LABEL_INTERFERENCE)
+    tp = (agree + jam_verdicts + jam_labels - n) // 2
+    agreement = agree / n
+    drifted = agreement < threshold  # strict: exactly-at-threshold is not drift
+    return DriftReport(window_start_seq=seqs[0], window_end_seq=seqs[-1],
+                       agreement=agreement, sample_count=n, drifted=drifted,
                        trigger_reason=TRIGGER_LOW_AGREEMENT if drifted else TRIGGER_NONE,
-                       tp=tp, fp=counts[jam, clean], fn=counts[clean, jam], tn=tn)
+                       tp=tp, fp=jam_verdicts - tp, fn=jam_labels - tp, tn=agree - tp)
 
 
 def labeled_dataset(pairs) -> list[tuple[tuple[float, float, float], int]]:
@@ -297,8 +297,8 @@ class ClosedLoop:
     labeled pairs. A swap happens only in that last step, so each sample
     meets the model that was deployed when it arrived; samples that arrive
     before any model is deployed wait for the first one. A window's
-    detections and labels go to the store in one `extend` call each. All
-    events land in the transcript.
+    detections go to the store as columns in one `extend_columns` call, and
+    its labels in one `extend` call. All events land in the transcript.
     """
 
     def __init__(self, store: TelemetryStore, detector: DetectorXapp,
@@ -324,7 +324,8 @@ class ClosedLoop:
     def _flush_pending_detections(self) -> None:
         if self.detector.deployed_version is None:
             return
-        self.store.extend("detections", self.detector.infer_batch(self._pending))
+        seqs, probs, verdicts, version = self.detector.score_batch(self._pending)
+        self.store.extend_columns("detections", seqs, probs, verdicts, [version] * len(seqs))
         self._pending.clear()
 
     def process(self, kpi_sample) -> None:

@@ -25,6 +25,9 @@ from .numbers import real, whole
 OFF_INTERFERENCE_DB = -100.0
 SAMPLE_PERIOD_MS = 100
 DEFAULT_DURATION_SAMPLES = 300
+# a synthesized SNR beyond this is refused: below it the squares, the sums of
+# squares over a stream and the link adaptation's products stay finite
+MAX_ABS_SNR_DB = 1e100
 
 
 class ScheduleError(ValueError):
@@ -294,13 +297,23 @@ def iter_stream(schedule: ScenarioSchedule,
     seq = 0
     ewma: float | None = None
     for i, spec in enumerate(schedule.entries):
-        mean = sinr_db(spec, params)
+        where = f"entry {i} (scenario {spec.id})"
+        try:
+            mean = sinr_db(spec, params)
+        except (OverflowError, ValueError):  # a power past the float range, or of 0
+            raise ScheduleError(f"{where}: interference_db {spec.interference_db!r} and "
+                                f"noise_amplitude {spec.noise_amplitude!r} give no finite "
+                                f"SINR") from None
         truth = spec.event == "ON"
         with np.errstate(over="ignore"):  # an overflow is refused just below
             snrs = mean + sigma * rng.standard_normal(spec.duration_samples)
-        if not np.isfinite(snrs).all():  # one test per segment, none per sample
-            raise ScheduleError(f"entry {i} (scenario {spec.id}): a synthesized SNR is not "
+        # one test per segment, none per sample
+        if not np.isfinite(snrs).all():
+            raise ScheduleError(f"{where}: a synthesized SNR is not "
                                 f"finite (snr_jitter_sigma_db {sigma!r})")
+        if np.abs(snrs).max() > MAX_ABS_SNR_DB:
+            raise ScheduleError(f"{where}: a synthesized SNR is beyond +-{MAX_ABS_SNR_DB:g} dB "
+                                f"(snr_jitter_sigma_db {sigma!r})")
         snrs = snrs.tolist()
         if ewma is None and snrs:
             ewma = snrs[0]

@@ -4,9 +4,11 @@ atomic file writer.
 
 Three fixed streams wire the closed loop together: `kpi` (raw samples),
 `labels` (labeler verdicts), `detections` (deployed-model outputs).
-Records are immutable, keyed by seq, and never overwritten; each stream
-takes seqs in increasing order, so a replay or a swapped sample is refused
-loudly (`SeqOrderError`) instead of merging silently.
+`kpi` is held as records, `labels` and `detections` as columns; every
+stream reads and writes records at its edges. Rows are immutable, keyed by
+seq, and never overwritten; each stream takes seqs in increasing order, so
+a replay or a swapped sample is refused loudly (`SeqOrderError`) instead
+of merging silently.
 """
 
 from __future__ import annotations
@@ -68,8 +70,7 @@ class LabeledSample(NamedTuple):
     label: str  # CLEAN | INTERFERENCE
 
     def validate(self) -> None:
-        if self.label not in (LABEL_CLEAN, LABEL_INTERFERENCE):
-            raise RecordInvalidError(f"unknown label {self.label!r}")
+        _check_labels((self.label,))
 
 
 class DetectionRecord(NamedTuple):
@@ -79,15 +80,12 @@ class DetectionRecord(NamedTuple):
     model_version: int
 
     def validate(self) -> None:
-        if not 0.0 <= self.prob <= 1.0:
-            raise RecordInvalidError(f"prob {self.prob} outside [0,1]")
-        if self.verdict not in (LABEL_CLEAN, LABEL_INTERFERENCE):
-            raise RecordInvalidError(f"unknown verdict {self.verdict!r}")
-        if self.model_version < 0:
-            raise RecordInvalidError("model_version must be non-negative")
+        _check_detections((self.prob,), (self.verdict,), (self.model_version,))
 
 
 DETECTION_CSV_COLUMNS = list(DetectionRecord._fields)
+_LABEL_VALUES = (LABEL_CLEAN, LABEL_INTERFERENCE)
+_LABEL_SET = frozenset(_LABEL_VALUES)
 
 
 def _validate_kpi(s: KpiSample) -> None:
@@ -101,10 +99,42 @@ def _validate_kpi(s: KpiSample) -> None:
         raise RecordInvalidError("seq must be non-negative")
 
 
-# each stream's record type, and the check a record of it must pass
+def _check_labels(labels, field: str = "label") -> None:
+    """Raise `RecordInvalidError` for the first of `labels` that is not CLEAN or INTERFERENCE."""
+    with contextlib.suppress(TypeError):  # a screen in C; an unhashable value fails it
+        if set(labels) <= _LABEL_SET:
+            return
+    for label in labels:
+        if label not in _LABEL_VALUES:
+            raise RecordInvalidError(f"unknown {field} {label!r}")
+
+
+def _check_detections(probs, verdicts, model_versions) -> None:
+    """Raise `RecordInvalidError` for the first row whose prob is outside [0,1],
+    whose verdict is unknown or whose model_version is negative, in that order.
+    Each column is screened in C, with the row's own comparisons; only columns
+    that fail the screen are walked row by row."""
+    with contextlib.suppress(TypeError):  # a value that does not compare or hash fails it
+        if (all(map(operator.le, itertools.repeat(0.0), probs))
+                and all(map(operator.le, probs, itertools.repeat(1.0)))
+                and set(verdicts) <= _LABEL_SET
+                and not any(map(operator.lt, model_versions, itertools.repeat(0)))):
+            return
+    for prob, verdict, version in zip(probs, verdicts, model_versions):
+        if not 0.0 <= prob <= 1.0:
+            raise RecordInvalidError(f"prob {prob} outside [0,1]")
+        _check_labels((verdict,), "verdict")
+        if version < 0:
+            raise RecordInvalidError("model_version must be non-negative")
+
+
+# each stream's record type, and the check its records must pass: a KpiSample's
+# by itself, a column stream's on the columns of its fields after seq
 _RECORDS = {"kpi": (KpiSample, _validate_kpi),
-            "labels": (LabeledSample, LabeledSample.validate),
-            "detections": (DetectionRecord, DetectionRecord.validate)}
+            "labels": (LabeledSample, _check_labels),
+            "detections": (DetectionRecord, _check_detections)}
+# a record of a column stream from one tuple of its fields, without __new__'s frame
+_ROW = {kind: partial(tuple.__new__, kind) for kind in (LabeledSample, DetectionRecord)}
 
 
 _SEQ = operator.attrgetter("seq")
@@ -116,53 +146,67 @@ def _wrong_type(stream: str, kind: type, record) -> RecordInvalidError:
                               f"got {type(record).__name__}")
 
 
-def _validate(stream: str, record) -> None:
-    """Raise `RecordInvalidError` unless `record` is a valid record of `stream`'s type."""
-    kind, check = _RECORDS[stream]
-    if not isinstance(record, kind):
-        raise _wrong_type(stream, kind, record)
-    check(record)
-
-
 def _unknown_stream(name: str) -> UnknownStreamError:
     return UnknownStreamError(f"unknown stream {name!r}")
 
 
-def _bounds(records: list, from_seq: int, to_seq: int | None) -> tuple[int, int]:
-    """Index range of the seq-ordered `records` with seq in [from_seq, to_seq]."""
+def _bounds(seqs: list, from_seq: int, to_seq: int | None, key=None) -> tuple[int, int]:
+    """Index range of the increasing `seqs` (the seqs of records by `key`) in [from_seq, to_seq]."""
     if to_seq is not None and from_seq > to_seq:
         raise ValueError("from_seq must be <= to_seq")
-    lo = bisect.bisect_left(records, from_seq, key=_SEQ)
-    hi = len(records) if to_seq is None else bisect.bisect_right(records, to_seq, key=_SEQ)
+    lo = bisect.bisect_left(seqs, from_seq, key=key)
+    hi = len(seqs) if to_seq is None else bisect.bisect_right(seqs, to_seq, key=key)
     return lo, hi
+
+
+def _records(kind: type, columns) -> list:
+    """The records of type `kind` whose fields are the rows of `columns`."""
+    return list(map(_ROW[kind], zip(*columns)))
+
+
+def _take(column: list, spans: list[tuple[int, int]]) -> list:
+    """The values of `column` in the index spans (start, length), in order."""
+    if len(spans) == 1:  # an aligned run
+        (i, k), = spans
+        return column[i:i + k]
+    return list(itertools.chain.from_iterable(column[i:i + k] for i, k in spans))
 
 
 class TelemetryStore:
     """In-memory append-only store, one seq order per stream.
 
-    Each stream is one list in increasing seq order: an append is a compare
-    with the last seq, and a window is two bisects and a slice. Every write and
-    read holds one lock, and a write that loses a race to a higher seq is refused.
+    `kpi` is one list of records. `labels` and `detections` are columns, one
+    list per record field, which the closed loop writes (`extend_columns`)
+    and joins (`join_verdicts`) a window at a time; records stay their API
+    at the edges. An append is a compare with the last seq, and a window two
+    bisects and a slice. Every write and read holds one lock, and a write
+    that loses a race to a higher seq is refused.
     """
 
     def __init__(self, max_records: int = DEFAULT_MAX_RECORDS) -> None:
         self.max_records = max_records
-        self._streams: dict[str, list] = {name: [] for name in _RECORDS}
+        self._streams: dict[str, list | tuple[list, ...]] = {
+            name: [] if kind is KpiSample else tuple([] for _ in kind._fields)
+            for name, (kind, _) in _RECORDS.items()}
         self._lock = threading.Lock()
 
-    def _stream(self, name: str) -> list:
+    def _stream(self, name: str) -> list | tuple[list, ...]:
         try:
             return self._streams[name]
         except KeyError:
             raise _unknown_stream(name) from None
 
     def count(self, stream: str) -> int:
-        return len(self._stream(stream))
+        stored = self._stream(stream)
+        return len(stored) if stream == "kpi" else len(stored[0])
 
-    def _refuse(self, stream: str, stored: list, seqs: list) -> None:
-        """Raise what the first failing append of `seqs` onto `stored` would, if one would."""
-        last = stored[-1].seq if stored else None
-        for n, seq in enumerate(seqs, start=len(stored)):
+    def _admit(self, stream: str, count: int, last, seqs) -> None:
+        """Raise what the first failing append of `seqs` onto a stream of `count`
+        records up to seq `last` (None if empty) would, if one would."""
+        if (count + len(seqs) <= self.max_records and all(map(operator.lt, seqs, seqs[1:]))
+                and not (last is not None and seqs and last >= seqs[0])):
+            return
+        for n, seq in enumerate(seqs, start=count):
             if n >= self.max_records:
                 raise StoreFullError(f"stream {stream!r} reached max_records={self.max_records}")
             if last is not None and seq <= last:
@@ -172,51 +216,83 @@ class TelemetryStore:
 
     def append(self, stream: str, record) -> int:
         """Append one valid record of the stream's type; returns the stream count after."""
-        try:  # the per-sample path: one dict lookup, no `_stream` call
-            records = self._streams[stream]
-        except KeyError:
-            raise _unknown_stream(stream) from None
-        _validate(stream, record)
+        if stream != "kpi":  # a batch of one, by this class's `extend` and no override's
+            return TelemetryStore.extend(self, stream, (record,))
+        records = self._streams["kpi"]  # the per-sample path
+        if not isinstance(record, KpiSample):
+            raise _wrong_type(stream, KpiSample, record)
+        _validate_kpi(record)
         with self._lock:
             if len(records) >= self.max_records or records and records[-1].seq >= record.seq:
-                self._refuse(stream, records, [record.seq])
+                self._admit(stream, len(records), records[-1].seq if records else None,
+                            [record.seq])
             records.append(record)
             return len(records)
 
     def extend(self, stream: str, records) -> int:
         """Append a batch of records, all or none; returns the stream count after.
 
-        A record of another type or an invalid one raises `RecordInvalidError`.
-        Past those checks, a batch that fits and runs in increasing seq order past
-        the stream's last seq is one `list.extend` under the lock; any other
-        raises what its first failing `append` would, and writes nothing.
+        A record of another type or an invalid one raises `RecordInvalidError`,
+        the first such record's error. Past those checks, a batch that fits and
+        runs in increasing seq order past the stream's last seq is written
+        under the lock; any other raises what its first failing `append` would,
+        and writes nothing.
         """
         stored, batch = self._stream(stream), list(records)
-        kind, check = _RECORDS[stream]  # `_validate`'s checks, looked up once
+        kind, check = _RECORDS[stream]
+        if stream != "kpi":
+            if not all(map(isinstance, batch, itertools.repeat(kind))):
+                n = next(n for n, r in enumerate(batch) if not isinstance(r, kind))
+                check(*_columns(batch[:n], kind)[1:])  # an invalid record before it is first
+                raise _wrong_type(stream, kind, batch[n])
+            return self.extend_columns(stream, *_columns(batch, kind))
         for record in batch:
             if not isinstance(record, kind):
                 raise _wrong_type(stream, kind, record)
             check(record)
         seqs = [r.seq for r in batch]
         with self._lock:
-            if (len(stored) + len(batch) > self.max_records
-                    or not all(map(operator.lt, seqs, seqs[1:]))
-                    or stored and seqs and stored[-1].seq >= seqs[0]):
-                self._refuse(stream, stored, seqs)
+            self._admit(stream, len(stored), stored[-1].seq if stored else None, seqs)
             stored.extend(batch)
+            return len(stored)
+
+    def extend_columns(self, stream: str, seqs, *fields) -> int:
+        """Append a batch of `labels` or `detections` rows given as columns, all
+        or none; returns the stream count after.
+
+        `seqs` and each of `fields`, one per record field after seq in order,
+        are sequences of one length. The rows pass the checks of `extend` and
+        raise its errors, with the message its records would give.
+        """
+        columns = self._stream(stream)
+        if stream == "kpi":
+            raise StoreError("stream 'kpi' is written as records")
+        if len(fields) != len(columns) - 1 or any(len(f) != len(seqs) for f in fields):
+            raise ValueError(f"stream {stream!r} takes {len(columns)} columns of one length")
+        _RECORDS[stream][1](*fields)
+        with self._lock:
+            stored = columns[0]
+            self._admit(stream, len(stored), stored[-1] if stored else None, seqs)
+            for column, values in zip(columns, (seqs, *fields)):
+                column.extend(values)
             return len(stored)
 
     def window(self, stream: str, from_seq: int = 0, to_seq: int | None = None) -> list:
         """Records with seq in [from_seq, to_seq] by seq; to_seq None reads to the end."""
-        records = self._stream(stream)
+        stored = self._stream(stream)
         with self._lock:
-            lo, hi = _bounds(records, from_seq, to_seq)
-            return records[lo:hi]
+            if stream == "kpi":
+                lo, hi = _bounds(stored, from_seq, to_seq, _SEQ)
+                return stored[lo:hi]
+            lo, hi = _bounds(stored[0], from_seq, to_seq)
+            return _records(_RECORDS[stream][0], [c[lo:hi] for c in stored])
 
     def max_seq(self, stream: str) -> int | None:
-        records = self._stream(stream)
+        stored = self._stream(stream)
         with self._lock:
-            return records[-1].seq if records else None
+            if stream == "kpi":
+                return stored[-1].seq if stored else None
+            return stored[0][-1] if stored[0] else None
 
     def join_labels(self) -> list[tuple[KpiSample, LabeledSample]]:
         """Inner join of kpi and labels on seq, over the whole history."""
@@ -228,45 +304,67 @@ class TelemetryStore:
         `last` keeps only the trailing `last` pairs."""
         return self._join("detections", from_seq, last)
 
+    def join_verdicts(self, from_seq: int = 0, last: int | None = None
+                      ) -> tuple[list, list[str], list[str]]:
+        """The pairs of `join_detections` as columns: their seqs, verdicts and labels."""
+        with self._lock:
+            left, right = self._spans("detections", from_seq, last)
+            seqs, _, verdicts, _ = self._streams["detections"]
+            return _take(seqs, left), _take(verdicts, left), \
+                _take(self._streams["labels"][1], right)
+
     def _join(self, stream: str, from_seq: int, last: int | None = None) -> list:
-        # a merge join walked back from the high end, so that the trailing
-        # `last` pairs cost O(last) steps plus the unmatched records among them.
-        # At a match on seq, when the k records of each stream that end there
-        # start at seq - k + 1, integer seqs make both runs hold seqs
-        # seq - k + 1 .. seq: one compare of their seqs confirms it, and the run
-        # is taken in one step. A seq that is no integer can fail that compare;
-        # the join then walks the rest pair by pair (`runs` false)
+        with self._lock:
+            left, right = self._spans(stream, from_seq, last)
+            stored = self._streams[stream]
+            rows = (_take(stored, left) if stream == "kpi" else
+                    _records(DetectionRecord, [_take(c, left) for c in stored]))
+            labels = _records(LabeledSample, [_take(c, right)
+                                              for c in self._streams["labels"]])
+        return list(zip(rows, labels))
+
+    def _spans(self, stream: str, from_seq: int, last: int | None) -> tuple[list, list]:
+        """Index spans (start, length) in `stream` and in labels of the seqs both
+        hold from `from_seq` on, the trailing `last` (all if None), in seq order.
+        The caller holds the lock.
+
+        A merge walked back from the high end, so that the trailing `last`
+        pairs cost O(last) steps plus the unmatched seqs among them. At a match
+        on seq, when the k seqs of each stream that end there start at
+        seq - k + 1, integer seqs make both runs seq - k + 1 .. seq: one list
+        compare confirms it, and the run is taken in one step. A seq that is no
+        integer can fail that compare; the merge then walks the rest pair by
+        pair (`runs` false).
+        """
         if last is not None and last < 1:
             raise ValueError("last must be >= 1")
-        records, label_rows = self._streams[stream], self._streams["labels"]
-        out, runs = [], True
-        with self._lock:
-            i0, i = _bounds(records, from_seq, None)
-            j0, j = _bounds(label_rows, from_seq, None)
-            want = last or i - i0  # no more pairs than records
-            while i > i0 and j > j0 and len(out) != want:
-                r, lab = records[i - 1], label_rows[j - 1]
-                seq, label_seq = r.seq, lab.seq
-                if seq > label_seq:
-                    i -= 1
-                elif seq < label_seq:
-                    j -= 1
-                else:
-                    k = min(i - i0, j - j0, want - len(out))
-                    if (runs and k > 1
-                            and records[i - k].seq == label_rows[j - k].seq == seq - k + 1):
-                        run, label_run = records[i - k:i], label_rows[j - k:j]
-                        runs = [*map(_SEQ, run)] == [*map(_SEQ, label_run)]
-                        if runs:
-                            out.extend(zip(reversed(run), reversed(label_run)))
-                            i -= k
-                            j -= k
-                            continue
-                    i -= 1
-                    j -= 1
-                    out.append((r, lab))
-        out.reverse()
-        return out
+        stored, b = self._streams[stream], self._streams["labels"][0]
+        a = list(map(_SEQ, stored)) if stream == "kpi" else stored[0]
+        i0, j0 = bisect.bisect_left(a, from_seq), bisect.bisect_left(b, from_seq)
+        i, j, want = len(a), len(b), last or len(a) - i0  # no more pairs than seqs in a
+        left, right, n, runs = [], [], 0, True
+        while i > i0 and j > j0 and n != want:
+            seq, other = a[i - 1], b[j - 1]
+            if seq > other:
+                i -= 1
+            elif seq < other:
+                j -= 1
+            else:
+                k = min(i - i0, j - j0, want - n)
+                if not (runs and k > 1 and a[i - k] == b[j - k] == seq - k + 1
+                        and (runs := a[i - k:i] == b[j - k:j])):
+                    k = 1
+                i, j, n = i - k, j - k, n + k
+                left.append((i, k))
+                right.append((j, k))
+        left.reverse()
+        right.reverse()
+        return left, right
+
+
+def _columns(records: list, kind: type) -> list:
+    """The field columns of `records` of type `kind`, empty ones for no records."""
+    return list(zip(*records)) or [()] * len(kind._fields)
 
 
 def _kpi_from_wire(row: dict) -> KpiSample:

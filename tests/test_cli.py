@@ -730,6 +730,37 @@ def test_non_finite_synthesized_snr_exits_2(tmp_path, capsys, command):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "run-experiment"])
+def test_synthesized_snr_past_bound_exits_2(tmp_path, capsys, command):
+    # a jitter of 1e307 dB draws finite SNRs whose squares overflow
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("engine: {snr_jitter_sigma_db: 1.0e+307}\n"
+                   "experiment: {samples_per_scenario: 20, passes: 1}\n")
+    out = tmp_path / "out"
+    argv = ["--config", str(cfg), "--out", str(out), command]
+    if command == "simulate":
+        argv += ["--schedule", str(write_schedule(tmp_path / "s.yaml",
+                                                  [{"id": 1, "duration_samples": 2000}]))]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: entry 0 (scenario 1): a synthesized SNR is beyond +-1e+100 dB "
+        "(snr_jitter_sigma_db 1e+307)\n")
+    if command == "simulate":
+        assert list(out.iterdir()) == []
+    else:
+        assert not out.exists()
+
+
+def test_sinr_past_float_range_exits_2(tmp_path, capsys):
+    code, trace = simulate(tmp_path, [{"event": "ON", "interference_db": 4000.0,
+                                       "noise_amplitude": 0.1, "duration_samples": 50}])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.endswith(
+        "error: entry 0 (scenario 1): interference_db 4000.0 and noise_amplitude 0.1 "
+        "give no finite SINR\n")
+    assert list(trace.parent.iterdir()) == []
+
+
 @pytest.mark.parametrize("section", ["engine", "labeler", "mlp", "loop", "experiment"])
 class TestConfigSections:
     def test_empty_section_reads_as_defaults(self, tmp_path, section):

@@ -1,5 +1,8 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jamloop.detector import DetectorXapp
 from jamloop.labeler import LabelerConfig, two_means
@@ -11,6 +14,7 @@ from jamloop.scenarios import KpiSample, iter_stream, schedule_from_ids
 from jamloop.store import (DetectionRecord, LABEL_CLEAN, LABEL_INTERFERENCE,
                            LabeledSample, SeqOrderError, TelemetryStore)
 
+import test_store
 from test_labeler import duty_cycled_schedule
 
 
@@ -124,6 +128,57 @@ class TestMonitorMatchesFullJoin:
                     assert monitor(store, window_size, threshold, from_seq) == \
                         reference_monitor(detections, labels, window_size, threshold,
                                           from_seq), (from_seq, window_size)
+
+
+class TestMonitorColumns:
+    seq_runs = st.lists(st.tuples(st.integers(0, 3), st.integers(1, 40)), max_size=8)
+
+    @settings(max_examples=100, deadline=None)
+    @given(starts=st.tuples(st.integers(0, 4), st.integers(0, 4)), label_runs=seq_runs,
+           detection_runs=seq_runs, halved=st.tuples(*[st.sets(st.integers(1, 200),
+                                                                max_size=3)] * 2),
+           jams=st.tuples(*[st.lists(st.booleans(), min_size=320, max_size=320)] * 2),
+           inside=st.integers(0, 200), threshold=st.sampled_from([0.0, 0.5, 0.85, 1.01]))
+    def test_counts_match_dict_count_over_join(self, starts, label_runs, detection_runs,
+                                               halved, jams, inside, threshold):
+        # runs with gaps, some seqs halved in one stream only: the report's counts
+        # and window seqs are those of `join_detections`' pairs, counted in a dict,
+        # and every field has its exact Python type
+        store = TelemetryStore()
+        label_seqs, detection_seqs = (
+            test_store.TestJoin.run_seqs(start, runs, halves)
+            for start, runs, halves in zip(starts, (label_runs, detection_runs), halved))
+        verdict_of = dict(zip(detection_seqs, jams[0]))
+        store.extend("labels", [LabeledSample(q, LABEL_INTERFERENCE if jam else LABEL_CLEAN)
+                                for q, jam in zip(label_seqs, jams[1])])
+        store.extend("detections", [detection(q, LABEL_INTERFERENCE if verdict_of[q]
+                                              else LABEL_CLEAN) for q in detection_seqs])
+        past = max(label_seqs + detection_seqs, default=0) + 1
+        for from_seq in (0, inside, past):
+            for window_size in (1, 7, 200):
+                report = monitor(store, window_size, threshold, from_seq)
+                pairs = store.join_detections(from_seq, window_size)
+                counts = {}
+                for d, lab in pairs:
+                    key = (d.verdict == LABEL_INTERFERENCE, lab.label == LABEL_INTERFERENCE)
+                    counts[key] = counts.get(key, 0) + 1
+                tp, fp, fn, tn = (counts.get(k, 0) for k in ((True, True), (True, False),
+                                                              (False, True), (False, False)))
+                assert (report.tp, report.fp, report.fn, report.tn) == (tp, fp, fn, tn)
+                assert report.sample_count == len(pairs)
+                first, end = (pairs[0][0].seq, pairs[-1][0].seq) if pairs else (from_seq,) * 2
+                assert (report.window_start_seq, report.window_end_seq) == (first, end)
+                assert type(report.window_start_seq) is type(first)
+                assert type(report.window_end_seq) is type(end)
+                assert [type(v) for v in (report.tp, report.fp, report.fn, report.tn,
+                                          report.sample_count)] == [int] * 5
+                assert type(report.drifted) is bool
+                if pairs:
+                    assert type(report.agreement) is float
+                    assert report.agreement == (tp + tn) / len(pairs)
+                    assert report.drifted == (report.agreement < threshold)
+                else:
+                    assert report.agreement is None and not report.drifted
 
 
 def make_labeled_history(store, n=400, seed=0):
@@ -529,6 +584,16 @@ class TestClosedLoop:
             expected.append((rec.seq, rec.verdict, rec.model_version))
         got = [(d.seq, d.verdict, d.model_version) for d in store.window("detections")]
         assert got == expected
+
+    def test_transcript_of_steady_loop_is_plain_json(self, tmp_path):
+        # alternating OFF/ON segments that do not align with the 100-sample windows
+        _, _, _, transcript = run_loop_over([2, 3, 2, 3], seed=7, duration=350,
+                                            registry_dir=tmp_path / "models")
+        assert {ev["event"] for ev in transcript} >= {"drift_report", "retrain", "deploy",
+                                                      "close"}
+        for ev in transcript:
+            assert json.loads(json.dumps(ev, allow_nan=False)) == ev
+            assert {type(v) for v in ev.values()} <= {str, int, float, bool, type(None)}
 
     def test_batch_writes_match_per_record_appends(self, tmp_path):
         class PerRecordStore(TelemetryStore):

@@ -201,6 +201,34 @@ class TestSynthStream:
         assert got == list(reference_stream(sched, params))
         assert len(got) == sum(spec.duration_samples for spec in sched.entries)
 
+    @pytest.mark.parametrize("interference_db,noise_amplitude", [
+        (4000.0, 0.1), (-8.0, 1e200), (-4000.0, 1e-200)],
+        ids=["interference_past_range", "noise_past_range", "no_power"])
+    def test_sinr_out_of_float_range_names_entry(self, interference_db, noise_amplitude):
+        # 10 ** 400 overflows a float, and two powers that underflow to 0 have no log
+        sched = ScenarioSchedule([SCENARIO_CATALOG[2],
+                                  ScenarioSpec(6, "ON", interference_db, noise_amplitude, 10)],
+                                 seed=1)
+        with pytest.raises(ScheduleError, match=r"^entry 1 \(scenario 6\): interference_db "
+                                                r".* give no finite SINR$"):
+            list(iter_stream(sched, P))
+
+    @pytest.mark.parametrize("params", [ChannelParams(snr_jitter_sigma_db=1e307),
+                                        ChannelParams(signal_power_db=-1e101)],
+                             ids=["jitter", "signal_power"])
+    def test_snr_past_bound_names_entry(self, params):
+        sched = schedule_from_ids([2, 1], seed=1, duration_samples=20)
+        with pytest.raises(ScheduleError, match=r"^entry 0 \(scenario 2\): a synthesized SNR "
+                                                r"is beyond \+-1e\+100 dB"):
+            list(iter_stream(sched, params))
+
+    def test_snr_within_bound_streams(self):
+        # 1e99 dB is inside the bound: its square and the link adaptation stay finite
+        sched = schedule_from_ids([2, 1], seed=1, duration_samples=20)
+        samples = list(iter_stream(sched, ChannelParams(signal_power_db=1e99)))
+        assert len(samples) == 40
+        assert all(s.snr_db == 1e99 and s.mcs == 28 for s in samples)
+
     def test_off_scenario_truth_all_false(self):
         sched = schedule_from_ids([2], seed=11)
         samples = []

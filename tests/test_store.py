@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from jamloop.numbers import real, whole
 from jamloop.scenarios import FeatureSample, KpiSample, iter_stream, schedule_from_ids
 from jamloop.store import (DetectionRecord, LabeledSample, RecordInvalidError,
-                           SchemaError, SeqOrderError, StoreFullError,
+                           SchemaError, SeqOrderError, StoreError, StoreFullError,
                            TelemetryStore, UnknownStreamError, KPI_COLUMNS,
                            LABEL_CLEAN, LABEL_INTERFERENCE, _TRUTH_STRINGS, _validate_kpi,
                            read_trace, trace_line, write_detections)
@@ -251,6 +252,72 @@ class TestExtend:
         for batch in ([kpi(0)], []):
             with pytest.raises(UnknownStreamError):
                 store.extend("nope", batch)
+
+
+def detection(seq, prob=0.5, verdict=LABEL_CLEAN, version=1):
+    return DetectionRecord(seq, prob, verdict, version)
+
+
+class TestExtendColumns:
+    """`extend_columns` refuses exactly what `extend` refuses, with its message."""
+
+    @staticmethod
+    def stores():
+        """Two stores, each holding labels and detections at seqs 0 and 1, room for 4."""
+        stores = [TelemetryStore(max_records=4) for _ in range(2)]
+        for s in stores:
+            s.extend("labels", [label(0), label(1)])
+            s.extend("detections", [detection(0), detection(1)])
+        return stores
+
+    @pytest.mark.parametrize("stream,rows", [
+        ("detections", [detection(2), detection(3, prob=math.nan)]),
+        ("detections", [detection(2, prob=-0.0001)]),
+        ("detections", [detection(2, prob=1.0000001)]),
+        ("detections", [detection(2), detection(3, verdict="JAMMED")]),
+        ("detections", [detection(2, verdict=None)]),
+        ("detections", [detection(2, version=-1)]),
+        ("detections", [detection(2, prob=2.0), detection(3, verdict="JAMMED")]),
+        ("labels", [label(2), label(3, "UNLABELED")]),
+        ("labels", [label(2, ["CLEAN"])]),
+        ("labels", [label(2), label(2)]),
+        ("detections", [detection(3), detection(2)]),
+        ("labels", [label(1)]),
+        ("detections", [detection(2), detection(3), detection(4)]),
+        ("labels", [label(2), label(1), label(3), label(4)])],
+        ids=["nan_prob", "negative_prob", "prob_above_1", "unknown_verdict",
+             "unhashable_verdict", "negative_version", "first_row_first", "unknown_label",
+             "unhashable_label", "repeated_seq", "seq_out_of_order", "seq_not_above_last",
+             "full", "order_before_full"])
+    def test_refuses_as_extend(self, stream, rows):
+        by_records, by_columns = self.stores()
+        before = contents(by_columns)
+        with pytest.raises(Exception) as want:
+            by_records.extend(stream, rows)
+        assert isinstance(want.value, (RecordInvalidError, SeqOrderError, StoreFullError))
+        with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+            by_columns.extend_columns(stream, *map(list, zip(*rows)))
+        assert contents(by_columns) == contents(by_records) == before
+
+    def test_writes_as_extend(self):
+        by_records, by_columns = self.stores()
+        rows = [detection(2, 0.25, LABEL_INTERFERENCE, 3), detection(5, 1.0, LABEL_CLEAN, 3)]
+        assert by_columns.extend_columns("detections", *map(list, zip(*rows))) == \
+            by_records.extend("detections", rows) == 4
+        assert by_columns.extend_columns("labels", (2,), [LABEL_CLEAN]) == 3
+        by_records.append("labels", label(2))
+        assert contents(by_columns) == contents(by_records)
+        assert by_columns.extend_columns("labels", (), ()) == 3
+
+    def test_misshapen_columns_and_kpi_refused(self, store):
+        for columns in ([[0, 1], [LABEL_CLEAN]], [[0]], [[0], [LABEL_CLEAN], [LABEL_CLEAN]]):
+            with pytest.raises(ValueError, match="takes 2 columns of one length"):
+                store.extend_columns("labels", *columns)
+        with pytest.raises(StoreError, match="'kpi' is written as records"):
+            store.extend_columns("kpi", [0], [0], [10.0], [5], [0.1], [False])
+        with pytest.raises(UnknownStreamError):
+            store.extend_columns("nope", [0])
+        assert contents(store) == {name: [] for name in RECORD_OF}
 
 
 class TestWindow:
