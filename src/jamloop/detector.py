@@ -14,7 +14,6 @@ import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
 
 import numpy as np
 
@@ -115,8 +114,3 @@ class DetectorXapp:
         verdicts = list(map(_VERDICTS.__getitem__, (probs >= model.threshold).tolist()))
         self._last_seq = seqs[-1]
         return seqs, probs.tolist(), verdicts, model.version
-
-    def infer_batch(self, samples: Sequence[FeatureSample]) -> list[DetectionRecord]:
-        """`score_batch`'s detections as records."""
-        seqs, probs, verdicts, version = self.score_batch(samples)
-        return list(map(_detection, zip(seqs, probs, verdicts, repeat(version))))

@@ -152,15 +152,16 @@ def run_experiment(cfg: ExperimentConfig, registry_dir: Path) -> ExperimentRepor
     store_a = TelemetryStore()
     store_a.extend("kpi", [s for s in samples if s.seq <= train_end_seq])
     run_labeler(store_a, cfg.labeler)
+    _, train_samples, train_labels = store_a.join("kpi")
     try:
-        baseline_model, _ = mlp.train(labeled_dataset(store_a.join_labels()),
+        baseline_model, _ = mlp.train(labeled_dataset(train_samples, train_labels),
                                       cfg.loop.train, version=1)
     except mlp.TrainingError as exc:
         raise ExperimentError(f"static baseline training failed: {exc}") from exc
     detector_a = DetectorXapp()
     detector_a.swap_model(baseline_model)
-    verdicts_a = {rec.seq: rec.verdict
-                  for rec in detector_a.infer_batch([s.public() for s in samples])}
+    seqs_a, _, verdicts, _ = detector_a.score_batch([s.public() for s in samples])
+    verdicts_a = dict(zip(seqs_a, verdicts))
 
     # ---- Arm B: full closed loop, cold start ----
     store_b = TelemetryStore()

@@ -41,12 +41,11 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
 from .scenarios import FeatureSample
-from .store import LABEL_CLEAN, LABEL_INTERFERENCE, LabeledSample, TelemetryStore
+from .store import LABEL_CLEAN, LABEL_INTERFERENCE, TelemetryStore
 
 EXHAUSTIVE_KMEANS_MAX = 16  # tiny windows get the provably optimal 2-partition
 MAD_NORMAL = 0.6744897501960817  # median of |N(0, 1)|
@@ -54,8 +53,6 @@ SEPARATION_MIN_DB = 4.0  # online: a narrower 2-means split is one class
 BASELINE_OFFSET_DB = 6.0  # online: a one-class window this far below the baseline is jammed
 
 _LABELS = np.array([LABEL_CLEAN, LABEL_INTERFERENCE], dtype=object)  # by 0/1 flag
-# LabeledSample._make of a (seq, label) pair, without a Python call per record
-_labeled = partial(tuple.__new__, LabeledSample)
 
 
 class LabelerError(Exception):
@@ -180,8 +177,9 @@ def _median_filter_labels(labels: np.ndarray, halfwidth: int) -> np.ndarray:
 
 
 def label_window(samples: list[FeatureSample], baseline: BaselineState,
-                 cfg: LabelerConfig) -> tuple[list[LabeledSample], BaselineState]:
-    """Label one window; returns per-sample labels and the updated baseline."""
+                 cfg: LabelerConfig) -> tuple[list, list[str], BaselineState]:
+    """Label one window; returns its seqs and their labels, as two columns,
+    and the updated baseline."""
     cfg.validate()
     if not samples:
         raise LabelerError("cannot label an empty window")
@@ -225,11 +223,9 @@ def label_window(samples: list[FeatureSample], baseline: BaselineState,
         flags = (assign == jam_cluster).astype(int)
         flags = _median_filter_labels(flags, cfg.smoothing_halfwidth)
 
-    out = list(map(_labeled, zip(seqs, _LABELS[flags].tolist())))
-
     new_baseline = replace(baseline)  # shares `_recent`, which `update` replaces
     new_baseline.update(snr[flags == 0])
-    return out, new_baseline
+    return seqs, _LABELS[flags].tolist(), new_baseline
 
 
 def _jitter_variance(snr: np.ndarray) -> float:
@@ -382,5 +378,5 @@ def run_labeler(store: TelemetryStore, cfg: LabelerConfig | None = None) -> None
     samples = [r.public() for r in store.window("kpi")]  # truth stripped here
     if samples:
         jammed = label_stream(np.array([s.snr_db for s in samples]), cfg.window_size)
-        store.extend("labels", [LabeledSample(s.seq, LABEL_INTERFERENCE if jam else LABEL_CLEAN)
-                                for s, jam in zip(samples, jammed)])
+        store.extend_columns("labels", [s.seq for s in samples],
+                             _LABELS[jammed.astype(int)].tolist())

@@ -182,9 +182,8 @@ def monitor(store: TelemetryStore, window_size: int = DEFAULT_MONITOR_WINDOW,
             threshold: float = DEFAULT_DRIFT_THRESHOLD,
             from_seq: int = 0) -> DriftReport:
     """Agreement over the last `window_size` joined (detection, label) pairs
-    from `from_seq` on; reads only those pairs' verdict and label columns,
-    however long the history."""
-    seqs, verdicts, labels = store.join_verdicts(from_seq=from_seq, last=window_size)
+    from `from_seq` on; reads only those pairs' columns, however long the history."""
+    seqs, (_, verdicts, _), labels = store.join("detections", from_seq, window_size)
     if not seqs:
         return DriftReport(window_start_seq=from_seq, window_end_seq=from_seq,
                            agreement=None, sample_count=0, drifted=False,
@@ -204,11 +203,11 @@ def monitor(store: TelemetryStore, window_size: int = DEFAULT_MONITOR_WINDOW,
                        tp=tp, fp=jam_verdicts - tp, fn=jam_labels - tp, tn=agree - tp)
 
 
-def labeled_dataset(pairs) -> list[tuple[tuple[float, float, float], int]]:
-    """Training rows from `join_labels` pairs: features (snr, bler, mcs),
-    target 1 for an INTERFERENCE label and 0 otherwise."""
-    return [((s.snr_db, s.bler, float(s.mcs)), int(lab.label == LABEL_INTERFERENCE))
-            for s, lab in pairs]
+def labeled_dataset(samples, labels) -> list[tuple[tuple[float, float, float], int]]:
+    """Training rows from kpi samples and their label strings: features
+    (snr, bler, mcs), target 1 for an INTERFERENCE label and 0 otherwise."""
+    return [((s.snr_db, s.bler, float(s.mcs)), int(label == LABEL_INTERFERENCE))
+            for s, label in zip(samples, labels)]
 
 
 @dataclass
@@ -221,23 +220,21 @@ class RetrainOutcome:
 def retrain(store: TelemetryStore, cfg: mlp.TrainConfig,
             registry: ModelRegistry) -> RetrainOutcome:
     """Train a new version on the full labeler-labeled history (never truth)."""
-    pairs = store.join_labels()
-    if not pairs:
+    seqs, samples, labels = store.join("kpi")
+    if not seqs:
         return RetrainOutcome(entry=None, skipped_reason="no labeled history")
-    dataset = labeled_dataset(pairs)
-    classes = {y for _, y in dataset}
-    if len(classes) < 2:
+    if len(set(labels)) < 2:
         return RetrainOutcome(entry=None,
                               skipped_reason="labeled history is single-class",
-                              history_high_seq=pairs[-1][0].seq)
+                              history_high_seq=seqs[-1])
     version = registry.next_version()
     try:
-        model, report = mlp.train(dataset, cfg, version=version)
+        model, report = mlp.train(labeled_dataset(samples, labels), cfg, version=version)
     except mlp.TrainingError as exc:
         return RetrainOutcome(entry=None, skipped_reason=str(exc),
-                              history_high_seq=pairs[-1][0].seq)
+                              history_high_seq=seqs[-1])
     entry = registry.add(model, report)
-    return RetrainOutcome(entry=entry, history_high_seq=pairs[-1][0].seq)
+    return RetrainOutcome(entry=entry, history_high_seq=seqs[-1])
 
 
 @dataclass
@@ -297,8 +294,8 @@ class ClosedLoop:
     labeled pairs. A swap happens only in that last step, so each sample
     meets the model that was deployed when it arrived; samples that arrive
     before any model is deployed wait for the first one. A window's
-    detections go to the store as columns in one `extend_columns` call, and
-    its labels in one `extend` call. All events land in the transcript.
+    detections and its labels go to the store as columns, in one
+    `extend_columns` call each. All events land in the transcript.
     """
 
     def __init__(self, store: TelemetryStore, detector: DetectorXapp,
@@ -347,10 +344,10 @@ class ClosedLoop:
     def _label_buffer(self) -> None:
         self._pending.extend(self._window_buf)
         self._flush_pending_detections()
-        labels, self.baseline = label_window(self._window_buf, self.baseline,
-                                             self.labeler_cfg)
-        self.store.extend("labels", labels)
-        self._labeled_since_check += len(labels)
+        seqs, labels, self.baseline = label_window(self._window_buf, self.baseline,
+                                                   self.labeler_cfg)
+        self.store.extend_columns("labels", seqs, labels)
+        self._labeled_since_check += len(seqs)
         self._window_buf = []
         if self._labeled_since_check >= self.cfg.monitor_window:
             self._labeled_since_check = 0

@@ -143,7 +143,7 @@ class KpiSample(NamedTuple):
 
 
 # a KpiSample from one tuple of its fields, as `_feature_sample` builds a FeatureSample
-_kpi_sample = partial(tuple.__new__, KpiSample)
+kpi_from_fields = partial(tuple.__new__, KpiSample)
 
 
 def _catalog_spec(sid: int, duration_samples: int, where: str = "") -> ScenarioSpec:
@@ -293,7 +293,7 @@ def iter_stream(schedule: ScenarioSchedule,
     rng = np.random.default_rng(schedule.seed)
     alpha, sigma = params.ewma_alpha, params.snr_jitter_sigma_db
     keep = 1.0 - alpha
-    mcs_of, bler_of, sample, period = mcs_for_snr, bler_for, _kpi_sample, SAMPLE_PERIOD_MS
+    mcs_of, bler_of, sample, period = mcs_for_snr, bler_for, kpi_from_fields, SAMPLE_PERIOD_MS
     seq = 0
     ewma: float | None = None
     for i, spec in enumerate(schedule.entries):

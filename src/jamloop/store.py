@@ -4,11 +4,12 @@ atomic file writer.
 
 Three fixed streams wire the closed loop together: `kpi` (raw samples),
 `labels` (labeler verdicts), `detections` (deployed-model outputs).
-`kpi` is held as records, `labels` and `detections` as columns; every
-stream reads and writes records at its edges. Rows are immutable, keyed by
-seq, and never overwritten; each stream takes seqs in increasing order, so
-a replay or a swapped sample is refused loudly (`SeqOrderError`) instead
-of merging silently.
+`kpi` is held as records, `labels` and `detections` as columns, which the
+closed loop writes and joins as columns; `append`, `extend`, `window` and
+the record joins are the edges where records go in and out. Rows are
+immutable, keyed by seq, and never overwritten; each stream takes seqs in
+increasing order, so a replay or a swapped sample is refused loudly
+(`SeqOrderError`) instead of merging silently.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .numbers import real, whole
-from .scenarios import KpiSample
+from .scenarios import KpiSample, kpi_from_fields
 
 LABEL_CLEAN = "CLEAN"
 LABEL_INTERFERENCE = "INTERFERENCE"
@@ -69,18 +70,12 @@ class LabeledSample(NamedTuple):
     seq: int
     label: str  # CLEAN | INTERFERENCE
 
-    def validate(self) -> None:
-        _check_labels((self.label,))
-
 
 class DetectionRecord(NamedTuple):
     seq: int
     prob: float
     verdict: str  # CLEAN | INTERFERENCE
     model_version: int
-
-    def validate(self) -> None:
-        _check_detections((self.prob,), (self.verdict,), (self.model_version,))
 
 
 DETECTION_CSV_COLUMNS = list(DetectionRecord._fields)
@@ -177,8 +172,8 @@ class TelemetryStore:
 
     `kpi` is one list of records. `labels` and `detections` are columns, one
     list per record field, which the closed loop writes (`extend_columns`)
-    and joins (`join_verdicts`) a window at a time; records stay their API
-    at the edges. An append is a compare with the last seq, and a window two
+    and joins (`join`) a window at a time; records stay their API at the
+    edges. An append is a compare with the last seq, and a window two
     bisects and a slice. Every write and read holds one lock, and a write
     that loses a race to a higher seq is refused.
     """
@@ -245,7 +240,8 @@ class TelemetryStore:
                 n = next(n for n, r in enumerate(batch) if not isinstance(r, kind))
                 check(*_columns(batch[:n], kind)[1:])  # an invalid record before it is first
                 raise _wrong_type(stream, kind, batch[n])
-            return self.extend_columns(stream, *_columns(batch, kind))
+            # by this class's column write and no override's
+            return TelemetryStore.extend_columns(self, stream, *_columns(batch, kind))
         for record in batch:
             if not isinstance(record, kind):
                 raise _wrong_type(stream, kind, record)
@@ -294,72 +290,72 @@ class TelemetryStore:
                 return stored[-1].seq if stored else None
             return stored[0][-1] if stored[0] else None
 
+    def join(self, stream: str, from_seq: int = 0, last: int | None = None
+             ) -> tuple[list, list | tuple[list, ...], list[str]]:
+        """Inner join of `stream`, kpi or detections, with labels on seq, from
+        `from_seq` on, as columns; `last` keeps only the trailing `last` pairs.
+
+        Returns the pairs' seqs, `stream`'s rows and the labels, in seq order.
+        The rows are kpi's records, or for detections the prob, verdict and
+        model_version columns. No record is built.
+        """
+        stored = self._stream(stream)
+        if stream == "labels":
+            raise StoreError("stream 'labels' is joined from 'kpi' or 'detections'")
+        with self._lock:
+            seqs = list(map(_SEQ, stored)) if stream == "kpi" else stored[0]
+            left, right = _spans(seqs, self._streams["labels"][0], from_seq, last)
+            rows = (_take(stored, left) if stream == "kpi"
+                    else tuple(_take(column, left) for column in stored[1:]))
+            return _take(seqs, left), rows, _take(self._streams["labels"][1], right)
+
     def join_labels(self) -> list[tuple[KpiSample, LabeledSample]]:
-        """Inner join of kpi and labels on seq, over the whole history."""
-        return self._join("kpi", 0)
+        """`join` of kpi over the whole history, as (sample, label record) pairs."""
+        seqs, samples, labels = self.join("kpi")
+        return list(zip(samples, _records(LabeledSample, (seqs, labels))))
 
     def join_detections(self, from_seq: int = 0, last: int | None = None
                         ) -> list[tuple[DetectionRecord, LabeledSample]]:
-        """Inner join of detections and labels on seq, from `from_seq` on;
-        `last` keeps only the trailing `last` pairs."""
-        return self._join("detections", from_seq, last)
+        """`join` of detections, as (detection, label) record pairs."""
+        seqs, fields, labels = self.join("detections", from_seq, last)
+        return list(zip(_records(DetectionRecord, (seqs, *fields)),
+                        _records(LabeledSample, (seqs, labels))))
 
-    def join_verdicts(self, from_seq: int = 0, last: int | None = None
-                      ) -> tuple[list, list[str], list[str]]:
-        """The pairs of `join_detections` as columns: their seqs, verdicts and labels."""
-        with self._lock:
-            left, right = self._spans("detections", from_seq, last)
-            seqs, _, verdicts, _ = self._streams["detections"]
-            return _take(seqs, left), _take(verdicts, left), \
-                _take(self._streams["labels"][1], right)
 
-    def _join(self, stream: str, from_seq: int, last: int | None = None) -> list:
-        with self._lock:
-            left, right = self._spans(stream, from_seq, last)
-            stored = self._streams[stream]
-            rows = (_take(stored, left) if stream == "kpi" else
-                    _records(DetectionRecord, [_take(c, left) for c in stored]))
-            labels = _records(LabeledSample, [_take(c, right)
-                                              for c in self._streams["labels"]])
-        return list(zip(rows, labels))
+def _spans(a: list, b: list, from_seq: int, last: int | None) -> tuple[list, list]:
+    """Index spans (start, length) in the increasing seqs `a` and `b` of the seqs
+    both hold from `from_seq` on, the trailing `last` (all if None), in seq order.
 
-    def _spans(self, stream: str, from_seq: int, last: int | None) -> tuple[list, list]:
-        """Index spans (start, length) in `stream` and in labels of the seqs both
-        hold from `from_seq` on, the trailing `last` (all if None), in seq order.
-        The caller holds the lock.
-
-        A merge walked back from the high end, so that the trailing `last`
-        pairs cost O(last) steps plus the unmatched seqs among them. At a match
-        on seq, when the k seqs of each stream that end there start at
-        seq - k + 1, integer seqs make both runs seq - k + 1 .. seq: one list
-        compare confirms it, and the run is taken in one step. A seq that is no
-        integer can fail that compare; the merge then walks the rest pair by
-        pair (`runs` false).
-        """
-        if last is not None and last < 1:
-            raise ValueError("last must be >= 1")
-        stored, b = self._streams[stream], self._streams["labels"][0]
-        a = list(map(_SEQ, stored)) if stream == "kpi" else stored[0]
-        i0, j0 = bisect.bisect_left(a, from_seq), bisect.bisect_left(b, from_seq)
-        i, j, want = len(a), len(b), last or len(a) - i0  # no more pairs than seqs in a
-        left, right, n, runs = [], [], 0, True
-        while i > i0 and j > j0 and n != want:
-            seq, other = a[i - 1], b[j - 1]
-            if seq > other:
-                i -= 1
-            elif seq < other:
-                j -= 1
-            else:
-                k = min(i - i0, j - j0, want - n)
-                if not (runs and k > 1 and a[i - k] == b[j - k] == seq - k + 1
-                        and (runs := a[i - k:i] == b[j - k:j])):
-                    k = 1
-                i, j, n = i - k, j - k, n + k
-                left.append((i, k))
-                right.append((j, k))
-        left.reverse()
-        right.reverse()
-        return left, right
+    A merge walked back from the high end, so that the trailing `last`
+    pairs cost O(last) steps plus the unmatched seqs among them. At a match
+    on seq, when the k seqs of each list that end there start at
+    seq - k + 1, integer seqs make both runs seq - k + 1 .. seq: one list
+    compare confirms it, and the run is taken in one step. A seq that is no
+    integer can fail that compare; the merge then walks the rest pair by
+    pair (`runs` false).
+    """
+    if last is not None and last < 1:
+        raise ValueError("last must be >= 1")
+    i0, j0 = bisect.bisect_left(a, from_seq), bisect.bisect_left(b, from_seq)
+    i, j, want = len(a), len(b), last or len(a) - i0  # no more pairs than seqs in a
+    left, right, n, runs = [], [], 0, True
+    while i > i0 and j > j0 and n != want:
+        seq, other = a[i - 1], b[j - 1]
+        if seq > other:
+            i -= 1
+        elif seq < other:
+            j -= 1
+        else:
+            k = min(i - i0, j - j0, want - n)
+            if not (runs and k > 1 and a[i - k] == b[j - k] == seq - k + 1
+                    and (runs := a[i - k:i] == b[j - k:j])):
+                k = 1
+            i, j, n = i - k, j - k, n + k
+            left.append((i, k))
+            right.append((j, k))
+    left.reverse()
+    right.reverse()
+    return left, right
 
 
 def _columns(records: list, kind: type) -> list:
@@ -428,8 +424,6 @@ def write_detections(path: str | Path, records) -> int:
 
 # the C scanner `json.loads` runs, called without `raw_decode`'s Python frame
 _scan_once = json.JSONDecoder().scan_once
-# a KpiSample from one tuple of its fields, without the generated __new__'s frame
-_kpi_sample = partial(tuple.__new__, KpiSample)
 
 
 def _not_object(path: Path, lineno: int, row) -> SchemaError:
@@ -523,7 +517,7 @@ def read_trace(path: str | Path) -> tuple[list[str], list[KpiSample]]:
                                 and type(snr_db) is float and type(bler) is float
                                 and type(truth) is bool and low < snr_db < high
                                 and 0.0 <= bler <= 1.0 and 0 <= mcs <= 28 and seq >= 0):
-                            sample = _kpi_sample(values)
+                            sample = kpi_from_fields(values)
                 if sample is None:
                     sample = _row_sample(path, lineno, row, keys)
                     seq = sample.seq

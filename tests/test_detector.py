@@ -10,7 +10,7 @@ from jamloop.detector import (DetectorError, DetectorXapp, NoModelDeployedError,
                               StaleVersionError)
 from jamloop.mlp import LAYER_DIMS, MlpModel, forward, forward_batch, init_model
 from jamloop.scenarios import FeatureSample, KpiSample, iter_stream, schedule_from_ids
-from jamloop.store import LABEL_CLEAN, LABEL_INTERFERENCE, TelemetryStore
+from jamloop.store import LABEL_CLEAN, LABEL_INTERFERENCE, DetectionRecord, TelemetryStore
 
 
 def bias_model(version, out_bias=0.0):
@@ -62,15 +62,22 @@ def random_model(version, seed, features):
     return model
 
 
-class TestInferBatch:
+def scored(det, samples):
+    """`score_batch`'s columns as the records `infer` returns, one per sample."""
+    seqs, probs, verdicts, version = det.score_batch(samples)
+    assert len(seqs) == len(probs) == len(verdicts) == len(samples)
+    return [DetectionRecord(*row, version) for row in zip(seqs, probs, verdicts)]
+
+
+class TestScoreBatch:
     def test_before_deployment_errors(self):
         with pytest.raises(NoModelDeployedError):
-            DetectorXapp().infer_batch([feature(0)])
+            DetectorXapp().score_batch([feature(0)])
 
     def test_empty_batch(self):
         det = DetectorXapp()
         det.swap_model(bias_model(1))
-        assert det.infer_batch([]) == []
+        assert det.score_batch([]) == ((), [], [], 1)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_per_sample_infer(self, seed):
@@ -81,7 +88,7 @@ class TestInferBatch:
         det = DetectorXapp()
         det.swap_model(random_model(4, seed, np.array(
             [(s.snr_db, s.bler, s.mcs) for s in samples])))
-        batch = det.infer_batch(samples)
+        batch = scored(det, samples)
         single = [det.infer(s) for s in samples]
         assert {r.verdict for r in single} == {LABEL_CLEAN, LABEL_INTERFERENCE}
         assert batch == single  # record for record
@@ -94,14 +101,14 @@ class TestInferBatch:
         # prob exactly 0.5 at out_bias 0 reaches the threshold, as in `infer`
         det = DetectorXapp()
         det.swap_model(bias_model(1, out_bias))
-        records = det.infer_batch([feature(i) for i in range(3)])
+        records = scored(det, [feature(i) for i in range(3)])
         assert [r.verdict for r in records] == [verdict] * 3
         assert records == [det.infer(feature(i)) for i in range(3)]
 
     def test_swap_boundary_is_last_seq_of_batch(self):
         det = DetectorXapp()
         det.swap_model(bias_model(1))
-        det.infer_batch([feature(i) for i in range(10, 20)])
+        det.score_batch([feature(i) for i in range(10, 20)])
         assert det.swap_model(bias_model(2)).seq_boundary == 19
 
 
@@ -196,18 +203,18 @@ class TestTruthStaysOut:
         assert det.swap_model(bias_model(2)).seq_boundary == -1  # nothing was scored
 
     @NOT_VIEWS
-    def test_infer_batch_refuses_other_types(self, sample):
+    def test_score_batch_refuses_other_types(self, sample):
         det = DetectorXapp()
         det.swap_model(bias_model(1))
         with pytest.raises(DetectorError, match=f"got {type(sample).__name__}$"):
-            det.infer_batch([feature(2), feature(3), sample])
+            det.score_batch([feature(2), feature(3), sample])
         assert det.swap_model(bias_model(2)).seq_boundary == -1  # nothing was scored
 
     def test_public_view_is_accepted(self):
         det = DetectorXapp()
         det.swap_model(bias_model(1))
         assert det.infer(TRUTHFUL.public()).seq == 4
-        assert [r.seq for r in det.infer_batch([TRUTHFUL.public()])] == [4]
+        assert det.score_batch([TRUTHFUL.public()])[0] == (4,)
 
 
 def _catalog_stream():
@@ -217,7 +224,7 @@ def _catalog_stream():
 
 class TestOneInferencePath:
     """`infer`'s prob is `forward` of the sample's (snr_db, bler, mcs), and
-    `infer_batch` gives `infer`'s records: ==, not approx."""
+    `score_batch` gives `infer`'s records as columns: ==, not approx."""
 
     @pytest.mark.parametrize("scale", [1.0, 300.0])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -232,9 +239,9 @@ class TestOneInferencePath:
             assert rec.seq == s.seq
             assert rec.prob == forward(model, (s.snr_db, s.bler, s.mcs))
         # the whole stream in one batch, and in the loop's 100-sample windows
-        assert det.infer_batch(stream) == records
+        assert scored(det, stream) == records
         assert [r for a in range(0, len(stream), 100)
-                for r in det.infer_batch(stream[a:a + 100])] == records
+                for r in scored(det, stream[a:a + 100])] == records
 
 
 class TestSwapAtomicityRace:
@@ -285,8 +292,8 @@ class TestSwapAtomicityRace:
             assert r.prob == pytest.approx(probes[r.model_version], abs=1e-12)
 
     def test_one_version_per_batch_under_swaps(self):
-        """The same poison harness over `infer_batch`: a batch is torn if its
-        records carry two versions, or a prob of another version's model."""
+        """The same poison harness over `score_batch`: a batch is torn if its
+        rows carry two versions, or a prob of another version's model."""
         n_versions = 60
         models = {v: bias_model(v, out_bias=-6.0 + 12.0 * v / n_versions)
                   for v in range(1, n_versions + 1)}
@@ -315,7 +322,7 @@ class TestSwapAtomicityRace:
             t.start()
             i = 0
             while not stop.is_set() or len(batches) < 200:
-                batches.append(det.infer_batch([feature(i + k) for k in range(25)]))
+                batches.append(scored(det, [feature(i + k) for k in range(25)]))
                 i += 25
                 if len(batches) > 20_000:
                     break

@@ -14,7 +14,7 @@ from jamloop.labeler import (BASELINE_OFFSET_DB, EXHAUSTIVE_KMEANS_MAX, SEPARATI
                              label_window, run_labeler, two_means)
 from jamloop.scenarios import (SCENARIO_CATALOG, FeatureSample, ScenarioSchedule,
                                schedule_from_ids, synth_stream)
-from jamloop.store import LABEL_CLEAN, LABEL_INTERFERENCE, LabeledSample, TelemetryStore
+from jamloop.store import LABEL_CLEAN, LABEL_INTERFERENCE, TelemetryStore
 
 
 def feature(seq, snr, bler=0.1, mcs=10):
@@ -39,8 +39,7 @@ CFG = LabelerConfig()
 class TestLabelWindow:
     def test_two_cluster_window_split_correctly(self):
         window = two_cluster_window()
-        labels, _ = label_window(window, BaselineState(), CFG)
-        got = [lab.label for lab in labels]
+        _, got, _ = label_window(window, BaselineState(), CFG)
         # boundary slack: at most smoothing_halfwidth flips next to the split
         assert got[:50 - CFG.smoothing_halfwidth] == [LABEL_CLEAN] * (50 - CFG.smoothing_halfwidth)
         assert got[50 + CFG.smoothing_halfwidth:] == [LABEL_INTERFERENCE] * (50 - CFG.smoothing_halfwidth)
@@ -50,8 +49,8 @@ class TestLabelWindow:
         baseline.update([25.0] * 200)
         rng = np.random.default_rng(2)
         window = [feature(i, 25.0 + 0.5 * rng.standard_normal()) for i in range(100)]
-        labels, _ = label_window(window, baseline, CFG)
-        assert all(lab.label == LABEL_CLEAN for lab in labels)
+        _, labels, _ = label_window(window, baseline, CFG)
+        assert labels == [LABEL_CLEAN] * 100
 
     def test_all_jammed_window_via_fallback(self):
         baseline = BaselineState()
@@ -59,8 +58,8 @@ class TestLabelWindow:
         rng = np.random.default_rng(2)
         window = [feature(i, 8.0 + 0.5 * rng.standard_normal(), bler=0.9)
                   for i in range(100)]
-        labels, _ = label_window(window, baseline, CFG)
-        assert all(lab.label == LABEL_INTERFERENCE for lab in labels)
+        _, labels, _ = label_window(window, baseline, CFG)
+        assert labels == [LABEL_INTERFERENCE] * 100
 
     def test_empty_window_rejected(self):
         with pytest.raises(LabelerError):
@@ -68,27 +67,29 @@ class TestLabelWindow:
 
     def test_constant_features_no_division_by_zero(self):
         window = [feature(i, 15.0, bler=0.2) for i in range(20)]
-        labels, _ = label_window(window, BaselineState(), CFG)
+        seqs, labels, _ = label_window(window, BaselineState(), CFG)
+        assert seqs == list(range(20))
         assert len(labels) == 20
 
     def test_deterministic(self):
         window = two_cluster_window(seed=9)
         baseline = BaselineState()
         baseline.update([25.0] * 100)
-        a, _ = label_window(window, baseline, CFG)
-        b, _ = label_window(window, baseline, CFG)
+        a = label_window(window, baseline, CFG)
+        b = label_window(window, baseline, CFG)
         assert a == b
 
     def test_label_count_conservation(self):
         for n in (1, 3, 7, 50, 100):
             window = [feature(i, 20.0 + i * 0.01) for i in range(n)]
-            labels, _ = label_window(window, BaselineState(), CFG)
+            seqs, labels, _ = label_window(window, BaselineState(), CFG)
+            assert seqs == list(range(n))
             assert len(labels) == n
 
     def test_baseline_updates_from_clean_samples(self):
         window = two_cluster_window(seed=1)
         baseline_in = BaselineState()
-        _, baseline_out = label_window(window, baseline_in, CFG)
+        _, _, baseline_out = label_window(window, baseline_in, CFG)
         assert baseline_out.sample_count > 0
         assert baseline_out.clean_snr_median_db == pytest.approx(25.0, abs=0.5)
         assert baseline_in.sample_count == 0  # input state untouched
@@ -101,12 +102,10 @@ class TestLabelWindow:
             window.append(feature(i, 22.0 + 0.5 * rng.standard_normal(), bler=0.1))
         for i in range(60, 100):
             window.append(feature(i, 12.0 + 0.5 * rng.standard_normal(), bler=0.8))
-        labels, _ = label_window(window, BaselineState(), CFG)
+        _, labels, _ = label_window(window, BaselineState(), CFG)
         hw = CFG.smoothing_halfwidth
-        for lab, truth in zip(labels[:60 - hw], [LABEL_CLEAN] * (60 - hw)):
-            assert lab.label == truth
-        for lab in labels[60 + hw:]:
-            assert lab.label == LABEL_INTERFERENCE
+        assert labels[:60 - hw] == [LABEL_CLEAN] * (60 - hw)
+        assert labels[60 + hw:] == [LABEL_INTERFERENCE] * (40 - hw)
 
 
 def brute_force_min_wcss(points):
@@ -280,15 +279,14 @@ def reference_label_window(samples, baseline, cfg):
             jam_cluster = 0 if mean_bler[0] > mean_bler[1] else 1
         flags = _median_filter_labels((assign == jam_cluster).astype(int),
                                       cfg.smoothing_halfwidth)
-    out = [LabeledSample(s.seq, LABEL_INTERFERENCE if f else LABEL_CLEAN)
-           for s, f in zip(samples, flags.tolist())]
+    labels = [LABEL_INTERFERENCE if f else LABEL_CLEAN for f in flags.tolist()]
     new = replace(baseline, _recent=list(baseline._recent))
     clean = snr[flags == 0].tolist()
     if clean:
         new._recent = (new._recent + clean)[-BaselineState.MAX_RECENT:]
         new.sample_count += len(clean)
         new.clean_snr_median_db = float(np.quantile(new._recent, 0.5))
-    return out, new
+    return seqs, labels, new
 
 
 def hexes(baseline):
@@ -298,7 +296,7 @@ def hexes(baseline):
 
 def assert_labels_as_reference(windows, cfg=CFG):
     """Run both labelers over `windows` in turn, each carrying its own baseline, and
-    require the same labels, the same baseline bits, or the same exception."""
+    require the same seqs and labels, the same baseline bits, or the same exception."""
     ours, ref = BaselineState(), BaselineState()
     for i, window in enumerate(windows):
         try:
@@ -309,8 +307,9 @@ def assert_labels_as_reference(windows, cfg=CFG):
             continue
         got = label_window(window, ours, cfg)
         assert got[0] == want[0], f"window {i}"
-        assert hexes(got[1]) == hexes(want[1]), f"window {i}"
-        ours, ref = got[1], want[1]
+        assert got[1] == want[1], f"window {i}"
+        assert hexes(got[2]) == hexes(want[2]), f"window {i}"
+        ours, ref = got[2], want[2]
 
 
 def duty_cycled_schedule(period, seed):
@@ -400,8 +399,8 @@ class TestMatchesReferenceLabelWindow:
         assert hi - lo < SEPARATION_MIN_DB
         assert np.mean([hi] * n_hi) - np.mean([lo] * n_lo) >= SEPARATION_MIN_DB
         window = built([lo] * n_lo + [hi] * n_hi)
-        labels, _ = label_window(window, BaselineState(), CFG)
-        assert labels[0].label != labels[-1].label
+        _, labels, _ = label_window(window, BaselineState(), CFG)
+        assert labels[0] != labels[-1]
         assert_labels_as_reference([window])
 
     def test_range_at_the_separation(self):

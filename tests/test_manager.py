@@ -249,6 +249,41 @@ class TestRetrain:
         assert outcome.skipped_reason.startswith("fit diverged")
         assert registry.entries == []
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_training_rows_match_record_join(self, tmp_path, monkeypatch, seed):
+        # kpi and labels with gaps, some seqs halved in one stream only: the rows
+        # `retrain` fits from the column join are those the `join_labels` records
+        # give, row for row and bit for bit
+        from jamloop import mlp
+        rng = np.random.default_rng(seed)
+        runs = [[tuple(int(v) for v in rng.integers((0, 1), (4, 40))) for _ in range(6)]
+                for _ in range(2)]
+        kpi_seqs, label_seqs = (test_store.TestJoin.run_seqs(
+            int(rng.integers(0, 5)), r, set(rng.integers(1, 150, 2).tolist())) for r in runs)
+        store = TelemetryStore()
+        store.extend("kpi", [KpiSample(q, 0, float(rng.normal(15, 8)), int(rng.integers(0, 29)),
+                                       float(rng.random()), False) for q in kpi_seqs])
+        store.extend("labels", [LabeledSample(q, LABEL_INTERFERENCE if rng.random() < 0.5
+                                              else LABEL_CLEAN) for q in label_seqs])
+        fitted = []
+
+        def capture(dataset, cfg, version):
+            fitted.append(dataset)
+            raise mlp.TrainingError("captured")
+
+        monkeypatch.setattr(mlp, "train", capture)
+        outcome = retrain(store, TrainConfig(seed=1), ModelRegistry(tmp_path / "models"))
+        pairs = store.join_labels()
+        assert len(pairs) > 10 and len(pairs) < min(len(kpi_seqs), len(label_seqs))
+        want = [((s.snr_db, s.bler, float(s.mcs)), int(lab.label == LABEL_INTERFERENCE))
+                for s, lab in pairs]
+        (rows,) = fitted
+        assert rows == want
+        assert [(tuple(map(float.hex, f)), type(y), y) for f, y in rows] == \
+            [(tuple(map(float.hex, f)), int, y) for f, y in want]
+        assert outcome.skipped_reason == "captured"
+        assert outcome.history_high_seq == pairs[-1][0].seq
+
     def test_repeat_retrain_same_history_identical_weights_new_version(self, tmp_path):
         from jamloop import mlp
         store = TelemetryStore()
@@ -597,12 +632,13 @@ class TestClosedLoop:
 
     def test_batch_writes_match_per_record_appends(self, tmp_path):
         class PerRecordStore(TelemetryStore):
-            extends = 0
+            column_writes = 0
 
-            def extend(self, stream, records):
-                self.extends += 1
-                for r in records:
-                    self.append(stream, r)
+            def extend_columns(self, stream, seqs, *fields):
+                self.column_writes += 1
+                record = DetectionRecord if stream == "detections" else LabeledSample
+                for row in zip(seqs, *fields):
+                    self.append(stream, record(*row))
                 return self.count(stream)
 
         runs = [run_loop_over([2, 1, 2, 7, 8], seed=9, registry_dir=tmp_path / name,
@@ -610,7 +646,7 @@ class TestClosedLoop:
                 for name, store in (("batched", TelemetryStore()),
                                     ("per_record", PerRecordStore()))]
         (batched, _, _, transcript), (per_record, _, _, per_record_transcript) = runs
-        assert per_record.extends > 0
+        assert per_record.column_writes > 0
         assert transcript == per_record_transcript
         assert batched.window("kpi") == per_record.window("kpi")
         assert batched.window("labels") == per_record.window("labels")

@@ -84,8 +84,6 @@ class TestAppend:
 
     def test_unknown_label_rejected(self, store):
         with pytest.raises(RecordInvalidError):
-            LabeledSample(0, "UNLABELED").validate()
-        with pytest.raises(RecordInvalidError):
             store.append("labels", LabeledSample(0, "UNLABELED"))
         assert store.count("labels") == 0
 
@@ -440,8 +438,25 @@ class TestJoin:
             for last in (None, 1, 7, 200):
                 assert store.join_detections(from_seq, last) == \
                     self.reference_join(detections, labels, from_seq, last)
-                assert store._join("kpi", from_seq, last) == \
-                    self.reference_join(kpis, labels, from_seq, last)
+                for stream, records in (("kpi", kpis), ("detections", detections)):
+                    pairs = self.reference_join(records, labels, from_seq, last)
+                    seqs, rows, joined = store.join(stream, from_seq, last)
+                    assert seqs == [r.seq for r, _ in pairs]
+                    assert joined == [lab.label for _, lab in pairs]
+                    if stream == "kpi":
+                        assert rows == [r for r, _ in pairs]
+                    else:
+                        assert list(zip(seqs, *rows)) == [r for r, _ in pairs]
+
+    def test_join_refuses_labels_unknown_streams_and_last_0(self, store):
+        with pytest.raises(StoreError, match="stream 'labels' is joined from"):
+            store.join("labels")
+        with pytest.raises(UnknownStreamError):
+            store.join("nope")
+        for stream in ("kpi", "detections"):
+            with pytest.raises(ValueError, match="last must be >= 1"):
+                store.join(stream, last=0)
+            assert store.join(stream) == ([], [] if stream == "kpi" else ([], [], []), [])
 
 
 class TestRoundTrip:
