@@ -178,8 +178,11 @@ def run_experiment(cfg: ExperimentConfig, registry_dir: Path) -> ExperimentRepor
             first_deploy_seq = ev["kpi_high_seq"]
             break
 
-    verdicts_b = {r.seq: r.verdict for r in store_b.window("detections")}
-    labels_b = {r.seq: r.label for r in store_b.window("labels")}
+    # `close` labels every sample, so these joins read every detection and label
+    seqs, (_, verdicts, _), _ = store_b.join("detections")
+    verdicts_b = dict(zip(seqs, verdicts))
+    seqs, _, labels = store_b.join("kpi")
+    labels_b = dict(zip(seqs, labels))
 
     windows: list[WindowAccuracy] = []
     for w in default_window_map(cfg.schedule):

@@ -4,9 +4,9 @@ atomic file writer.
 
 Three fixed streams wire the closed loop together: `kpi` (raw samples),
 `labels` (labeler verdicts), `detections` (deployed-model outputs).
-`kpi` is held as records, `labels` and `detections` as columns, which the
-closed loop writes and joins as columns; `append`, `extend`, `window` and
-the record joins are the edges where records go in and out. Rows are
+Each is held in one layout, a seq column and then its value columns, which
+the closed loop writes and joins as columns; `append`, `extend`, `window`
+and the record joins are the edges where records go in and out. Rows are
 immutable, keyed by seq, and never overwritten; each stream takes seqs in
 increasing order, so a replay or a swapped sample is refused loudly
 (`SeqOrderError`) instead of merging silently.
@@ -123,16 +123,17 @@ def _check_detections(probs, verdicts, model_versions) -> None:
             raise RecordInvalidError("model_version must be non-negative")
 
 
-# each stream's record type, and the check its records must pass: a KpiSample's
-# by itself, a column stream's on the columns of its fields after seq
-_RECORDS = {"kpi": (KpiSample, _validate_kpi),
+def _check_kpi(samples) -> None:
+    for sample in samples:
+        _validate_kpi(sample)
+
+
+# each stream's record type, and the check its value columns must pass
+_RECORDS = {"kpi": (KpiSample, _check_kpi),
             "labels": (LabeledSample, _check_labels),
             "detections": (DetectionRecord, _check_detections)}
 # a record of a column stream from one tuple of its fields, without __new__'s frame
 _ROW = {kind: partial(tuple.__new__, kind) for kind in (LabeledSample, DetectionRecord)}
-
-
-_SEQ = operator.attrgetter("seq")
 _FIRST = operator.itemgetter(0)
 
 
@@ -141,17 +142,12 @@ def _wrong_type(stream: str, kind: type, record) -> RecordInvalidError:
                               f"got {type(record).__name__}")
 
 
-def _unknown_stream(name: str) -> UnknownStreamError:
-    return UnknownStreamError(f"unknown stream {name!r}")
-
-
-def _bounds(seqs: list, from_seq: int, to_seq: int | None, key=None) -> tuple[int, int]:
-    """Index range of the increasing `seqs` (the seqs of records by `key`) in [from_seq, to_seq]."""
-    if to_seq is not None and from_seq > to_seq:
-        raise ValueError("from_seq must be <= to_seq")
-    lo = bisect.bisect_left(seqs, from_seq, key=key)
-    hi = len(seqs) if to_seq is None else bisect.bisect_right(seqs, to_seq, key=key)
-    return lo, hi
+def _columns(stream: str, records: list) -> list:
+    """The stream's columns of its `records`, seqs first; kpi's one value
+    column is the records themselves."""
+    if stream == "kpi":
+        return [[r.seq for r in records], records]
+    return list(zip(*records)) or [()] * len(_RECORDS[stream][0]._fields)
 
 
 def _records(kind: type, columns) -> list:
@@ -159,45 +155,64 @@ def _records(kind: type, columns) -> list:
     return list(map(_ROW[kind], zip(*columns)))
 
 
-def _take(column: list, spans: list[tuple[int, int]]) -> list:
-    """The values of `column` in the index spans (start, length), in order."""
-    if len(spans) == 1:  # an aligned run
-        (i, k), = spans
-        return column[i:i + k]
-    return list(itertools.chain.from_iterable(column[i:i + k] for i, k in spans))
+def _join(left: tuple[list, ...], right: tuple[list, ...], from_seq, last: int | None
+          ) -> tuple[list, list]:
+    """`left`'s and `right`'s columns, seqs first, at the seqs both streams hold
+    from `from_seq` on, the trailing `last` (all if None), in seq order.
+
+    Each seq column is bisected to the range from `from_seq` to the lower of
+    the two last seqs. If the ranges' trailing `last` seqs (or all of the
+    shorter) are equal, they are the join, taken as slices; else the ranges
+    are joined through a dict."""
+    if last is not None and last < 1:
+        raise ValueError("last must be >= 1")
+    a, b = left[0], right[0]
+    end = min(a[-1], b[-1]) if a and b else from_seq
+    i, j = bisect.bisect_left(a, from_seq), bisect.bisect_left(b, from_seq)
+    i1, j1 = bisect.bisect_right(a, end, i), bisect.bisect_right(b, end, j)
+    k = min(i1 - i, j1 - j, last or i1)
+    if a[i1 - k:i1] == b[j1 - k:j1]:
+        return [c[i1 - k:i1] for c in left], [c[j1 - k:j1] for c in right]
+    at = {seq: n for n, seq in enumerate(b[j:j1], j)}
+    rows = [n for n in range(i, i1) if a[n] in at]
+    if last:
+        rows = rows[-last:]
+    others = [at[a[n]] for n in rows]
+    return [[c[n] for n in rows] for c in left], [[c[n] for n in others] for c in right]
 
 
 class TelemetryStore:
     """In-memory append-only store, one seq order per stream.
 
-    `kpi` is one list of records. `labels` and `detections` are columns, one
-    list per record field, which the closed loop writes (`extend_columns`)
-    and joins (`join`) a window at a time; records stay their API at the
-    edges. An append is a compare with the last seq, and a window two
+    Every stream has one layout, a seq column and then its value columns,
+    one list each: `kpi` one column of `KpiSample` records, `labels` the
+    label, `detections` prob, verdict and model_version. The closed loop
+    writes `labels` and `detections` (`extend_columns`) and reads every
+    stream (`join`) as columns; records are the API at the edges only. A
+    kpi append is one seq compare and two list appends, and a window two
     bisects and a slice. Every write and read holds one lock, and a write
     that loses a race to a higher seq is refused.
     """
 
     def __init__(self, max_records: int = DEFAULT_MAX_RECORDS) -> None:
         self.max_records = max_records
-        self._streams: dict[str, list | tuple[list, ...]] = {
-            name: [] if kind is KpiSample else tuple([] for _ in kind._fields)
-            for name, (kind, _) in _RECORDS.items()}
+        self._streams: dict[str, tuple[list, ...]] = {
+            name: tuple(map(list, _columns(name, []))) for name in _RECORDS}
         self._lock = threading.Lock()
 
-    def _stream(self, name: str) -> list | tuple[list, ...]:
+    def _stream(self, name: str) -> tuple[list, ...]:
         try:
             return self._streams[name]
         except KeyError:
-            raise _unknown_stream(name) from None
+            raise UnknownStreamError(f"unknown stream {name!r}") from None
 
     def count(self, stream: str) -> int:
-        stored = self._stream(stream)
-        return len(stored) if stream == "kpi" else len(stored[0])
+        return len(self._stream(stream)[0])
 
-    def _admit(self, stream: str, count: int, last, seqs) -> None:
-        """Raise what the first failing append of `seqs` onto a stream of `count`
-        records up to seq `last` (None if empty) would, if one would."""
+    def _admit(self, stream: str, stored: list, seqs) -> None:
+        """Raise what the first failing append of `seqs` onto a stream whose
+        seq column is `stored` would, if one would."""
+        count, last = len(stored), stored[-1] if stored else None
         if (count + len(seqs) <= self.max_records and all(map(operator.lt, seqs, seqs[1:]))
                 and not (last is not None and seqs and last >= seqs[0])):
             return
@@ -209,20 +224,31 @@ class TelemetryStore:
                                     f"seq {seq} is not above its last seq {last}")
             last = seq
 
+    def _write(self, stream: str, columns) -> int:
+        """Append checked `columns`, seqs first, to the stream's, all or none;
+        returns the stream count after."""
+        stored = self._streams[stream]
+        with self._lock:
+            self._admit(stream, stored[0], columns[0])
+            for column, values in zip(stored, columns):
+                column.extend(values)
+            return len(stored[0])
+
     def append(self, stream: str, record) -> int:
         """Append one valid record of the stream's type; returns the stream count after."""
         if stream != "kpi":  # a batch of one, by this class's `extend` and no override's
             return TelemetryStore.extend(self, stream, (record,))
-        records = self._streams["kpi"]  # the per-sample path
+        seqs, records = self._streams["kpi"]  # the per-sample path
         if not isinstance(record, KpiSample):
             raise _wrong_type(stream, KpiSample, record)
         _validate_kpi(record)
+        seq = record.seq
         with self._lock:
-            if len(records) >= self.max_records or records and records[-1].seq >= record.seq:
-                self._admit(stream, len(records), records[-1].seq if records else None,
-                            [record.seq])
+            if len(seqs) >= self.max_records or seqs and seqs[-1] >= seq:
+                self._admit(stream, seqs, [seq])
+            seqs.append(seq)
             records.append(record)
-            return len(records)
+            return len(seqs)
 
     def extend(self, stream: str, records) -> int:
         """Append a batch of records, all or none; returns the stream count after.
@@ -233,24 +259,16 @@ class TelemetryStore:
         under the lock; any other raises what its first failing `append` would,
         and writes nothing.
         """
-        stored, batch = self._stream(stream), list(records)
+        self._stream(stream)  # an unknown stream raises here
         kind, check = _RECORDS[stream]
-        if stream != "kpi":
-            if not all(map(isinstance, batch, itertools.repeat(kind))):
-                n = next(n for n, r in enumerate(batch) if not isinstance(r, kind))
-                check(*_columns(batch[:n], kind)[1:])  # an invalid record before it is first
-                raise _wrong_type(stream, kind, batch[n])
-            # by this class's column write and no override's
-            return TelemetryStore.extend_columns(self, stream, *_columns(batch, kind))
-        for record in batch:
-            if not isinstance(record, kind):
-                raise _wrong_type(stream, kind, record)
-            check(record)
-        seqs = [r.seq for r in batch]
-        with self._lock:
-            self._admit(stream, len(stored), stored[-1].seq if stored else None, seqs)
-            stored.extend(batch)
-            return len(stored)
+        batch = list(records)
+        if not all(map(isinstance, batch, itertools.repeat(kind))):
+            n = next(n for n, r in enumerate(batch) if not isinstance(r, kind))
+            check(*_columns(stream, batch[:n])[1:])  # an invalid record before it is first
+            raise _wrong_type(stream, kind, batch[n])
+        columns = _columns(stream, batch)
+        check(*columns[1:])
+        return self._write(stream, columns)
 
     def extend_columns(self, stream: str, seqs, *fields) -> int:
         """Append a batch of `labels` or `detections` rows given as columns, all
@@ -266,29 +284,25 @@ class TelemetryStore:
         if len(fields) != len(columns) - 1 or any(len(f) != len(seqs) for f in fields):
             raise ValueError(f"stream {stream!r} takes {len(columns)} columns of one length")
         _RECORDS[stream][1](*fields)
-        with self._lock:
-            stored = columns[0]
-            self._admit(stream, len(stored), stored[-1] if stored else None, seqs)
-            for column, values in zip(columns, (seqs, *fields)):
-                column.extend(values)
-            return len(stored)
+        return self._write(stream, (seqs, *fields))
 
     def window(self, stream: str, from_seq: int = 0, to_seq: int | None = None) -> list:
         """Records with seq in [from_seq, to_seq] by seq; to_seq None reads to the end."""
-        stored = self._stream(stream)
+        columns = self._stream(stream)
+        if to_seq is not None and from_seq > to_seq:
+            raise ValueError("from_seq must be <= to_seq")
         with self._lock:
-            if stream == "kpi":
-                lo, hi = _bounds(stored, from_seq, to_seq, _SEQ)
-                return stored[lo:hi]
-            lo, hi = _bounds(stored[0], from_seq, to_seq)
-            return _records(_RECORDS[stream][0], [c[lo:hi] for c in stored])
+            seqs = columns[0]
+            lo = bisect.bisect_left(seqs, from_seq)
+            hi = len(seqs) if to_seq is None else bisect.bisect_right(seqs, to_seq)
+            if stream == "kpi":  # the records are kpi's value column
+                return columns[1][lo:hi]
+            return _records(_RECORDS[stream][0], [c[lo:hi] for c in columns])
 
     def max_seq(self, stream: str) -> int | None:
-        stored = self._stream(stream)
+        seqs = self._stream(stream)[0]
         with self._lock:
-            if stream == "kpi":
-                return stored[-1].seq if stored else None
-            return stored[0][-1] if stored[0] else None
+            return seqs[-1] if seqs else None
 
     def join(self, stream: str, from_seq: int = 0, last: int | None = None
              ) -> tuple[list, list | tuple[list, ...], list[str]]:
@@ -296,18 +310,16 @@ class TelemetryStore:
         `from_seq` on, as columns; `last` keeps only the trailing `last` pairs.
 
         Returns the pairs' seqs, `stream`'s rows and the labels, in seq order.
-        The rows are kpi's records, or for detections the prob, verdict and
-        model_version columns. No record is built.
+        The rows are the stream's one value column, kpi's records, or the
+        tuple of its value columns, detections' prob, verdict and
+        model_version. No record is built.
         """
-        stored = self._stream(stream)
+        columns = self._stream(stream)
         if stream == "labels":
             raise StoreError("stream 'labels' is joined from 'kpi' or 'detections'")
         with self._lock:
-            seqs = list(map(_SEQ, stored)) if stream == "kpi" else stored[0]
-            left, right = _spans(seqs, self._streams["labels"][0], from_seq, last)
-            rows = (_take(stored, left) if stream == "kpi"
-                    else tuple(_take(column, left) for column in stored[1:]))
-            return _take(seqs, left), rows, _take(self._streams["labels"][1], right)
+            (seqs, *rows), (_, labels) = _join(columns, self._streams["labels"], from_seq, last)
+        return seqs, rows[0] if len(rows) == 1 else tuple(rows), labels
 
     def join_labels(self) -> list[tuple[KpiSample, LabeledSample]]:
         """`join` of kpi over the whole history, as (sample, label record) pairs."""
@@ -320,47 +332,6 @@ class TelemetryStore:
         seqs, fields, labels = self.join("detections", from_seq, last)
         return list(zip(_records(DetectionRecord, (seqs, *fields)),
                         _records(LabeledSample, (seqs, labels))))
-
-
-def _spans(a: list, b: list, from_seq: int, last: int | None) -> tuple[list, list]:
-    """Index spans (start, length) in the increasing seqs `a` and `b` of the seqs
-    both hold from `from_seq` on, the trailing `last` (all if None), in seq order.
-
-    A merge walked back from the high end, so that the trailing `last`
-    pairs cost O(last) steps plus the unmatched seqs among them. At a match
-    on seq, when the k seqs of each list that end there start at
-    seq - k + 1, integer seqs make both runs seq - k + 1 .. seq: one list
-    compare confirms it, and the run is taken in one step. A seq that is no
-    integer can fail that compare; the merge then walks the rest pair by
-    pair (`runs` false).
-    """
-    if last is not None and last < 1:
-        raise ValueError("last must be >= 1")
-    i0, j0 = bisect.bisect_left(a, from_seq), bisect.bisect_left(b, from_seq)
-    i, j, want = len(a), len(b), last or len(a) - i0  # no more pairs than seqs in a
-    left, right, n, runs = [], [], 0, True
-    while i > i0 and j > j0 and n != want:
-        seq, other = a[i - 1], b[j - 1]
-        if seq > other:
-            i -= 1
-        elif seq < other:
-            j -= 1
-        else:
-            k = min(i - i0, j - j0, want - n)
-            if not (runs and k > 1 and a[i - k] == b[j - k] == seq - k + 1
-                    and (runs := a[i - k:i] == b[j - k:j])):
-                k = 1
-            i, j, n = i - k, j - k, n + k
-            left.append((i, k))
-            right.append((j, k))
-    left.reverse()
-    right.reverse()
-    return left, right
-
-
-def _columns(records: list, kind: type) -> list:
-    """The field columns of `records` of type `kind`, empty ones for no records."""
-    return list(zip(*records)) or [()] * len(kind._fields)
 
 
 def _kpi_from_wire(row: dict) -> KpiSample:

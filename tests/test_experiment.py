@@ -2,10 +2,11 @@ import dataclasses
 
 import pytest
 
+from jamloop import experiment
 from jamloop.experiment import (ExperimentReport, ScenarioLabelAccuracy, WindowAccuracy,
                                 default_experiment_config, default_window_map,
                                 write_artifacts)
-from jamloop.scenarios import schedule_from_ids
+from jamloop.scenarios import schedule_from_ids, synth_stream
 
 
 def window_map(schedule):
@@ -40,3 +41,33 @@ def test_unwritable_report_leaves_earlier_artifacts_whole(tmp_path):
         write_artifacts(later, tmp_path)
     # every earlier file byte for byte, and no temporary file
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_scores_match_the_loop_store_records(tmp_path, monkeypatch, seed):
+    # the arm B scores read the store's columns; they must equal the scores of
+    # seq -> value dicts built from the same store's records
+    stores = []
+
+    class KeptStoreLoop(experiment.ClosedLoop):
+        def __init__(self, store, *args, **kwargs):
+            super().__init__(store, *args, **kwargs)
+            stores.append(store)
+
+    monkeypatch.setattr(experiment, "ClosedLoop", KeptStoreLoop)
+    cfg = default_experiment_config(seed=seed, samples_per_scenario=100)
+    report = experiment.run_experiment(cfg, tmp_path / "models")
+    store, = stores
+    samples = store.window("kpi")
+    verdicts = {d.seq: d.verdict for d in store.window("detections")}
+    labels = {lab.seq: lab.label for lab in store.window("labels")}
+    assert verdicts and len(labels) == len(samples) == report.n_samples
+    for w in report.windows:
+        assert w.loop_accuracy == experiment._score(verdicts, samples, w.start_seq, w.end_seq)
+    segments = synth_stream(cfg.schedule, cfg.channel, lambda s: None).segments
+    halfwidth = cfg.labeler.smoothing_halfwidth
+    assert len(report.labeler_by_scenario) == len(segments)
+    for row, seg in zip(report.labeler_by_scenario, segments):
+        assert row.accuracy == experiment._score(labels, samples, seg.start_seq, seg.end_seq)
+        assert row.accuracy_transition_excluded == experiment._score(
+            labels, samples, seg.start_seq + halfwidth, seg.end_seq - halfwidth)

@@ -419,18 +419,25 @@ class TestJoin:
     @settings(max_examples=300, deadline=None)
     @given(starts=st.tuples(*[st.integers(0, 4)] * 3), kpi_runs=seq_runs,
            label_runs=seq_runs, detection_runs=seq_runs, inside=st.integers(0, 120),
-           halved=st.tuples(*[st.sets(st.integers(1, 120), max_size=3)] * 3))
+           halved=st.tuples(*[st.sets(st.integers(1, 120), max_size=3)] * 3),
+           shared_tail=st.integers(0, 12))
     def test_matches_dict_join(self, starts, kpi_runs, label_runs, detection_runs, inside,
-                               halved):
+                               halved, shared_tail):
         # runs with gaps in each stream: a run of pairs is taken whole where both
         # streams hold it, and stepped through where either has a gap part way. A
         # seq halved in one stream only leaves a run's integer ends in place, yet
-        # pairs with nothing
+        # pairs with nothing. A shared tail, one run of seqs past every stream's
+        # last appended to all three, ends the streams in equal seqs as the loop's
+        # do: 1, 7 or 12 of them against `last` 1 and 7 take the slice join at,
+        # below and past exactly `last` equal seqs
         store = TelemetryStore()
         names = ("kpi", "labels", "detections")
-        for stream, start, runs, halves in zip(names, starts, (kpi_runs, label_runs,
-                                                               detection_runs), halved):
-            store.extend(stream, map(RECORD_OF[stream], self.run_seqs(start, runs, halves)))
+        seqs = [self.run_seqs(start, runs, halves) for start, runs, halves in
+                zip(starts, (kpi_runs, label_runs, detection_runs), halved)]
+        tail_start = int(max((s[-1] for s in seqs if s), default=-1)) + 1
+        tail = list(range(tail_start, tail_start + shared_tail))
+        for stream, stream_seqs in zip(names, seqs):
+            store.extend(stream, map(RECORD_OF[stream], stream_seqs + tail))
         kpis, labels, detections = (store.window(name) for name in names)
         assert store.join_labels() == self.reference_join(kpis, labels, 0, None)
         past = max([r.seq for r in kpis + labels + detections], default=0) + 1
