@@ -5,8 +5,6 @@ from __future__ import annotations
 import dataclasses
 from pathlib import Path
 
-import yaml
-
 from .labeler import LabelerConfig
 from .manager import LoopConfig
 from .mlp import TrainConfig
@@ -72,6 +70,7 @@ def _build(cls, section: dict, name: str):
 def load_config(path: str | Path | None) -> GlobalConfig:
     doc: dict = {}
     if path is not None:
+        import yaml  # PyYAML loads only when a file is read
         try:
             raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
         except (yaml.YAMLError, UnicodeDecodeError) as exc:

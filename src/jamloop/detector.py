@@ -43,8 +43,8 @@ class SwapReceipt:
 
 # a DetectionRecord from one tuple of its fields, without the generated __new__'s frame
 _detection = partial(tuple.__new__, DetectionRecord)
-# a verdict by whether its probability reaches the threshold
-_VERDICTS = (LABEL_CLEAN, LABEL_INTERFERENCE)
+# a verdict by whether its probability reaches the threshold, as a 0/1 index
+_VERDICTS = np.array([LABEL_CLEAN, LABEL_INTERFERENCE], dtype=object)
 
 
 def _not_features(sample) -> DetectorError:
@@ -111,6 +111,6 @@ class DetectorXapp:
                 raise _not_features(s)
         seqs, _, snr_db, mcs, bler = zip(*samples)
         probs = forward_batch(model, np.array([snr_db, bler, mcs], dtype=float).T)
-        verdicts = list(map(_VERDICTS.__getitem__, (probs >= model.threshold).tolist()))
+        verdicts = _VERDICTS[(probs >= model.threshold).astype(int)].tolist()
         self._last_seq = seqs[-1]
         return seqs, probs.tolist(), verdicts, model.version

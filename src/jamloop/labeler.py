@@ -53,6 +53,7 @@ SEPARATION_MIN_DB = 4.0  # online: a narrower 2-means split is one class
 BASELINE_OFFSET_DB = 6.0  # online: a one-class window this far below the baseline is jammed
 
 _LABELS = np.array([LABEL_CLEAN, LABEL_INTERFERENCE], dtype=object)  # by 0/1 flag
+_SNR = operator.attrgetter("snr_db")
 
 
 class LabelerError(Exception):
@@ -187,43 +188,45 @@ def label_window(samples: list[FeatureSample], baseline: BaselineState,
     if not all(map(operator.lt, seqs, seqs[1:])):
         raise LabelerError("window samples must be strictly ordered by seq")
 
-    snr = np.array([s.snr_db for s in samples])
+    n = len(samples)
+    snr = np.fromiter(map(_SNR, samples), float, n)
     lo, hi = float(snr.min()), float(snr.max())
     # no split's cluster means are further apart than hi - lo; rounding the two
     # means and their difference adds under 2 n eps max|snr|, here doubled
-    bound = hi - lo + 4 * len(samples) * math.ulp(1.0) * max(-lo, hi)
-    single_class = len(samples) < 4 or bound < SEPARATION_MIN_DB
+    bound = hi - lo + 4 * n * math.ulp(1.0) * max(-lo, hi)
+    single_class = n < 4 or bound < SEPARATION_MIN_DB
     if not single_class:
         raw = np.column_stack([snr, np.array([s.bler for s in samples])])
         std = _standardize(raw)
         assign = two_means(std, std[:, 0])
-        if 0 < assign.sum() < len(assign):
+        if 0 < assign.sum() < n:
             mean_snr = [snr[assign == c].mean() for c in (0, 1)]
             separation = abs(mean_snr[0] - mean_snr[1])
             single_class = separation < SEPARATION_MIN_DB
         else:  # degenerate window collapsed into one cluster
             single_class = True
 
-    if single_class:
-        window_median = _median(snr)
+    new_baseline = replace(baseline)  # shares `_recent`, which `update` replaces
+    if single_class:  # one label for the whole window; a clean one feeds the baseline
         if baseline.sample_count > 0:
-            gap = window_median - (baseline.clean_snr_median_db - BASELINE_OFFSET_DB)
+            gap = _median(snr) - (baseline.clean_snr_median_db - BASELINE_OFFSET_DB)
             is_interference = gap < 0
         else:
             # cold start: no clean reference yet, bootstrap-trust the window
             is_interference = False
-        flags = np.full(len(samples), 1 if is_interference else 0)
-    else:
-        # interference cluster: lower mean SNR; BLER breaks exact SNR ties
-        if mean_snr[0] != mean_snr[1]:
-            jam_cluster = 0 if mean_snr[0] < mean_snr[1] else 1
-        else:
-            mean_bler = [raw[assign == c, 1].mean() for c in (0, 1)]
-            jam_cluster = 0 if mean_bler[0] > mean_bler[1] else 1
-        flags = (assign == jam_cluster).astype(int)
-        flags = _median_filter_labels(flags, cfg.smoothing_halfwidth)
+        if is_interference:
+            return seqs, [LABEL_INTERFERENCE] * n, new_baseline
+        new_baseline.update(snr)
+        return seqs, [LABEL_CLEAN] * n, new_baseline
 
-    new_baseline = replace(baseline)  # shares `_recent`, which `update` replaces
+    # interference cluster: lower mean SNR; BLER breaks exact SNR ties
+    if mean_snr[0] != mean_snr[1]:
+        jam_cluster = 0 if mean_snr[0] < mean_snr[1] else 1
+    else:
+        mean_bler = [raw[assign == c, 1].mean() for c in (0, 1)]
+        jam_cluster = 0 if mean_bler[0] > mean_bler[1] else 1
+    flags = (assign == jam_cluster).astype(int)
+    flags = _median_filter_labels(flags, cfg.smoothing_halfwidth)
     new_baseline.update(snr[flags == 0])
     return seqs, _LABELS[flags].tolist(), new_baseline
 

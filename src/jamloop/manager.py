@@ -328,8 +328,9 @@ class ClosedLoop:
     def process(self, kpi_sample) -> None:
         """Ingest one KPI sample through the whole loop."""
         self.store.append("kpi", kpi_sample)
-        self._window_buf.append(kpi_sample.public())  # truth never crosses this line
-        if len(self._window_buf) >= self.labeler_cfg.window_size:
+        buf = self._window_buf
+        buf.append(kpi_sample.public())  # truth never crosses this line
+        if len(buf) >= self.labeler_cfg.window_size:
             self._label_buffer()
 
     def close(self) -> list[dict]:

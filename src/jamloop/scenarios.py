@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
-import yaml
 
 from .numbers import real, whole
 
@@ -179,6 +178,8 @@ def load_schedule(path: str | Path, seed: int) -> ScenarioSchedule:
     Entries may be bare catalog ids or full mappings. Values outside the
     catalog domain are accepted but recorded as warnings on the schedule.
     """
+    import yaml  # PyYAML loads only when a file is read
+
     path = Path(path)
     try:
         doc = yaml.safe_load(path.read_text(encoding="utf-8"))

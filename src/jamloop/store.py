@@ -189,15 +189,18 @@ class TelemetryStore:
     label, `detections` prob, verdict and model_version. The closed loop
     writes `labels` and `detections` (`extend_columns`) and reads every
     stream (`join`) as columns; records are the API at the edges only. A
-    kpi append is one seq compare and two list appends, and a window two
-    bisects and a slice. Every write and read holds one lock, and a write
-    that loses a race to a higher seq is refused.
+    kpi append is one type check, one unpack, one inline range test
+    (`_validate_kpi` runs only to name the failing field), one seq compare
+    and two list appends under the lock; a window is two bisects and a
+    slice. Every write and read holds one lock, and a write that loses a
+    race to a higher seq is refused.
     """
 
     def __init__(self, max_records: int = DEFAULT_MAX_RECORDS) -> None:
         self.max_records = max_records
         self._streams: dict[str, tuple[list, ...]] = {
             name: tuple(map(list, _columns(name, []))) for name in _RECORDS}
+        self._kpi = self._streams["kpi"]
         self._lock = threading.Lock()
 
     def _stream(self, name: str) -> tuple[list, ...]:
@@ -238,11 +241,14 @@ class TelemetryStore:
         """Append one valid record of the stream's type; returns the stream count after."""
         if stream != "kpi":  # a batch of one, by this class's `extend` and no override's
             return TelemetryStore.extend(self, stream, (record,))
-        seqs, records = self._streams["kpi"]  # the per-sample path
-        if not isinstance(record, KpiSample):
+        if not isinstance(record, KpiSample):  # the per-sample path
             raise _wrong_type(stream, KpiSample, record)
-        _validate_kpi(record)
-        seq = record.seq
+        seq, _, snr_db, mcs, bler, _ = record
+        # `_validate_kpi`'s comparisons in its order; it runs only to raise its message
+        if not (math.isfinite(snr_db) and 0.0 <= bler <= 1.0 and 0 <= mcs <= 28
+                and not seq < 0):
+            _validate_kpi(record)
+        seqs, records = self._kpi
         with self._lock:
             if len(seqs) >= self.max_records or seqs and seqs[-1] >= seq:
                 self._admit(stream, seqs, [seq])

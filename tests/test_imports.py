@@ -1,6 +1,9 @@
 """Each jamloop module uses only the public names of the others."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "jamloop"
@@ -17,3 +20,14 @@ def test_no_private_name_imported_from_another_module():
             private += [f"{path.name}:{node.lineno}: {alias.name}"
                         for alias in node.names if alias.name.startswith("_")]
     assert not private, f"private names imported across modules: {private}"
+
+
+def test_cli_import_does_not_load_yaml():
+    # PyYAML is imported by the two functions that read a YAML file, not at import
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", "import sys, jamloop, jamloop.cli; "
+                          "print('yaml' in sys.modules)"],
+                         capture_output=True, text=True, env=env, timeout=60, check=False)
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert run.stdout.strip() == "False"

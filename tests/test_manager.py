@@ -12,7 +12,8 @@ from jamloop.manager import (ClosedLoop, DriftReport, LoopConfig, ModelRegistry,
 from jamloop.mlp import TrainConfig
 from jamloop.scenarios import KpiSample, iter_stream, schedule_from_ids
 from jamloop.store import (DetectionRecord, LABEL_CLEAN, LABEL_INTERFERENCE,
-                           LabeledSample, SeqOrderError, TelemetryStore)
+                           LabeledSample, RecordInvalidError, SeqOrderError, StoreError,
+                           TelemetryStore)
 
 import test_store
 from test_labeler import duty_cycled_schedule
@@ -683,27 +684,31 @@ class TestClosedLoop:
         else:
             assert 0 < len(splits) < duty_windows // 2
 
-    @pytest.mark.parametrize("fault", ["swapped_pair", "repeated_sample"])
+    @pytest.mark.parametrize("fault", ["swapped_pair", "repeated_sample", "invalid_bler"])
     def test_out_of_order_sample_refused_and_loop_goes_on(self, tmp_path, fault):
         # the store refuses the sample at its kpi append, before it reaches the
         # loop's buffers, so every later window is labeled and detected
         samples = list(iter_stream(schedule_from_ids([2, 3, 2, 3], 7, 300)))
         assert len(samples) == 1200
+        error = SeqOrderError
         if fault == "swapped_pair":
             samples[150], samples[151] = samples[151], samples[150]
-        else:
+        elif fault == "repeated_sample":
             samples.insert(151, samples[150])
+        else:
+            samples[151] = samples[151]._replace(bler=1.5)
+            error = RecordInvalidError
         store = TelemetryStore()
         loop = ClosedLoop(store, DetectorXapp(), ModelRegistry(tmp_path / "models"))
         refused = []
         for i, s in enumerate(samples):
             try:
                 loop.process(s)
-            except SeqOrderError:
-                refused.append(i)
-        assert refused == [151]
+            except StoreError as exc:
+                refused.append((i, type(exc)))
+        assert refused == [(151, error)]
         close = loop.close()[-1]
-        n = 1199 if fault == "swapped_pair" else 1200
+        n = 1200 if fault == "repeated_sample" else 1199
         assert (close["kpi_count"], close["label_count"], close["detection_count"]) == (n,) * 3
         kept = [s.seq for s in samples[:151] + samples[152:]]
         assert len(kept) == n

@@ -71,9 +71,23 @@ class TestAppend:
         assert store.append("kpi", kpi(0)) == 1
         assert store.count("kpi") == 1
 
-    def test_invalid_bler_rejected(self, store):
-        with pytest.raises(RecordInvalidError):
-            store.append("kpi", kpi(0, bler=1.5))
+    @pytest.mark.parametrize("record", [
+        kpi(0, bler=1.5),
+        kpi(0, snr=math.nan), kpi(0, snr=math.inf), kpi(0, snr=-math.inf),
+        kpi(0, bler=-0.1), kpi(0, bler=math.nan),
+        kpi(0, mcs=-1), kpi(0, mcs=29), kpi(-1),
+        kpi(0, snr=math.nan, bler=1.5),
+        kpi(0, snr="x"), kpi(0, bler=None)],
+        ids=["bler_1.5", "snr_nan", "snr_inf", "snr_-inf", "bler_-0.1", "bler_nan",
+             "mcs_-1", "mcs_29", "seq_-1", "snr_nan_and_bler_1.5", "snr_str", "bler_none"])
+    def test_invalid_bler_rejected(self, store, record):
+        # append raises exactly what `_validate_kpi` raises, type and message;
+        # with two bad fields that is the first field's, snr_db before bler
+        with pytest.raises((RecordInvalidError, TypeError)) as expected:
+            _validate_kpi(record)
+        with pytest.raises(Exception) as got:
+            store.append("kpi", record)
+        assert (type(got.value), str(got.value)) == (expected.type, str(expected.value))
         assert store.count("kpi") == 0
 
     def test_duplicate_seq_rejected(self, store):
