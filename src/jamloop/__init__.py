@@ -4,7 +4,7 @@ from .scenarios import (ChannelParams, FeatureSample, KpiSample, ScenarioSchedul
                         ScenarioSpec, load_schedule, schedule_from_ids, sinr_db,
                         synth_stream)
 from .store import (DetectionRecord, LabeledSample, TelemetryStore)
-from .labeler import BaselineState, LabelerConfig, label_window, run_labeler
+from .labeler import LabelerConfig, label_window, run_labeler
 from .mlp import MlpModel, TrainConfig, TrainReport, forward, load, save, train
 from .detector import DetectorXapp, SwapReceipt
 from .manager import ClosedLoop, DriftReport, LoopConfig, ModelRegistry, monitor

@@ -18,8 +18,8 @@ samples gets its optimal partition, every candidate scored in one array
 operation, and a larger one Lloyd iterations from centroids seeded at its
 min- and max-SNR samples. A split whose centroid SNR separation falls under
 `SEPARATION_MIN_DB` is one class too. A one-class window is classed as a
-whole against the median of a running clean-SNR baseline less
-`BASELINE_OFFSET_DB`; with no baseline yet, the window is trusted as clean.
+whole against the median of the baseline, the last `MAX_RECENT` clean SNRs,
+less `BASELINE_OFFSET_DB`; with no baseline yet, the window is trusted as clean.
 A short median filter smooths per-sample labels near cluster boundaries.
 The closed loop labels through this path.
 
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,6 +51,7 @@ EXHAUSTIVE_KMEANS_MAX = 16  # tiny windows get the provably optimal 2-partition
 MAD_NORMAL = 0.6744897501960817  # median of |N(0, 1)|
 SEPARATION_MIN_DB = 4.0  # online: a narrower 2-means split is one class
 BASELINE_OFFSET_DB = 6.0  # online: a one-class window this far below the baseline is jammed
+MAX_RECENT = 600  # online: the baseline's clean SNRs, a few windows' memory to track regimes
 
 _LABELS = np.array([LABEL_CLEAN, LABEL_INTERFERENCE], dtype=object)  # by 0/1 flag
 _SNR = operator.attrgetter("snr_db")
@@ -70,31 +71,6 @@ class LabelerConfig:
             raise ValueError("window_size must be >= 4")
         if self.smoothing_halfwidth < 0:
             raise ValueError("smoothing_halfwidth must be >= 0")
-
-
-@dataclass
-class BaselineState:
-    """Running estimate of clean-condition SNR, fed by CLEAN-labeled samples."""
-
-    clean_snr_median_db: float = 0.0
-    sample_count: int = 0
-    # float64; an update replaces it and never mutates it, so copies may share it
-    _recent: np.ndarray = field(default_factory=lambda: np.empty(0), repr=False)
-
-    MAX_RECENT = 600  # ~ a few windows of clean memory; tracks regime changes
-
-    def __eq__(self, other) -> bool:  # the generated one would compare arrays with ==
-        return (type(other) is BaselineState
-                and (self.clean_snr_median_db, self.sample_count)
-                == (other.clean_snr_median_db, other.sample_count)
-                and np.array_equal(self._recent, other._recent))
-
-    def update(self, clean_snrs) -> None:
-        if not len(clean_snrs):
-            return
-        self._recent = np.concatenate((self._recent, clean_snrs))[-self.MAX_RECENT:]
-        self.sample_count += len(clean_snrs)
-        self.clean_snr_median_db = _quantile_half(self._recent)
 
 
 def _quantile_half(values: np.ndarray) -> float:
@@ -177,10 +153,12 @@ def _median_filter_labels(labels: np.ndarray, halfwidth: int) -> np.ndarray:
     return ((cs[hi] - cs[lo]) * 2 > hi - lo).astype(labels.dtype)
 
 
-def label_window(samples: list[FeatureSample], baseline: BaselineState,
-                 cfg: LabelerConfig) -> tuple[list, list[str], BaselineState]:
+def label_window(samples: list[FeatureSample], baseline: np.ndarray,
+                 cfg: LabelerConfig) -> tuple[list, list[str], np.ndarray]:
     """Label one window; returns its seqs and their labels, as two columns,
-    and the updated baseline."""
+    and the baseline after it. The baseline is the last `MAX_RECENT` clean
+    SNRs, a float64 array that is empty at a cold start; it is never mutated,
+    and a window that adds nothing to it returns it as it came."""
     cfg.validate()
     if not samples:
         raise LabelerError("cannot label an empty window")
@@ -206,18 +184,11 @@ def label_window(samples: list[FeatureSample], baseline: BaselineState,
         else:  # degenerate window collapsed into one cluster
             single_class = True
 
-    new_baseline = replace(baseline)  # shares `_recent`, which `update` replaces
     if single_class:  # one label for the whole window; a clean one feeds the baseline
-        if baseline.sample_count > 0:
-            gap = _median(snr) - (baseline.clean_snr_median_db - BASELINE_OFFSET_DB)
-            is_interference = gap < 0
-        else:
-            # cold start: no clean reference yet, bootstrap-trust the window
-            is_interference = False
-        if is_interference:
-            return seqs, [LABEL_INTERFERENCE] * n, new_baseline
-        new_baseline.update(snr)
-        return seqs, [LABEL_CLEAN] * n, new_baseline
+        # a cold start has no clean reference yet, so it trusts the window
+        if len(baseline) and _median(snr) - (_quantile_half(baseline) - BASELINE_OFFSET_DB) < 0:
+            return seqs, [LABEL_INTERFERENCE] * n, baseline
+        return seqs, [LABEL_CLEAN] * n, np.concatenate((baseline, snr))[-MAX_RECENT:]
 
     # interference cluster: lower mean SNR; BLER breaks exact SNR ties
     if mean_snr[0] != mean_snr[1]:
@@ -227,8 +198,10 @@ def label_window(samples: list[FeatureSample], baseline: BaselineState,
         jam_cluster = 0 if mean_bler[0] > mean_bler[1] else 1
     flags = (assign == jam_cluster).astype(int)
     flags = _median_filter_labels(flags, cfg.smoothing_halfwidth)
-    new_baseline.update(snr[flags == 0])
-    return seqs, _LABELS[flags].tolist(), new_baseline
+    clean = snr[flags == 0]
+    if len(clean):
+        baseline = np.concatenate((baseline, clean))[-MAX_RECENT:]
+    return seqs, _LABELS[flags].tolist(), baseline
 
 
 def _jitter_variance(snr: np.ndarray) -> float:

@@ -17,11 +17,13 @@ import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import mlp
 from .detector import DetectorXapp, StaleVersionError
-from .labeler import BaselineState, LabelerConfig, label_window
+from .labeler import LabelerConfig, label_window
 from .numbers import real, whole
-from .store import LABEL_CLEAN, LABEL_INTERFERENCE, TelemetryStore, atomic_writer
+from .store import LABEL_INTERFERENCE, TelemetryStore, atomic_writer
 
 TRIGGER_NONE = "NONE"
 TRIGGER_LOW_AGREEMENT = "LOW_AGREEMENT"
@@ -308,7 +310,7 @@ class ClosedLoop:
         self.cfg = loop_cfg or LoopConfig()
         self.labeler_cfg.validate()  # fail here, not at the first window or fit
         self.cfg.validate()
-        self.baseline = BaselineState()
+        self.baseline = np.empty(0)  # the labeler's clean SNRs, see `label_window`
         self.transcript: list[dict] = []
         self._window_buf: list = []
         self._labeled_since_check = 0

@@ -50,6 +50,9 @@ SNR_SHIFT, SNR_SCALE = 10.0, 50.0
 MCS_SCALE = 28.0
 
 MODEL_FORMAT = "jamloop-mlp-v1"
+# the scale above, as every MODEL_FORMAT file records it
+NORMALIZATION = {"snr_shift": SNR_SHIFT, "snr_scale": SNR_SCALE, "mcs_scale": MCS_SCALE,
+                 "bler": "identity"}
 N_PARAMS = sum(fan_in * fan_out + fan_out
                for fan_in, fan_out in zip(LAYER_DIMS[:-1], LAYER_DIMS[1:]))
 # 0-d operands: a ufunc given one converts no Python float per call
@@ -383,13 +386,18 @@ def train(dataset: list[tuple[tuple[float, float, float], int]],
     a fit that never scores 1.0. Raises `TrainingError` when the dataset is
     too small or single-class, when the stratified split, which keeps a row
     of each class for validation, leaves training a class short, or when the
-    checkpoint's parameters are not finite (the fit diverged).
+    checkpoint's parameters are not finite (the fit diverged), and
+    `ValueError` for a label other than 0 or 1 or a non-finite feature.
     """
     cfg.validate()
     if len(dataset) < 10:
         raise TrainingError(f"need at least 10 samples, got {len(dataset)}")
     features = np.array([list(f) for f, _ in dataset], dtype=float)
-    labels = np.array([y for _, y in dataset], dtype=int)
+    labels = [y for _, y in dataset]
+    if not {0, 1}.issuperset(labels):
+        bad = next(y for y in labels if y not in (0, 1))
+        raise ValueError(f"label {bad!r} is not 0 or 1")
+    labels = np.array(labels, dtype=int)
     n_pos = int(np.sum(labels == 1))
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:
@@ -495,8 +503,7 @@ def save(model: MlpModel, path: str | Path) -> None:
         "format": MODEL_FORMAT,
         "layer_dims": LAYER_DIMS,
         "activations": ACTIVATIONS,
-        "normalization": {"snr_shift": SNR_SHIFT, "snr_scale": SNR_SCALE,
-                          "mcs_scale": MCS_SCALE, "bler": "identity"},
+        "normalization": NORMALIZATION,
         "threshold": model.threshold,
         "version": model.version,
         "weights": [w.ravel().tolist() for w in model.weights],  # row-major
@@ -542,6 +549,9 @@ def load(path: str | Path) -> MlpModel:
     acts = doc.get("activations")
     if acts != ACTIVATIONS:
         raise ActivationError(f"model file {path}: unsupported activations {acts}")
+    if doc.get("normalization") != NORMALIZATION:
+        raise ModelError(f"model file {path}: normalization {doc.get('normalization')!r}, "
+                         f"expected {NORMALIZATION!r}")
     try:
         for field in ("weights", "biases"):  # one entry per layer, neither more nor less
             if type(doc[field]) is not list or len(doc[field]) != len(LAYER_DIMS) - 1:

@@ -24,6 +24,7 @@ from .numbers import real, whole
 OFF_INTERFERENCE_DB = -100.0
 SAMPLE_PERIOD_MS = 100
 DEFAULT_DURATION_SAMPLES = 300
+_ENTRY_FIELDS = ("id", "event", "interference_db", "noise_amplitude", "duration_samples")
 # a synthesized SNR beyond this is refused: below it the squares, the sums of
 # squares over a stream and the link adaptation's products stay finite
 MAX_ABS_SNR_DB = 1e100
@@ -198,6 +199,8 @@ def load_schedule(path: str | Path, seed: int) -> ScenarioSchedule:
             item = {"id": item}
         if not isinstance(item, dict):
             raise ScheduleError(f"entry {i}: expected id or mapping, got {type(item).__name__}")
+        if unknown := [k for k in item if k not in _ENTRY_FIELDS]:
+            raise ScheduleError(f"entry {i}: unknown field(s) {unknown}")
         if "id" in item and set(item) <= {"id", "duration_samples"}:
             entries.append(_catalog_spec(
                 _number(item, "id", whole, i),

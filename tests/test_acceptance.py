@@ -16,7 +16,7 @@ from jamloop import mlp
 from jamloop.detector import DetectorXapp
 from jamloop.experiment import (default_experiment_config,
                                 labeler_accuracy_by_scenario, run_experiment)
-from jamloop.labeler import BaselineState, LabelerConfig, run_labeler, two_means
+from jamloop.labeler import LabelerConfig, run_labeler, two_means
 from jamloop.manager import (ClosedLoop, LoopConfig, ModelRegistry,
                              TRIGGER_LOW_AGREEMENT)
 from jamloop.mlp import LAYER_DIMS, MlpModel, TrainConfig, forward, loss_and_grad

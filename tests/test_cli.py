@@ -14,7 +14,6 @@ from jamloop.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
 from jamloop.config import load_config
 from jamloop.experiment import ARTIFACTS
 from jamloop.manager import ModelRegistry
-from jamloop.mlp import TrainConfig
 
 
 def write_schedule(path, entries):
@@ -99,6 +98,19 @@ class TestSimulate:
         assert main(["--out", str(tmp_path / "o"), "simulate",
                      "--schedule", str(sched)]) == EXIT_USAGE
         assert "entry 1: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", [
+        {"event": "ON", "interference_db": -8.0, "noise_amplitude": 0.1, "duration_sample": 500},
+        {"id": 2, "duration_sample": 500},
+    ], ids=["custom", "catalog"])
+    def test_unknown_entry_field_exits_2(self, tmp_path, capsys, entry):
+        # a misspelled duration once ran the default 300 samples, or was reported
+        # as a missing 'event'
+        sched = write_schedule(tmp_path / "bad.yaml", [2, entry])
+        assert main(["--out", str(tmp_path / "o"), "simulate",
+                     "--schedule", str(sched)]) == EXIT_USAGE
+        assert "entry 1: unknown field(s) ['duration_sample']" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "trace.jsonl").exists()
 
     def test_missing_schedule_exits_2(self, tmp_path, capsys):
         sched = tmp_path / "nope.yaml"
@@ -519,6 +531,7 @@ BAD_MODEL_EDITS = {
     "weights_object": lambda d: d.update(weights=dict(enumerate(d["weights"]))),
     "extra_bias_layer": lambda d: d["biases"].append(d["biases"][-1]),
     "weight_huge_int": lambda d: d["weights"][0].__setitem__(0, 10 ** 400),
+    "normalization_changed": lambda d: d["normalization"].update(snr_shift=0.0),
 }
 
 

@@ -22,6 +22,23 @@ def test_no_private_name_imported_from_another_module():
     assert not private, f"private names imported across modules: {private}"
 
 
+def test_every_imported_name_is_used():
+    # __init__.py's imports are the package's exports
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and (
+                    getattr(node, "module", None) != "__future__"):
+                unused += [f"{path.name}:{node.lineno}: {alias.asname or alias.name}"
+                           for alias in node.names
+                           if (alias.asname or alias.name.split(".")[0]) not in read]
+    assert not unused, f"imported names never used: {unused}"
+
+
 def test_cli_import_does_not_load_yaml():
     # PyYAML is imported by the two functions that read a YAML file, not at import
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -3,13 +3,12 @@ import itertools
 import math
 import random
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from jamloop.labeler import (BASELINE_OFFSET_DB, EXHAUSTIVE_KMEANS_MAX, SEPARATION_MIN_DB,
-                             BaselineState, LabelerConfig, LabelerError, _exhaustive_two_means,
+from jamloop.labeler import (BASELINE_OFFSET_DB, EXHAUSTIVE_KMEANS_MAX, MAX_RECENT,
+                             SEPARATION_MIN_DB, LabelerConfig, LabelerError, _exhaustive_two_means,
                              _median, _median_filter_labels, _quantile_half, _standardize,
                              label_window, run_labeler, two_means)
 from jamloop.scenarios import (SCENARIO_CATALOG, FeatureSample, ScenarioSchedule,
@@ -34,65 +33,79 @@ def two_cluster_window(n_clean=50, n_jam=50, clean_snr=25.0, jam_snr=7.9, seed=0
 
 
 CFG = LabelerConfig()
+COLD = np.empty(0)  # the baseline before any clean window
 
 
 class TestLabelWindow:
     def test_two_cluster_window_split_correctly(self):
         window = two_cluster_window()
-        _, got, _ = label_window(window, BaselineState(), CFG)
+        _, got, _ = label_window(window, COLD, CFG)
         # boundary slack: at most smoothing_halfwidth flips next to the split
         assert got[:50 - CFG.smoothing_halfwidth] == [LABEL_CLEAN] * (50 - CFG.smoothing_halfwidth)
         assert got[50 + CFG.smoothing_halfwidth:] == [LABEL_INTERFERENCE] * (50 - CFG.smoothing_halfwidth)
 
     def test_all_clean_window_via_fallback(self):
-        baseline = BaselineState()
-        baseline.update([25.0] * 200)
         rng = np.random.default_rng(2)
         window = [feature(i, 25.0 + 0.5 * rng.standard_normal()) for i in range(100)]
-        _, labels, _ = label_window(window, baseline, CFG)
+        _, labels, _ = label_window(window, np.full(200, 25.0), CFG)
         assert labels == [LABEL_CLEAN] * 100
 
     def test_all_jammed_window_via_fallback(self):
-        baseline = BaselineState()
-        baseline.update([25.0] * 200)
         rng = np.random.default_rng(2)
         window = [feature(i, 8.0 + 0.5 * rng.standard_normal(), bler=0.9)
                   for i in range(100)]
-        _, labels, _ = label_window(window, baseline, CFG)
+        _, labels, _ = label_window(window, np.full(200, 25.0), CFG)
         assert labels == [LABEL_INTERFERENCE] * 100
 
     def test_empty_window_rejected(self):
         with pytest.raises(LabelerError):
-            label_window([], BaselineState(), CFG)
+            label_window([], COLD, CFG)
 
     def test_constant_features_no_division_by_zero(self):
         window = [feature(i, 15.0, bler=0.2) for i in range(20)]
-        seqs, labels, _ = label_window(window, BaselineState(), CFG)
+        seqs, labels, _ = label_window(window, COLD, CFG)
         assert seqs == list(range(20))
         assert len(labels) == 20
 
     def test_deterministic(self):
         window = two_cluster_window(seed=9)
-        baseline = BaselineState()
-        baseline.update([25.0] * 100)
+        baseline = np.full(100, 25.0)
         a = label_window(window, baseline, CFG)
         b = label_window(window, baseline, CFG)
-        assert a == b
+        assert a[:2] == b[:2]
+        assert np.array_equal(a[2], b[2])
 
     def test_label_count_conservation(self):
         for n in (1, 3, 7, 50, 100):
             window = [feature(i, 20.0 + i * 0.01) for i in range(n)]
-            seqs, labels, _ = label_window(window, BaselineState(), CFG)
+            seqs, labels, _ = label_window(window, COLD, CFG)
             assert seqs == list(range(n))
             assert len(labels) == n
 
     def test_baseline_updates_from_clean_samples(self):
         window = two_cluster_window(seed=1)
-        baseline_in = BaselineState()
+        baseline_in = np.empty(0)
         _, _, baseline_out = label_window(window, baseline_in, CFG)
-        assert baseline_out.sample_count > 0
-        assert baseline_out.clean_snr_median_db == pytest.approx(25.0, abs=0.5)
-        assert baseline_in.sample_count == 0  # input state untouched
+        assert len(baseline_out) > 0
+        assert _quantile_half(baseline_out) == pytest.approx(25.0, abs=0.5)
+        assert len(baseline_in) == 0  # input state untouched
+
+    @pytest.mark.parametrize("size", [0, 50, MAX_RECENT], ids=["cold", "short", "full"])
+    @pytest.mark.parametrize("snrs", [
+        [25.0, 25.5, 24.5] * 30, [8.0, 8.5, 7.5] * 30, [25.0] * 50 + [8.0] * 50],
+        ids=["clean", "jammed", "straddling"])
+    def test_baseline_is_read_only(self, size, snrs):
+        window = built(snrs)
+        baseline = np.full(size, 25.0)
+        baseline.setflags(write=False)  # a write would raise
+        _, labels, got = label_window(window, baseline, CFG)
+        assert np.array_equal(baseline, np.full(size, 25.0))
+        assert got.dtype == np.float64 and len(got) <= MAX_RECENT
+        clean = [s.snr_db for s, label in zip(window, labels) if label == LABEL_CLEAN]
+        if clean:
+            assert got.tolist() == ([25.0] * size + clean)[-MAX_RECENT:]
+        else:  # a jammed window returns the baseline as it came
+            assert got is baseline
 
     def test_high_gap_agreement_outside_transition(self):
         # 10 dB cluster gap, sigma 0.5: perfect labels outside +-halfwidth
@@ -102,7 +115,7 @@ class TestLabelWindow:
             window.append(feature(i, 22.0 + 0.5 * rng.standard_normal(), bler=0.1))
         for i in range(60, 100):
             window.append(feature(i, 12.0 + 0.5 * rng.standard_normal(), bler=0.8))
-        _, labels, _ = label_window(window, BaselineState(), CFG)
+        _, labels, _ = label_window(window, COLD, CFG)
         hw = CFG.smoothing_halfwidth
         assert labels[:60 - hw] == [LABEL_CLEAN] * (60 - hw)
         assert labels[60 + hw:] == [LABEL_INTERFERENCE] * (40 - hw)
@@ -247,7 +260,7 @@ def reference_lloyd_two_means(points, snr_col):
 def reference_label_window(samples, baseline, cfg):
     """`label_window` before the range rule: every window of 4 or more samples is
     standardized and split, with `np.median` for a one-class window and
-    `np.quantile` for the baseline."""
+    `np.quantile` for the baseline, which is a list of the last clean SNRs."""
     cfg.validate()
     if not samples:
         raise LabelerError("cannot label an empty window")
@@ -268,8 +281,8 @@ def reference_label_window(samples, baseline, cfg):
             single_class = True
     if single_class:
         window_median = float(np.median(snr))
-        is_interference = (baseline.sample_count > 0 and window_median
-                           - (baseline.clean_snr_median_db - BASELINE_OFFSET_DB) < 0)
+        is_interference = (len(baseline) > 0 and window_median
+                           - (float(np.quantile(baseline, 0.5)) - BASELINE_OFFSET_DB) < 0)
         flags = np.full(len(samples), 1 if is_interference else 0)
     else:
         if mean_snr[0] != mean_snr[1]:
@@ -280,24 +293,20 @@ def reference_label_window(samples, baseline, cfg):
         flags = _median_filter_labels((assign == jam_cluster).astype(int),
                                       cfg.smoothing_halfwidth)
     labels = [LABEL_INTERFERENCE if f else LABEL_CLEAN for f in flags.tolist()]
-    new = replace(baseline, _recent=list(baseline._recent))
-    clean = snr[flags == 0].tolist()
-    if clean:
-        new._recent = (new._recent + clean)[-BaselineState.MAX_RECENT:]
-        new.sample_count += len(clean)
-        new.clean_snr_median_db = float(np.quantile(new._recent, 0.5))
-    return seqs, labels, new
+    return seqs, labels, (baseline + snr[flags == 0].tolist())[-MAX_RECENT:]
 
 
-def hexes(baseline):
-    return (baseline.clean_snr_median_db.hex(), baseline.sample_count,
-            [float(x).hex() for x in baseline._recent])
+def hexes(baseline, median):
+    """Every baseline value's bits, and its median's by `median`."""
+    return ([float(x).hex() for x in baseline],
+            float(median(baseline)).hex() if len(baseline) else None)
 
 
 def assert_labels_as_reference(windows, cfg=CFG):
     """Run both labelers over `windows` in turn, each carrying its own baseline, and
-    require the same seqs and labels, the same baseline bits, or the same exception."""
-    ours, ref = BaselineState(), BaselineState()
+    require the same seqs and labels, the same baseline bits and baseline median bits,
+    or the same exception."""
+    ours, ref = COLD, []
     for i, window in enumerate(windows):
         try:
             want = reference_label_window(window, ref, cfg)
@@ -308,7 +317,8 @@ def assert_labels_as_reference(windows, cfg=CFG):
         got = label_window(window, ours, cfg)
         assert got[0] == want[0], f"window {i}"
         assert got[1] == want[1], f"window {i}"
-        assert hexes(got[2]) == hexes(want[2]), f"window {i}"
+        assert (hexes(got[2], _quantile_half)
+                == hexes(want[2], functools.partial(np.quantile, q=0.5))), f"window {i}"
         ours, ref = got[2], want[2]
 
 
@@ -399,7 +409,7 @@ class TestMatchesReferenceLabelWindow:
         assert hi - lo < SEPARATION_MIN_DB
         assert np.mean([hi] * n_hi) - np.mean([lo] * n_lo) >= SEPARATION_MIN_DB
         window = built([lo] * n_lo + [hi] * n_hi)
-        _, labels, _ = label_window(window, BaselineState(), CFG)
+        _, labels, _ = label_window(window, COLD, CFG)
         assert labels[0] != labels[-1]
         assert_labels_as_reference([window])
 

@@ -244,6 +244,14 @@ class TestTrain:
             train(separable_dataset(), TrainConfig(seed=-1))
         TrainConfig(seed=0).validate()
 
+    @pytest.mark.parametrize("bad", [2, -1, 0.7, math.nan, "1"])
+    def test_label_other_than_0_or_1_refused(self, bad):
+        # 2 once dropped its rows from both splits, 0.7 was truncated to 0, and
+        # "1" was read as 1
+        data = separable_dataset(n=60) + [((15.0, 0.5, 12.0), bad)] * 5
+        with pytest.raises(ValueError, match=f"^label {re.escape(repr(bad))} is not 0 or 1$"):
+            train(data, TrainConfig(seed=1, epochs=2))
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow being tested
     def test_diverging_fit_refused(self):
         # at this rate the first epoch's parameters overflow; building a model from
@@ -792,12 +800,14 @@ class TestSerialization:
         lambda d: d["weights"][0].__setitem__(3, "0.25"),
         lambda d: d["weights"][0].__setitem__(3, True),
         lambda d: d["biases"][2].__setitem__(0, False),
+        lambda d: d["normalization"].update(snr_shift=0.0),
+        lambda d: d.pop("normalization"),
     ], ids=["no_weights", "no_biases", "no_threshold", "threshold_text", "threshold_1.5",
             "version_text", "version_fraction", "version_float", "version_bool",
             "version_string", "version_negative", "version_null", "weight_text",
             "missing_layer", "weights_not_list", "other_format", "no_format",
             "threshold_quoted", "threshold_bool", "weight_quoted", "weight_bool",
-            "bias_bool"])
+            "bias_bool", "normalization_changed", "no_normalization"])
     def test_bad_model_file_raises_model_error(self, tmp_path, corrupt):
         path = tmp_path / "m.model"
         mlp.save(init_model(1, version=1), path)
