@@ -1,10 +1,10 @@
 """Two-arm evaluation: static offline-trained detector vs the closed loop.
 
-Arm A trains one model on the labeler's output over an early slice of the
-schedule and never retrains. Arm B runs the full closed loop from a cold
-start. Both arms consume the identical synthesized sample sequence;
-per-window accuracy against ground truth is the comparison the report and
-CSV artifacts carry.
+Arm A trains one model on the offline labeler's output (`label_stream` on
+the SNR column) over an early slice of the schedule and never retrains.
+Arm B runs the full closed loop from a cold start. Both arms consume the
+identical synthesized sample sequence; per-window accuracy against ground
+truth is the comparison the report and CSV artifacts carry.
 """
 
 from __future__ import annotations
@@ -17,9 +17,11 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from . import mlp
 from .detector import DetectorXapp
-from .labeler import LabelerConfig, run_labeler
+from .labeler import LabelerConfig, label_stream
 from .manager import ClosedLoop, LoopConfig, ModelRegistry, labeled_dataset
 from .scenarios import (ChannelParams, KpiSample, ScenarioSchedule, Segment,
                         schedule_from_ids, synth_stream)
@@ -149,10 +151,10 @@ def run_experiment(cfg: ExperimentConfig, registry_dir: Path) -> ExperimentRepor
 
     # ---- Arm A: static baseline, trained once on the leading entries ----
     train_end_seq = segments[cfg.baseline_train_entries - 1].end_seq
-    store_a = TelemetryStore()
-    store_a.extend("kpi", [s for s in samples if s.seq <= train_end_seq])
-    run_labeler(store_a, cfg.labeler)
-    _, train_samples, train_labels = store_a.join("kpi")
+    train_samples = [s for s in samples if s.seq <= train_end_seq]
+    cfg.labeler.validate()
+    jammed = label_stream(np.array([s.snr_db for s in train_samples]), cfg.labeler.window_size)
+    train_labels = [LABEL_INTERFERENCE if jam else LABEL_CLEAN for jam in jammed.tolist()]
     try:
         baseline_model, _ = mlp.train(labeled_dataset(train_samples, train_labels),
                                       cfg.loop.train, version=1)

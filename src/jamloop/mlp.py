@@ -387,12 +387,17 @@ def train(dataset: list[tuple[tuple[float, float, float], int]],
     too small or single-class, when the stratified split, which keeps a row
     of each class for validation, leaves training a class short, or when the
     checkpoint's parameters are not finite (the fit diverged), and
-    `ValueError` for a label other than 0 or 1 or a non-finite feature.
+    `ValueError` for a feature that is not an int or float (say a quoted
+    number), a label other than 0 or 1 or a non-finite feature.
     """
     cfg.validate()
     if len(dataset) < 10:
         raise TrainingError(f"need at least 10 samples, got {len(dataset)}")
-    features = np.array([list(f) for f, _ in dataset], dtype=float)
+    features = np.array([list(f) for f, _ in dataset])
+    if features.dtype.kind not in "biuf":  # a str or object array: some feature is no number
+        n = next(n for n, (f, _) in enumerate(dataset) if np.array(f).dtype.kind not in "biuf")
+        raise ValueError(f"row {n}: feature in {dataset[n][0]!r} is not an int or float")
+    features = features.astype(float, copy=False)
     labels = [y for _, y in dataset]
     if not {0, 1}.issuperset(labels):
         bad = next(y for y in labels if y not in (0, 1))

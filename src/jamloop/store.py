@@ -4,12 +4,14 @@ atomic file writer.
 
 Three fixed streams wire the closed loop together: `kpi` (raw samples),
 `labels` (labeler verdicts), `detections` (deployed-model outputs).
-Each is held in one layout, a seq column and then its value columns, which
-the closed loop writes and joins as columns; `append`, `extend`, `window`
-and the record joins are the edges where records go in and out. Rows are
-immutable, keyed by seq, and never overwritten; each stream takes seqs in
-increasing order, so a replay or a swapped sample is refused loudly
-(`SeqOrderError`) instead of merging silently.
+Each is held in one layout, a seq column and then its value columns. Each
+stream has one write form: a kpi sample goes in by `append`, one at a time,
+and the closed loop writes `labels` and `detections` as columns
+(`extend_columns`) and joins every stream as columns (`join`); `window` and
+the record joins are the edges where records come out. Rows are immutable,
+keyed by seq, and never overwritten; each stream takes seqs in increasing
+order, so a replay or a swapped sample is refused loudly (`SeqOrderError`)
+instead of merging silently.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .numbers import real, whole
-from .scenarios import KpiSample, kpi_from_fields
+from .scenarios import MAX_ABS_SNR_DB, KpiSample, kpi_from_fields
 
 LABEL_CLEAN = "CLEAN"
 LABEL_INTERFERENCE = "INTERFERENCE"
@@ -84,8 +86,10 @@ _LABEL_SET = frozenset(_LABEL_VALUES)
 
 
 def _validate_kpi(s: KpiSample) -> None:
-    if not math.isfinite(s.snr_db):
-        raise RecordInvalidError(f"snr_db {s.snr_db} is not finite")
+    if not abs(s.snr_db) <= MAX_ABS_SNR_DB:  # the bound synthesis keeps; NaN fails it too
+        if not math.isfinite(s.snr_db):
+            raise RecordInvalidError(f"snr_db {s.snr_db} is not finite")
+        raise RecordInvalidError(f"snr_db {s.snr_db} is beyond +-{MAX_ABS_SNR_DB:g} dB")
     if not 0.0 <= s.bler <= 1.0:
         raise RecordInvalidError(f"bler {s.bler} outside [0,1]")
     if not 0 <= s.mcs <= 28:
@@ -123,31 +127,12 @@ def _check_detections(probs, verdicts, model_versions) -> None:
             raise RecordInvalidError("model_version must be non-negative")
 
 
-def _check_kpi(samples) -> None:
-    for sample in samples:
-        _validate_kpi(sample)
-
-
-# each stream's record type, and the check its value columns must pass
-_RECORDS = {"kpi": (KpiSample, _check_kpi),
-            "labels": (LabeledSample, _check_labels),
+# each column stream's record type, and the check its value columns must pass
+_RECORDS = {"labels": (LabeledSample, _check_labels),
             "detections": (DetectionRecord, _check_detections)}
 # a record of a column stream from one tuple of its fields, without __new__'s frame
 _ROW = {kind: partial(tuple.__new__, kind) for kind in (LabeledSample, DetectionRecord)}
 _FIRST = operator.itemgetter(0)
-
-
-def _wrong_type(stream: str, kind: type, record) -> RecordInvalidError:
-    return RecordInvalidError(f"stream {stream!r} takes {kind.__name__} records, "
-                              f"got {type(record).__name__}")
-
-
-def _columns(stream: str, records: list) -> list:
-    """The stream's columns of its `records`, seqs first; kpi's one value
-    column is the records themselves."""
-    if stream == "kpi":
-        return [[r.seq for r in records], records]
-    return list(zip(*records)) or [()] * len(_RECORDS[stream][0]._fields)
 
 
 def _records(kind: type, columns) -> list:
@@ -186,20 +171,21 @@ class TelemetryStore:
 
     Every stream has one layout, a seq column and then its value columns,
     one list each: `kpi` one column of `KpiSample` records, `labels` the
-    label, `detections` prob, verdict and model_version. The closed loop
-    writes `labels` and `detections` (`extend_columns`) and reads every
-    stream (`join`) as columns; records are the API at the edges only. A
-    kpi append is one type check, one unpack, one inline range test
-    (`_validate_kpi` runs only to name the failing field), one seq compare
-    and two list appends under the lock; a window is two bisects and a
-    slice. Every write and read holds one lock, and a write that loses a
-    race to a higher seq is refused.
+    label, `detections` prob, verdict and model_version. A kpi sample is
+    written by `append` and the other streams by `extend_columns`, and each
+    refuses the other's streams; the closed loop reads every stream as
+    columns (`join`), and records come out at the edges only. A kpi append
+    is one type check, one unpack, one inline range test (`_validate_kpi`
+    runs only to name the failing field), one seq compare and two list
+    appends under the lock; a window is two bisects and a slice. Every write
+    and read holds one lock, and a write that loses a race to a higher seq
+    is refused.
     """
 
     def __init__(self, max_records: int = DEFAULT_MAX_RECORDS) -> None:
         self.max_records = max_records
         self._streams: dict[str, tuple[list, ...]] = {
-            name: tuple(map(list, _columns(name, []))) for name in _RECORDS}
+            "kpi": ([], []), "labels": ([], []), "detections": ([], [], [], [])}
         self._kpi = self._streams["kpi"]
         self._lock = threading.Lock()
 
@@ -213,8 +199,8 @@ class TelemetryStore:
         return len(self._stream(stream)[0])
 
     def _admit(self, stream: str, stored: list, seqs) -> None:
-        """Raise what the first failing append of `seqs` onto a stream whose
-        seq column is `stored` would, if one would."""
+        """Raise what writing `seqs` one at a time onto a stream whose seq
+        column is `stored` would raise first, if anything."""
         count, last = len(stored), stored[-1] if stored else None
         if (count + len(seqs) <= self.max_records and all(map(operator.lt, seqs, seqs[1:]))
                 and not (last is not None and seqs and last >= seqs[0])):
@@ -227,25 +213,17 @@ class TelemetryStore:
                                     f"seq {seq} is not above its last seq {last}")
             last = seq
 
-    def _write(self, stream: str, columns) -> int:
-        """Append checked `columns`, seqs first, to the stream's, all or none;
-        returns the stream count after."""
-        stored = self._streams[stream]
-        with self._lock:
-            self._admit(stream, stored[0], columns[0])
-            for column, values in zip(stored, columns):
-                column.extend(values)
-            return len(stored[0])
-
     def append(self, stream: str, record) -> int:
-        """Append one valid record of the stream's type; returns the stream count after."""
-        if stream != "kpi":  # a batch of one, by this class's `extend` and no override's
-            return TelemetryStore.extend(self, stream, (record,))
-        if not isinstance(record, KpiSample):  # the per-sample path
-            raise _wrong_type(stream, KpiSample, record)
+        """Append one valid `KpiSample` to `kpi`; returns the stream count after."""
+        if stream != "kpi":
+            self._stream(stream)  # an unknown stream raises here
+            raise StoreError(f"stream {stream!r} is written as columns")
+        if not isinstance(record, KpiSample):
+            raise RecordInvalidError(f"stream 'kpi' takes KpiSample records, "
+                                     f"got {type(record).__name__}")
         seq, _, snr_db, mcs, bler, _ = record
         # `_validate_kpi`'s comparisons in its order; it runs only to raise its message
-        if not (math.isfinite(snr_db) and 0.0 <= bler <= 1.0 and 0 <= mcs <= 28
+        if not (abs(snr_db) <= MAX_ABS_SNR_DB and 0.0 <= bler <= 1.0 and 0 <= mcs <= 28
                 and not seq < 0):
             _validate_kpi(record)
         seqs, records = self._kpi
@@ -256,33 +234,18 @@ class TelemetryStore:
             records.append(record)
             return len(seqs)
 
-    def extend(self, stream: str, records) -> int:
-        """Append a batch of records, all or none; returns the stream count after.
-
-        A record of another type or an invalid one raises `RecordInvalidError`,
-        the first such record's error. Past those checks, a batch that fits and
-        runs in increasing seq order past the stream's last seq is written
-        under the lock; any other raises what its first failing `append` would,
-        and writes nothing.
-        """
-        self._stream(stream)  # an unknown stream raises here
-        kind, check = _RECORDS[stream]
-        batch = list(records)
-        if not all(map(isinstance, batch, itertools.repeat(kind))):
-            n = next(n for n, r in enumerate(batch) if not isinstance(r, kind))
-            check(*_columns(stream, batch[:n])[1:])  # an invalid record before it is first
-            raise _wrong_type(stream, kind, batch[n])
-        columns = _columns(stream, batch)
-        check(*columns[1:])
-        return self._write(stream, columns)
-
     def extend_columns(self, stream: str, seqs, *fields) -> int:
         """Append a batch of `labels` or `detections` rows given as columns, all
         or none; returns the stream count after.
 
         `seqs` and each of `fields`, one per record field after seq in order,
-        are sequences of one length. The rows pass the checks of `extend` and
-        raise its errors, with the message its records would give.
+        are sequences of one length. A row whose value is invalid (a label or
+        verdict other than CLEAN or INTERFERENCE, a prob outside [0,1] or a
+        negative model_version) raises `RecordInvalidError`, the first such
+        row's error. Past that check, a batch that fits and runs in increasing
+        seq order past the stream's last seq is written under the lock; any
+        other raises what its first failing row, written alone, would
+        (`SeqOrderError` or `StoreFullError`), and writes nothing.
         """
         columns = self._stream(stream)
         if stream == "kpi":
@@ -290,7 +253,11 @@ class TelemetryStore:
         if len(fields) != len(columns) - 1 or any(len(f) != len(seqs) for f in fields):
             raise ValueError(f"stream {stream!r} takes {len(columns)} columns of one length")
         _RECORDS[stream][1](*fields)
-        return self._write(stream, (seqs, *fields))
+        with self._lock:
+            self._admit(stream, columns[0], seqs)
+            for column, values in zip(columns, (seqs, *fields)):
+                column.extend(values)
+            return len(columns[0])
 
     def window(self, stream: str, from_seq: int = 0, to_seq: int | None = None) -> list:
         """Records with seq in [from_seq, to_seq] by seq; to_seq None reads to the end."""
@@ -444,9 +411,10 @@ def read_trace(path: str | Path) -> tuple[list[str], list[KpiSample]]:
     `bler` or has a column a KPI sample lacks, a row with other columns than
     the first row's (say `truth` on some rows only), a field that is not a
     number by `numbers.whole` or `numbers.real` (say `seq` 1.0, `"3"` or
-    `true`, or `snr_db` NaN), an invalid sample (say `bler` 1.5) or a seq
-    that repeats an earlier row's raises `SchemaError` naming the file and
-    line. A file that is not UTF-8 text raises `SchemaError` naming the file.
+    `true`, or `snr_db` NaN), an invalid sample (say `bler` 1.5 or `snr_db`
+    1e300) or a seq that repeats an earlier row's raises `SchemaError` naming
+    the file and line. A file that is not UTF-8 text raises `SchemaError`
+    naming the file.
 
     A row whose fields already have their sample's types (`seq`, `ts_ms` and
     `mcs` ints, `snr_db` and `bler` floats, `truth` a bool or absent) and
@@ -458,7 +426,8 @@ def read_trace(path: str | Path) -> tuple[list[str], list[KpiSample]]:
     columns: list[str] = []
     samples: list[KpiSample] = []
     append = samples.append
-    scan, low, high = _scan_once, -math.inf, math.inf  # low < x < high: x is finite
+    # low <= x <= high: x is finite and within the bound `_validate_kpi` keeps
+    scan, low, high = _scan_once, -MAX_ABS_SNR_DB, MAX_ABS_SNR_DB
     keys = frozenset()  # the first row's once it is read
     last = -1  # the last row's seq; every seq is at least 0
     seqs: set[int] | None = None  # built at the first seq out of order
@@ -492,7 +461,7 @@ def read_trace(path: str | Path) -> tuple[list[str], list[KpiSample]]:
                         seq, ts_ms, snr_db, mcs, bler, truth = values
                         if (type(seq) is int and type(ts_ms) is int and type(mcs) is int
                                 and type(snr_db) is float and type(bler) is float
-                                and type(truth) is bool and low < snr_db < high
+                                and type(truth) is bool and low <= snr_db <= high
                                 and 0.0 <= bler <= 1.0 and 0 <= mcs <= 28 and seq >= 0):
                             sample = kpi_from_fields(values)
                 if sample is None:

@@ -260,6 +260,22 @@ class TestEvalLabeler:
         code = main(["eval-labeler", "--trace", str(trace)])
         assert code == EXIT_USAGE
 
+    @pytest.mark.filterwarnings("error")
+    def test_snr_at_synthesis_bound_labeled_without_warnings(self, tmp_path):
+        # +-1e100 dB is the largest SNR a trace may hold; the labeler's sums of
+        # squares stay finite there
+        _, trace = simulate(tmp_path, [{"id": 2, "duration_samples": 150},
+                                       {"id": 1, "duration_samples": 150}])
+        lines = trace.read_text().splitlines(keepends=True)
+        for i, snr in ((10, 1e100), (200, -1e100)):
+            row = json.loads(lines[i])
+            row["snr_db"] = snr
+            lines[i] = json.dumps(row) + "\n"
+        trace.write_text("".join(lines))
+        out = tmp_path / "o"
+        assert main(["--out", str(out), "eval-labeler", "--trace", str(trace)]) == EXIT_OK
+        assert len((out / "labeler_accuracy.csv").read_text().splitlines()) == 3
+
     def test_leading_blank_line_read_past(self, tmp_path):
         _, trace = simulate(tmp_path, [{"id": 2, "duration_samples": 150},
                                        {"id": 1, "duration_samples": 150}])
@@ -436,6 +452,18 @@ class TestMalformedTrace:
         assert f"{trace}:2: bad row" in err
         assert "snr_db" in err and "not finite" in err
         assert not (tmp_path / "o" / "detections.csv").exists()
+
+    @pytest.mark.parametrize("value", ["1e300", "-1e300", "1e160", "-1.0000000000000002e100"])
+    def test_snr_beyond_synthesis_bound_exits_2(self, tmp_path, capsys, command, value):
+        # synthesis refuses an SNR beyond +-1e100 dB, and so does the trace reader:
+        # past it the labeler's squares overflow (OverflowError at 1e300)
+        trace = bad_trace(tmp_path, '{"seq": 1, "ts_ms": 100, "snr_db": ' + value
+                          + ', "mcs": 2, "bler": 0.1, "truth": false}')
+        assert self.invoke(tmp_path, command, trace) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{trace}:2: bad row" in err
+        assert f"snr_db {float(value)!r} is beyond +-1e+100 dB" in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("field", ["seq", "ts_ms", "mcs"])
     def test_fractional_int_field_exits_2(self, tmp_path, capsys, command, field):

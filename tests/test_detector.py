@@ -10,7 +10,7 @@ from jamloop.detector import (DetectorError, DetectorXapp, NoModelDeployedError,
                               StaleVersionError)
 from jamloop.mlp import LAYER_DIMS, MlpModel, forward, forward_batch, init_model
 from jamloop.scenarios import FeatureSample, KpiSample, iter_stream, schedule_from_ids
-from jamloop.store import LABEL_CLEAN, LABEL_INTERFERENCE, DetectionRecord, TelemetryStore
+from jamloop.store import LABEL_CLEAN, LABEL_INTERFERENCE, DetectionRecord
 
 
 def bias_model(version, out_bias=0.0):
@@ -114,18 +114,14 @@ class TestScoreBatch:
 
 class TestSwap:
     def test_swap_receipt_and_partition(self):
-        store = TelemetryStore()
         det = DetectorXapp()
         det.swap_model(bias_model(1, -3.0))
-        for i in range(100):
-            store.append("detections", det.infer(feature(i)))
+        rows = [det.infer(feature(i)) for i in range(100)]
         receipt = det.swap_model(bias_model(2, 3.0))
         assert receipt.old_version == 1 and receipt.new_version == 2
         assert receipt.seq_boundary == 99
-        for i in range(100, 200):
-            store.append("detections", det.infer(feature(i)))
-        rows = store.window("detections", 0, 199)
-        assert len(rows) == 200
+        rows += [det.infer(feature(i)) for i in range(100, 200)]
+        assert [r.seq for r in rows] == list(range(200))
         versions = [r.model_version for r in rows]
         assert versions == [1] * 100 + [2] * 100
 
@@ -171,14 +167,14 @@ class TestSwap:
 
 class TestRun:
     def test_versions_nondecreasing_across_interleaved_swaps(self):
-        store = TelemetryStore()
         det = DetectorXapp()
         det.swap_model(bias_model(1))
+        rows = []
         for i in range(400):
             if i in (100, 200, 300):
                 det.swap_model(bias_model(1 + i // 100))
-            store.append("detections", det.infer(feature(i)))
-        versions = [r.model_version for r in store.window("detections", 0, 399)]
+            rows.append(det.infer(feature(i)))
+        versions = [r.model_version for r in rows]
         assert versions == sorted(versions)
         assert sorted(set(versions)) == [1, 2, 3, 4]
 

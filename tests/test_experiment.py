@@ -2,11 +2,14 @@ import dataclasses
 
 import pytest
 
-from jamloop import experiment
-from jamloop.experiment import (ExperimentReport, ScenarioLabelAccuracy, WindowAccuracy,
-                                default_experiment_config, default_window_map,
+from jamloop import experiment, mlp
+from jamloop.experiment import (ExperimentError, ExperimentReport, ScenarioLabelAccuracy,
+                                WindowAccuracy, default_experiment_config, default_window_map,
                                 write_artifacts)
+from jamloop.labeler import LabelerConfig, run_labeler
+from jamloop.manager import labeled_dataset
 from jamloop.scenarios import schedule_from_ids, synth_stream
+from jamloop.store import TelemetryStore
 
 
 def window_map(schedule):
@@ -71,3 +74,36 @@ def test_scores_match_the_loop_store_records(tmp_path, monkeypatch, seed):
         assert row.accuracy == experiment._score(labels, samples, seg.start_seq, seg.end_seq)
         assert row.accuracy_transition_excluded == experiment._score(
             labels, samples, seg.start_seq + halfwidth, seg.end_seq - halfwidth)
+
+
+@pytest.mark.parametrize("seed,samples_per_scenario,passes,window_size",
+                         [(7, 300, 2, 100), (11, 300, 2, 100), (7, 20, 1, 16)],
+                         ids=["seed7", "seed11", "seed7_16_sample_windows"])
+def test_static_arm_trains_on_the_offline_labels(tmp_path, monkeypatch, seed,
+                                                 samples_per_scenario, passes, window_size):
+    # the static arm's rows are those `labeled_dataset` builds over what
+    # `run_labeler` writes for the leading samples, row for row and bit for bit
+    fitted = []
+
+    def capture(dataset, cfg, version):
+        fitted.append(dataset)
+        raise mlp.TrainingError("captured")
+
+    monkeypatch.setattr(mlp, "train", capture)
+    cfg = default_experiment_config(seed, samples_per_scenario, passes)
+    cfg.labeler = LabelerConfig(window_size=window_size)
+    with pytest.raises(ExperimentError, match="static baseline training failed: captured"):
+        experiment.run_experiment(cfg, tmp_path / "models")
+    store, samples = TelemetryStore(), []
+    segments = synth_stream(cfg.schedule, cfg.channel, samples.append).segments
+    train_end_seq = segments[cfg.baseline_train_entries - 1].end_seq
+    for s in samples:
+        if s.seq <= train_end_seq:
+            store.append("kpi", s)
+    run_labeler(store, cfg.labeler)
+    _, train_samples, labels = store.join("kpi")
+    want = labeled_dataset(train_samples, labels)
+    assert len(want) == cfg.baseline_train_entries * samples_per_scenario
+    assert len({y for _, y in want}) == 2
+    assert [repr(row) for row in fitted[0]] == [repr(row) for row in want]
+    assert len(fitted) == 1

@@ -30,9 +30,8 @@ def detection(seq, verdict, version=1):
 
 
 def fill(store, n, verdict_of, label_of):
-    for i in range(n):
-        store.append("detections", detection(i, verdict_of(i)))
-        store.append("labels", LabeledSample(i, label_of(i)))
+    test_store.write(store, "detections", [detection(i, verdict_of(i)) for i in range(n)])
+    test_store.write(store, "labels", [LabeledSample(i, label_of(i)) for i in range(n)])
 
 
 class TestMonitor:
@@ -113,14 +112,14 @@ class TestMonitorMatchesFullJoin:
         for seq in seqs:
             if rng.random() < 0.85:  # some labeled seqs have no detection
                 d = detection(seq, LABEL_INTERFERENCE if rng.random() < 0.5 else LABEL_CLEAN)
-                store.append("detections", d)
+                test_store.put(store, "detections", d)
                 detections.append(d)
             if rng.random() < 0.9:
                 u = rng.random()
                 if u < 0.15:  # this seq stays unlabeled
                     continue
                 lab = LabeledSample(seq, LABEL_INTERFERENCE if u < 0.6 else LABEL_CLEAN)
-                store.append("labels", lab)
+                test_store.put(store, "labels", lab)
                 labels.append(lab)
         top = seqs[-1] if seqs else 0
         for from_seq in (0, top // 3, top // 2, top, top + 1, top + 50):
@@ -150,10 +149,12 @@ class TestMonitorColumns:
             test_store.TestJoin.run_seqs(start, runs, halves)
             for start, runs, halves in zip(starts, (label_runs, detection_runs), halved))
         verdict_of = dict(zip(detection_seqs, jams[0]))
-        store.extend("labels", [LabeledSample(q, LABEL_INTERFERENCE if jam else LABEL_CLEAN)
-                                for q, jam in zip(label_seqs, jams[1])])
-        store.extend("detections", [detection(q, LABEL_INTERFERENCE if verdict_of[q]
-                                              else LABEL_CLEAN) for q in detection_seqs])
+        test_store.write(store, "labels",
+                         [LabeledSample(q, LABEL_INTERFERENCE if jam else LABEL_CLEAN)
+                          for q, jam in zip(label_seqs, jams[1])])
+        test_store.write(store, "detections",
+                         [detection(q, LABEL_INTERFERENCE if verdict_of[q] else LABEL_CLEAN)
+                          for q in detection_seqs])
         past = max(label_seqs + detection_seqs, default=0) + 1
         for from_seq in (0, inside, past):
             for window_size in (1, 7, 200):
@@ -188,7 +189,8 @@ def make_labeled_history(store, n=400, seed=0):
         jam = i % 2 == 0
         snr = 8.0 + 0.5 * rng.standard_normal() if jam else 25.0 + 0.5 * rng.standard_normal()
         store.append("kpi", kpi(i, snr=float(snr)))
-        store.append("labels", LabeledSample(i, LABEL_INTERFERENCE if jam else LABEL_CLEAN))
+        test_store.put(store, "labels",
+                       LabeledSample(i, LABEL_INTERFERENCE if jam else LABEL_CLEAN))
 
 
 class TestRetrain:
@@ -206,7 +208,7 @@ class TestRetrain:
         store = TelemetryStore()
         for i in range(100):
             store.append("kpi", kpi(i))
-            store.append("labels", LabeledSample(i, LABEL_CLEAN))
+            test_store.put(store, "labels", LabeledSample(i, LABEL_CLEAN))
         registry = ModelRegistry(tmp_path / "models")
         outcome = retrain(store, TrainConfig(seed=1), registry)
         assert outcome.entry is None
@@ -217,7 +219,8 @@ class TestRetrain:
         store = TelemetryStore()
         for i in range(10):
             store.append("kpi", kpi(i, snr=25.0 if i % 2 else 8.0))
-            store.append("labels", LabeledSample(i, LABEL_CLEAN if i % 2 else LABEL_INTERFERENCE))
+            test_store.put(store, "labels",
+                           LabeledSample(i, LABEL_CLEAN if i % 2 else LABEL_INTERFERENCE))
         registry = ModelRegistry(tmp_path / "models")
         outcome = retrain(store, TrainConfig(seed=1, val_fraction=0.95), registry)
         assert outcome.entry is None
@@ -231,7 +234,7 @@ class TestRetrain:
         for i in range(31):
             store.append("kpi", kpi(i, snr=8.0 if i == 30 else 25.0))
             label = LABEL_INTERFERENCE if i == 30 else LABEL_CLEAN
-            store.append("labels", LabeledSample(i, label))
+            test_store.put(store, "labels", LabeledSample(i, label))
         registry = ModelRegistry(tmp_path / "models")
         outcome = retrain(store, TrainConfig(seed=1), registry)
         assert outcome.entry is None
@@ -262,10 +265,12 @@ class TestRetrain:
         kpi_seqs, label_seqs = (test_store.TestJoin.run_seqs(
             int(rng.integers(0, 5)), r, set(rng.integers(1, 150, 2).tolist())) for r in runs)
         store = TelemetryStore()
-        store.extend("kpi", [KpiSample(q, 0, float(rng.normal(15, 8)), int(rng.integers(0, 29)),
-                                       float(rng.random()), False) for q in kpi_seqs])
-        store.extend("labels", [LabeledSample(q, LABEL_INTERFERENCE if rng.random() < 0.5
-                                              else LABEL_CLEAN) for q in label_seqs])
+        test_store.write(store, "kpi", [KpiSample(q, 0, float(rng.normal(15, 8)),
+                                                  int(rng.integers(0, 29)), float(rng.random()),
+                                                  False) for q in kpi_seqs])
+        test_store.write(store, "labels", [LabeledSample(q, LABEL_INTERFERENCE
+                                                         if rng.random() < 0.5 else LABEL_CLEAN)
+                                           for q in label_seqs])
         fitted = []
 
         def capture(dataset, cfg, version):
@@ -631,27 +636,26 @@ class TestClosedLoop:
             assert json.loads(json.dumps(ev, allow_nan=False)) == ev
             assert {type(v) for v in ev.values()} <= {str, int, float, bool, type(None)}
 
-    def test_batch_writes_match_per_record_appends(self, tmp_path):
-        class PerRecordStore(TelemetryStore):
+    def test_batch_writes_match_per_row_writes(self, tmp_path):
+        class PerRowStore(TelemetryStore):
             column_writes = 0
 
             def extend_columns(self, stream, seqs, *fields):
                 self.column_writes += 1
-                record = DetectionRecord if stream == "detections" else LabeledSample
                 for row in zip(seqs, *fields):
-                    self.append(stream, record(*row))
+                    super().extend_columns(stream, *([value] for value in row))
                 return self.count(stream)
 
         runs = [run_loop_over([2, 1, 2, 7, 8], seed=9, registry_dir=tmp_path / name,
                               store=store)
                 for name, store in (("batched", TelemetryStore()),
-                                    ("per_record", PerRecordStore()))]
-        (batched, _, _, transcript), (per_record, _, _, per_record_transcript) = runs
-        assert per_record.column_writes > 0
-        assert transcript == per_record_transcript
-        assert batched.window("kpi") == per_record.window("kpi")
-        assert batched.window("labels") == per_record.window("labels")
-        assert batched.window("detections") == per_record.window("detections")
+                                    ("per_row", PerRowStore()))]
+        (batched, _, _, transcript), (per_row, _, _, per_row_transcript) = runs
+        assert per_row.column_writes > 0
+        assert transcript == per_row_transcript
+        assert batched.window("kpi") == per_row.window("kpi")
+        assert batched.window("labels") == per_row.window("labels")
+        assert batched.window("detections") == per_row.window("detections")
         assert batched.count("detections") == batched.count("kpi") == 1500
 
     @pytest.mark.parametrize("period", [5, 20, 150])

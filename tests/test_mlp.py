@@ -252,6 +252,26 @@ class TestTrain:
         with pytest.raises(ValueError, match=f"^label {re.escape(repr(bad))} is not 0 or 1$"):
             train(data, TrainConfig(seed=1, epochs=2))
 
+    @pytest.mark.parametrize("bad", ["25.0", None, b"25", 1j],
+                             ids=["str", "None", "bytes", "complex"])
+    def test_feature_other_than_int_or_float_refused(self, bad):
+        # "25.0" was once read as the number 25.0; the first bad row is named
+        data = separable_dataset(n=60)
+        data[40:42] = [((bad, 0.5, 12.0), 1), ((15.0, 0.5, bad), 0)]
+        with pytest.raises(ValueError, match=f"^row 40: feature in {re.escape(repr(data[40][0]))} "
+                                             f"is not an int or float$"):
+            train(data, TrainConfig(seed=1, epochs=2))
+
+    def test_int_features_train_as_floats(self):
+        # ints (numpy's too) are numbers: the fit is that of the same floats
+        data = separable_dataset(n=60)
+        as_ints = [((int(round(f[0])), np.int64(round(f[1])), int(f[2])), y) for f, y in data]
+        as_floats = [(tuple(float(v) for v in f), y) for f, y in as_ints]
+        cfg = TrainConfig(seed=1, epochs=2)
+        (m_int, _), (m_float, _) = train(as_ints, cfg), train(as_floats, cfg)
+        for w1, w2 in zip(m_int.weights + m_int.biases, m_float.weights + m_float.biases):
+            assert np.array_equal(w1, w2)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow being tested
     def test_diverging_fit_refused(self):
         # at this rate the first epoch's parameters overflow; building a model from

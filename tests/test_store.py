@@ -9,7 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from jamloop.numbers import real, whole
-from jamloop.scenarios import FeatureSample, KpiSample, iter_stream, schedule_from_ids
+from jamloop.scenarios import (MAX_ABS_SNR_DB, FeatureSample, KpiSample, iter_stream,
+                               schedule_from_ids)
 from jamloop.store import (DetectionRecord, LabeledSample, RecordInvalidError,
                            SchemaError, SeqOrderError, StoreError, StoreFullError,
                            TelemetryStore, UnknownStreamError, KPI_COLUMNS,
@@ -77,9 +78,10 @@ class TestAppend:
         kpi(0, bler=-0.1), kpi(0, bler=math.nan),
         kpi(0, mcs=-1), kpi(0, mcs=29), kpi(-1),
         kpi(0, snr=math.nan, bler=1.5),
-        kpi(0, snr="x"), kpi(0, bler=None)],
+        kpi(0, snr="x"), kpi(0, bler=None), kpi(0, snr=-1e300)],
         ids=["bler_1.5", "snr_nan", "snr_inf", "snr_-inf", "bler_-0.1", "bler_nan",
-             "mcs_-1", "mcs_29", "seq_-1", "snr_nan_and_bler_1.5", "snr_str", "bler_none"])
+             "mcs_-1", "mcs_29", "seq_-1", "snr_nan_and_bler_1.5", "snr_str", "bler_none",
+             "snr_-1e300"])
     def test_invalid_bler_rejected(self, store, record):
         # append raises exactly what `_validate_kpi` raises, type and message;
         # with two bad fields that is the first field's, snr_db before bler
@@ -96,27 +98,34 @@ class TestAppend:
             store.append("kpi", kpi(7))
         assert store.count("kpi") == 1
 
-    def test_unknown_label_rejected(self, store):
-        with pytest.raises(RecordInvalidError):
-            store.append("labels", LabeledSample(0, "UNLABELED"))
-        assert store.count("labels") == 0
+    def test_snr_at_synthesis_bound_accepted(self, store):
+        # synthesis refuses an SNR beyond +-MAX_ABS_SNR_DB, and so does the store
+        for seq, snr in enumerate((MAX_ABS_SNR_DB, -MAX_ABS_SNR_DB)):
+            assert store.append("kpi", kpi(seq, snr=snr)) == seq + 1
+        for snr in (math.nextafter(MAX_ABS_SNR_DB, math.inf), -1e101):
+            with pytest.raises(RecordInvalidError, match=r"is beyond \+-1e\+100 dB"):
+                store.append("kpi", kpi(2, snr=snr))
+        assert store.count("kpi") == 2
 
     @pytest.mark.parametrize("stream,record", [
-        ("kpi", label(0)), ("kpi", kpi(0).public()),
-        ("labels", kpi(0)), ("labels", DetectionRecord(0, 0.2, LABEL_CLEAN, 1)),
-        ("detections", label(0)), ("detections", kpi(0))],
-        ids=["kpi-LabeledSample", "kpi-FeatureSample", "labels-KpiSample",
-             "labels-DetectionRecord", "detections-LabeledSample", "detections-KpiSample"])
+        ("labels", label(0)), ("detections", DetectionRecord(0, 0.2, LABEL_CLEAN, 1))],
+        ids=["labels", "detections"])
+    def test_column_streams_refused(self, store, stream, record):
+        # a column stream has one write form, `extend_columns`
+        with pytest.raises(StoreError, match=f"^stream '{stream}' is written as columns$"):
+            store.append(stream, record)
+        assert contents(store) == {name: [] for name in RECORD_OF}
+
+    @pytest.mark.parametrize("stream,record", [
+        ("kpi", label(0)), ("kpi", kpi(0).public())],
+        ids=["kpi-LabeledSample", "kpi-FeatureSample"])
     def test_record_of_another_type_rejected(self, store, stream, record):
         with pytest.raises(RecordInvalidError, match=f"stream '{stream}' takes .* "
                                                      f"got {type(record).__name__}"):
             store.append(stream, record)
         assert store.count(stream) == 0
 
-    @pytest.mark.parametrize("stream,record", [
-        ("kpi", kpi(0)), ("labels", label(0)),
-        ("detections", DetectionRecord(0, 0.2, LABEL_CLEAN, 1))],
-        ids=["kpi", "labels", "detections"])
+    @pytest.mark.parametrize("stream,record", [("kpi", kpi(0))], ids=["kpi"])
     def test_plain_tuple_rejected(self, store, stream, record):
         # a plain tuple equals the record that holds its values, but is no record
         plain = tuple(record)
@@ -134,13 +143,13 @@ class TestAppend:
     def test_seq_not_above_last_refused(self, store, stream):
         make = RECORD_OF[stream]
         for i in (1, 3, 5, 9):
-            store.append(stream, make(i))
+            put(store, stream, make(i))
         for seq in (0, 1, 3, 4, 5, 8, 9):  # below, at and between the stored seqs
             with pytest.raises(SeqOrderError, match=f"seq {seq} is not above its last seq 9"):
-                store.append(stream, make(seq))
+                put(store, stream, make(seq))
         assert store.count(stream) == 4
         assert [r.seq for r in store.window(stream)] == [1, 3, 5, 9]
-        assert store.append(stream, make(10)) == 5
+        assert put(store, stream, make(10)) == 5
 
     def test_max_seq_after_out_of_order_appends(self, store):
         assert store.max_seq("kpi") is None
@@ -166,104 +175,32 @@ RECORD_OF = {"kpi": kpi, "labels": label,
              "detections": lambda seq: DetectionRecord(seq, 0.5, LABEL_CLEAN, 1)}
 
 
+def put(store, stream, record):
+    """Write one record in its stream's write form: a kpi sample by `append`,
+    a column stream's row by `extend_columns`; returns the stream count after."""
+    if stream == "kpi":
+        return store.append("kpi", record)
+    return store.extend_columns(stream, *([value] for value in record))
+
+
+def write(store, stream, records):
+    """Write `records` in their stream's write form: each kpi sample by
+    `append`, a column stream's rows as one `extend_columns` batch."""
+    records = list(records)
+    if stream == "kpi":
+        for record in records:
+            store.append("kpi", record)
+        return store.count("kpi")
+    columns = as_columns(records) or [[] for _ in RECORD_OF[stream](0)]
+    return store.extend_columns(stream, *columns)
+
+
+def as_columns(rows):
+    return [list(c) for c in zip(*rows)]
+
+
 def contents(store):
     return {name: store.window(name) for name in RECORD_OF}
-
-
-class TestExtend:
-    @settings(max_examples=300, deadline=None)
-    @given(stream=st.sampled_from(sorted(RECORD_OF)),
-           stored=st.lists(st.integers(0, 30), unique=True, max_size=12).map(sorted),
-           batch=st.lists(st.integers(0, 30), max_size=12),
-           max_records=st.integers(0, 25))
-    def test_same_as_appends_or_raises_first_append_error(self, stream, stored, batch,
-                                                          max_records):
-        stores = []
-        for _ in range(2):
-            s = TelemetryStore()
-            for name, make in RECORD_OF.items():
-                for seq in stored:
-                    s.append(name, make(seq))
-            s.max_records = max_records
-            stores.append(s)
-        batched, appended = stores
-        before = contents(batched)
-        records = [RECORD_OF[stream](seq) for seq in batch]
-        error = None
-        for r in records:
-            try:
-                appended.append(stream, r)
-            except Exception as exc:
-                error = type(exc)
-                break
-        if error is None:
-            assert batched.extend(stream, records) == appended.count(stream)
-            assert contents(batched) == contents(appended)
-        else:
-            with pytest.raises(error):
-                batched.extend(stream, records)
-            assert contents(batched) == before
-
-    def test_empty_batch_returns_count(self, store):
-        assert store.extend("kpi", []) == 0
-        store.append("kpi", kpi(4))
-        assert store.extend("kpi", ()) == 1
-        assert store.window("kpi") == [kpi(4)]
-
-    def test_in_order_batch_after_last_seq(self, store):
-        store.append("kpi", kpi(0))
-        assert store.extend("kpi", (kpi(i) for i in range(1, 5))) == 5
-        assert store.window("kpi") == [kpi(i) for i in range(5)]
-
-    def test_record_of_another_type_writes_nothing(self, store):
-        with pytest.raises(RecordInvalidError, match="stream 'kpi' takes .* got LabeledSample"):
-            store.extend("kpi", [kpi(0), label(1), kpi(2)])
-        assert store.count("kpi") == 0
-
-    def test_invalid_last_record_writes_nothing(self, store):
-        with pytest.raises(RecordInvalidError, match="bler"):
-            store.extend("kpi", [kpi(0), kpi(1), kpi(2, bler=1.5)])
-        assert store.count("kpi") == 0
-
-    def test_seq_repeated_in_batch_writes_nothing(self, store):
-        with pytest.raises(SeqOrderError, match="seq 1 is not above its last seq 2"):
-            store.extend("labels", [label(1), label(2), label(1)])
-        assert store.count("labels") == 0
-
-    def test_stored_seq_writes_nothing(self, store):
-        store.extend("labels", [label(i) for i in range(5)])
-        with pytest.raises(SeqOrderError, match="seq 4 is not above its last seq 6"):
-            store.extend("labels", [label(5), label(6), label(4)])
-        assert [r.seq for r in store.window("labels")] == list(range(5))
-
-    @pytest.mark.parametrize("seqs,seq,last", [
-        ((9, 0, 6, 3), 0, 9), ((0, 9), 0, 8), ((8, 9), 8, 8), ((9, 10, 10), 10, 10)],
-        ids=["shuffled", "below_last", "at_last", "repeat_in_batch"])
-    def test_out_of_order_batch_writes_nothing(self, store, seqs, seq, last):
-        for i in (2, 5, 8):
-            store.append("kpi", kpi(i))
-        with pytest.raises(SeqOrderError, match=f"seq {seq} is not above its last seq {last}"):
-            store.extend("kpi", [kpi(i, snr=1.0) for i in seqs])
-        assert store.window("kpi") == [kpi(2), kpi(5), kpi(8)]
-        assert store.max_seq("kpi") == 8
-
-    def test_batch_past_capacity_writes_nothing(self):
-        small = TelemetryStore(max_records=5)
-        small.extend("kpi", [kpi(i) for i in range(3)])
-        with pytest.raises(StoreFullError, match="max_records=5"):
-            small.extend("kpi", [kpi(i) for i in range(3, 6)])
-        assert small.count("kpi") == 3
-        with pytest.raises(SeqOrderError):  # fits, but out of order
-            small.extend("kpi", [kpi(4), kpi(3)])
-        assert small.count("kpi") == 3
-        with pytest.raises(StoreFullError):  # capacity is checked first
-            small.extend("kpi", [kpi(3), kpi(4), kpi(1)])
-        assert small.extend("kpi", [kpi(3), kpi(4)]) == 5
-
-    def test_unknown_stream(self, store):
-        for batch in ([kpi(0)], []):
-            with pytest.raises(UnknownStreamError):
-                store.extend("nope", batch)
 
 
 def detection(seq, prob=0.5, verdict=LABEL_CLEAN, version=1):
@@ -271,15 +208,48 @@ def detection(seq, prob=0.5, verdict=LABEL_CLEAN, version=1):
 
 
 class TestExtendColumns:
-    """`extend_columns` refuses exactly what `extend` refuses, with its message."""
+    """A batch writes what its rows written one at a time would, or raises the
+    first failing row's error, with its message, and writes nothing."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(stream=st.sampled_from(["labels", "detections"]),
+           stored=st.lists(st.integers(0, 30), unique=True, max_size=12).map(sorted),
+           batch=st.lists(st.integers(0, 30), max_size=12),
+           max_records=st.integers(0, 25))
+    def test_same_as_rows_or_raises_first_row_error(self, stream, stored, batch,
+                                                    max_records):
+        stores = []
+        for _ in range(2):
+            s = TelemetryStore()
+            for name in ("labels", "detections"):
+                write(s, name, map(RECORD_OF[name], stored))
+            s.max_records = max_records
+            stores.append(s)
+        batched, one_by_one = stores
+        before = contents(batched)
+        records = [RECORD_OF[stream](seq) for seq in batch]
+        error = None
+        for r in records:
+            try:
+                put(one_by_one, stream, r)
+            except Exception as exc:
+                error = exc
+                break
+        if error is None:
+            assert write(batched, stream, records) == one_by_one.count(stream)
+            assert contents(batched) == contents(one_by_one)
+        else:
+            with pytest.raises(type(error), match=f"^{re.escape(str(error))}$"):
+                write(batched, stream, records)
+            assert contents(batched) == before
 
     @staticmethod
     def stores():
         """Two stores, each holding labels and detections at seqs 0 and 1, room for 4."""
         stores = [TelemetryStore(max_records=4) for _ in range(2)]
         for s in stores:
-            s.extend("labels", [label(0), label(1)])
-            s.extend("detections", [detection(0), detection(1)])
+            write(s, "labels", [label(0), label(1)])
+            write(s, "detections", [detection(0), detection(1)])
         return stores
 
     @pytest.mark.parametrize("stream,rows", [
@@ -301,25 +271,56 @@ class TestExtendColumns:
              "unhashable_verdict", "negative_version", "first_row_first", "unknown_label",
              "unhashable_label", "repeated_seq", "seq_out_of_order", "seq_not_above_last",
              "full", "order_before_full"])
-    def test_refuses_as_extend(self, stream, rows):
-        by_records, by_columns = self.stores()
-        before = contents(by_columns)
+    def test_refuses_as_rows(self, stream, rows):
+        batched, one_by_one = self.stores()
+        before = contents(batched)
         with pytest.raises(Exception) as want:
-            by_records.extend(stream, rows)
+            for row in rows:
+                put(one_by_one, stream, row)
         assert isinstance(want.value, (RecordInvalidError, SeqOrderError, StoreFullError))
         with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
-            by_columns.extend_columns(stream, *map(list, zip(*rows)))
-        assert contents(by_columns) == contents(by_records) == before
+            batched.extend_columns(stream, *as_columns(rows))
+        assert contents(batched) == before
 
-    def test_writes_as_extend(self):
-        by_records, by_columns = self.stores()
+    def test_invalid_value_refused_before_seq_order(self, store):
+        # every row's values are checked before any seq
+        with pytest.raises(RecordInvalidError, match="unknown label 'UNLABELED'"):
+            store.extend_columns("labels", [1, 0], [LABEL_CLEAN, "UNLABELED"])
+        assert store.count("labels") == 0
+
+    def test_writes_as_rows(self):
+        batched, one_by_one = self.stores()
         rows = [detection(2, 0.25, LABEL_INTERFERENCE, 3), detection(5, 1.0, LABEL_CLEAN, 3)]
-        assert by_columns.extend_columns("detections", *map(list, zip(*rows))) == \
-            by_records.extend("detections", rows) == 4
-        assert by_columns.extend_columns("labels", (2,), [LABEL_CLEAN]) == 3
-        by_records.append("labels", label(2))
-        assert contents(by_columns) == contents(by_records)
-        assert by_columns.extend_columns("labels", (), ()) == 3
+        assert batched.extend_columns("detections", *as_columns(rows)) == 4
+        assert [put(one_by_one, "detections", row) for row in rows] == [3, 4]
+        assert batched.extend_columns("labels", (2,), [LABEL_CLEAN]) == 3
+        put(one_by_one, "labels", label(2))
+        assert contents(batched) == contents(one_by_one)
+        assert batched.window("detections") == [detection(0), detection(1)] + rows
+        assert batched.extend_columns("labels", (), ()) == 3
+
+    @pytest.mark.parametrize("seqs,seq,last", [
+        ((9, 0, 6, 3), 0, 9), ((0, 9), 0, 8), ((8, 9), 8, 8), ((9, 10, 10), 10, 10)],
+        ids=["shuffled", "below_last", "at_last", "repeat_in_batch"])
+    def test_out_of_order_batch_writes_nothing(self, store, seqs, seq, last):
+        write(store, "labels", map(label, (2, 5, 8)))
+        with pytest.raises(SeqOrderError, match=f"seq {seq} is not above its last seq {last}"):
+            write(store, "labels", map(label, seqs))
+        assert store.window("labels") == [label(2), label(5), label(8)]
+        assert store.max_seq("labels") == 8
+
+    def test_batch_past_capacity_writes_nothing(self):
+        small = TelemetryStore(max_records=5)
+        write(small, "labels", map(label, range(3)))
+        with pytest.raises(StoreFullError, match="max_records=5"):
+            write(small, "labels", map(label, range(3, 6)))
+        assert small.count("labels") == 3
+        with pytest.raises(SeqOrderError):  # fits, but out of order
+            write(small, "labels", map(label, (4, 3)))
+        assert small.count("labels") == 3
+        with pytest.raises(StoreFullError):  # capacity is checked first
+            write(small, "labels", map(label, (3, 4, 1)))
+        assert write(small, "labels", map(label, (3, 4))) == 5
 
     def test_misshapen_columns_and_kpi_refused(self, store):
         for columns in ([[0, 1], [LABEL_CLEAN]], [[0]], [[0], [LABEL_CLEAN], [LABEL_CLEAN]]):
@@ -373,22 +374,18 @@ class TestWindow:
 
 class TestJoin:
     def test_full_join(self, store):
-        for i in range(100):
-            store.append("kpi", kpi(i))
-            store.append("labels", label(i))
+        write(store, "kpi", map(kpi, range(100)))
+        write(store, "labels", map(label, range(100)))
         assert len(store.join_labels()) == 100
 
     def test_partial_join_cardinality(self, store):
-        for i in range(100):
-            store.append("kpi", kpi(i))
-            if i >= 50:
-                store.append("labels", label(i))
+        write(store, "kpi", map(kpi, range(100)))
+        write(store, "labels", map(label, range(50, 100)))
         assert len(store.join_labels()) == 50
 
     def test_disjoint_join_empty(self, store):
-        for i in range(10):
-            store.append("kpi", kpi(i))
-            store.append("labels", label(i + 100))
+        write(store, "kpi", map(kpi, range(10)))
+        write(store, "labels", map(label, range(100, 110)))
         assert store.join_labels() == []
 
     @pytest.mark.parametrize("seed", range(20))
@@ -398,9 +395,9 @@ class TestJoin:
         seqs = np.sort(rng.choice(300, size=120, replace=False))  # sparse
         for seq in seqs:
             if rng.random() < 0.8:
-                store.append("detections", DetectionRecord(int(seq), 0.2, LABEL_CLEAN, 1))
+                put(store, "detections", DetectionRecord(int(seq), 0.2, LABEL_CLEAN, 1))
             if rng.random() < 0.8 and rng.random() >= 0.2:  # some seqs unlabeled
-                store.append("labels", label(int(seq)))
+                put(store, "labels", label(int(seq)))
         for from_seq in (0, 150, 299, 400):
             full = store.join_detections(from_seq=from_seq)
             assert [d.seq for d, _ in full] == sorted(d.seq for d, _ in full)
@@ -451,7 +448,7 @@ class TestJoin:
         tail_start = int(max((s[-1] for s in seqs if s), default=-1)) + 1
         tail = list(range(tail_start, tail_start + shared_tail))
         for stream, stream_seqs in zip(names, seqs):
-            store.extend(stream, map(RECORD_OF[stream], stream_seqs + tail))
+            write(store, stream, map(RECORD_OF[stream], stream_seqs + tail))
         kpis, labels, detections = (store.window(name) for name in names)
         assert store.join_labels() == self.reference_join(kpis, labels, 0, None)
         past = max([r.seq for r in kpis + labels + detections], default=0) + 1
@@ -681,7 +678,9 @@ def _reference_kpi_from_wire(row: dict) -> KpiSample:
 def _reference_read_trace(path):
     """`read_trace` as it was before its typed path, whose samples and error
     messages `read_trace` must keep; `json.loads` stands for its one-`raw_decode`
-    parse, which gave the same values and errors."""
+    parse, which gave the same values and errors. Each sample is checked by
+    `_validate_kpi`, whose bound on `snr_db` (+-MAX_ABS_SNR_DB) the typed path
+    must keep too."""
     path = Path(path)
     columns, samples = [], []
     seqs = None
@@ -724,8 +723,9 @@ def _reference_read_trace(path):
     return columns, samples
 
 
-TRACE_FAULTS = ["bool", "float_seq", "nan", "infinity", "bler_1_5", "mcs_29", "negative_seq",
-                "repeated_seq", "extra_column", "bad_json", "missing_column"]
+TRACE_FAULTS = ["bool", "float_seq", "nan", "infinity", "snr_beyond_bound", "bler_1_5",
+                "mcs_29", "negative_seq", "repeated_seq", "extra_column", "bad_json",
+                "missing_column"]
 
 
 @st.composite
@@ -733,7 +733,8 @@ def trace_files(draw):
     """A trace file's lines, and the index and kind of its one faulty line, if any.
 
     Rows mix canonical `trace_line`s, integer-valued `snr_db` and `bler`,
-    string truths and blank lines, with seqs in any order.
+    `snr_db` at the +-MAX_ABS_SNR_DB bound, string truths and blank lines,
+    with seqs in any order.
     """
     with_truth = draw(st.booleans())
     seqs = draw(st.lists(st.integers(0, 60), max_size=8, unique=True))
@@ -747,12 +748,15 @@ def trace_files(draw):
     lines = []
     for seq in seqs:
         s, r = row(seq)
-        style = draw(st.sampled_from(["canonical", "integer_reals", "string_truth"]))
+        style = draw(st.sampled_from(["canonical", "integer_reals", "snr_at_bound",
+                                      "string_truth"]))
         if style == "canonical":
             lines.append(trace_line(s, with_truth))
             continue
         if style == "integer_reals":
             r.update(snr_db=draw(st.integers(-60, 60)), bler=draw(st.integers(0, 1)))
+        elif style == "snr_at_bound":
+            r["snr_db"] = draw(st.sampled_from([MAX_ABS_SNR_DB, -MAX_ABS_SNR_DB]))
         elif with_truth:
             r["truth"] = draw(st.sampled_from(["1", "0", "true", " False", "True\t"]))
         lines.append(json.dumps(r))
@@ -767,6 +771,9 @@ def trace_files(draw):
         elif fault in ("nan", "infinity"):
             r[draw(st.sampled_from(["snr_db", "bler"]))] = (
                 math.nan if fault == "nan" else draw(st.sampled_from([math.inf, -math.inf])))
+        elif fault == "snr_beyond_bound":
+            r["snr_db"] = draw(st.sampled_from(
+                [1e300, -1e300, math.nextafter(MAX_ABS_SNR_DB, math.inf), -1e101]))
         elif fault == "bler_1_5":
             r["bler"] = 1.5
         elif fault == "mcs_29":
@@ -831,7 +838,7 @@ class TestConcurrency:
 
         def put_labels():
             for i in range(500):
-                store.append("labels", label(i))
+                put(store, "labels", label(i))
 
         threads = [threading.Thread(target=put_kpi), threading.Thread(target=put_labels)]
         for t in threads:
@@ -850,11 +857,11 @@ class TestConcurrency:
         n_batches, size = 40, 25
         landed, refused, errors = [], [], []
 
-        def put(k):
+        def write_batches(k):
             for b in range(n_batches):
                 batch = [label(2 * (b * size + i) + k) for i in range(size)]
                 try:
-                    store.extend("labels", batch)
+                    write(store, "labels", batch)
                 except SeqOrderError:
                     refused.append(batch)
                 except Exception as exc:  # surfaced by the assert below
@@ -865,7 +872,7 @@ class TestConcurrency:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            writers = [threading.Thread(target=put, args=(k,)) for k in range(2)]
+            writers = [threading.Thread(target=write_batches, args=(k,)) for k in range(2)]
             for t in writers:
                 t.start()
             for t in writers:
@@ -890,14 +897,14 @@ class TestConcurrency:
         landed = {"detections": [], "labels": []}
         refusals, errors = [], []
 
-        def put(k):
+        def write_rows(k):
             for i in range(per_thread):
                 seq = i * n_threads + k
                 for stream, record in (
                         ("detections", DetectionRecord(seq, 0.2, LABEL_CLEAN, 1)),
                         ("labels", label(seq))):
                     try:
-                        store.append(stream, record)
+                        put(store, stream, record)
                     except SeqOrderError:
                         refusals.append(seq)
                     except Exception as exc:  # surfaced by the assert below
@@ -916,7 +923,7 @@ class TestConcurrency:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            writers = [threading.Thread(target=put, args=(k,)) for k in range(n_threads)]
+            writers = [threading.Thread(target=write_rows, args=(k,)) for k in range(n_threads)]
             reader = threading.Thread(target=read)
             for t in writers:
                 t.start()
